@@ -13,7 +13,8 @@ three sections:
 A second file, ``BENCH_scaling.json``, records the ``scaling`` section:
 wall seconds/packet and modeled cycles/packet for PQP and BC-PQP at
 N ∈ {1, 10, 100, 1000, 10000} aggregates — the Figure 5 flatness claim
-applied to our own hot path.
+applied to our own hot path — plus a policy-rich cell (BC-PQP over a
+256-queue, 16-group, two-priority tree with a churning active set).
 
 A third file, ``BENCH_eventloop.json``, records the event-engine
 section: each fig5 saturated cell run end-to-end with the simulator's
@@ -63,7 +64,9 @@ consistency-checks but does not re-run; regenerate it with
 ``--check`` runs only those sections and exits non-zero if (a)
 seconds/packet at N=1000 exceeds ``--check-multiple`` (default 3.0)
 times the N=10 value, or N=10000 exceeds the same multiple of N=100 —
-the guard for the virtual-time drain staying O(log N) — or the churn
+the guard for the virtual-time drain staying O(log N) — or the
+nested-tree cell exceeds ``NESTED_MAX_MULTIPLE`` (2.5) times the same
+run's flat bcpqp N=100 cell — or the churn
 gates fail: the empty-plan outcome must equal the clean outcome
 byte-for-byte at <= 1.05x its wall clock, and update throughput must
 hold the floor — or (b) the
@@ -109,16 +112,19 @@ import bench_sim_core  # noqa: E402
 from repro.churn import ChurnPlan, PolicyUpdate, draw_plan  # noqa: E402
 from repro.experiments import fig5_efficiency  # noqa: E402
 from repro.experiments.fleet_scale import as_json as fleet_cell_json  # noqa: E402
+from repro.classify.classifier import SlotClassifier  # noqa: E402
+from repro.core.bcpqp import BCPQP  # noqa: E402
 from repro.fleet import FleetSpec, run_fleet  # noqa: E402
 from repro.net.impair import ImpairmentSpec  # noqa: E402
 from repro.net.packet import FlowId, Packet  # noqa: E402
 from repro.net.sink import NullSink  # noqa: E402
+from repro.policy.tree import Policy  # noqa: E402
 from repro.runner.aggregate import AggregateConfig, simulate_aggregate  # noqa: E402
 from repro.runner.supervisor import session_stats  # noqa: E402
 from repro.workload.spec import FlowSpec  # noqa: E402
 from repro.schemes import make_limiter  # noqa: E402
 from repro.sim.simulator import Simulator  # noqa: E402
-from repro.units import mbps, ms  # noqa: E402
+from repro.units import MSS, gbps, mbps, ms  # noqa: E402
 
 HOT_PATH_SCHEMES = ("policer", "fairpolicer", "pqp", "bcpqp", "shaper")
 BATCH = 1000
@@ -126,6 +132,25 @@ BATCH = 1000
 #: The scaling sweep: phantom schemes across aggregate counts.
 SCALING_SCHEMES = ("pqp", "bcpqp")
 SCALING_NS = (1, 10, 100, 1000, 10000)
+
+#: The policy-rich scaling cell: bcpqp over a two-level tree whose
+#: occupied set keeps changing (the ``openloop_bcpqp`` suite workload's
+#: shape).  1.2x a 1 Gbps rate arrives in same-instant ticks of ``burst``
+#: packets spread over ``active`` of the ``queues`` queues; the active
+#: draw is replaced on ``redraw`` of the ticks, so queues keep filling
+#: from empty and draining out and BC-PQP reads ``r*_i`` against an
+#: ever-new active set.
+NESTED_CELL = {
+    "queues": 256, "groups": 16, "active": 64, "redraw": 0.01,
+    "burst": 32, "ticks": 320, "queue_mss": 64,
+}
+
+#: The nested cell's seconds/packet may be at most this multiple of the
+#: flat bcpqp N=100 cell's, both measured in this run.  Reading shares
+#: off the GPS engine measures ~1.5x (17 internal nodes to sync instead
+#: of 1); a per-active-set share memo (O(N) walk and N-tuple per miss)
+#: plus a global slope recompute measured 4.5-5.6x.
+NESTED_MAX_MULTIPLE = 2.5
 
 #: Pre-overhaul engine metrics on the fig5 saturated workload (default
 #: 12 s horizon), measured at the commit preceding the event-engine
@@ -310,17 +335,83 @@ def _scaling_cell(scheme: str, n: int, rounds: int) -> dict[str, float]:
     }
 
 
+def _nested_cell(rounds: int) -> dict[str, float]:
+    """Seconds/packet and modeled cycles/packet on :data:`NESTED_CELL`."""
+    cell = NESTED_CELL
+    queues, groups, burst = cell["queues"], cell["groups"], cell["burst"]
+    rng = random.Random(1)
+    members = [
+        [float(rng.choice((1, 2, 4))) for _ in range(queues // groups)]
+        for _ in range(groups)
+    ]
+    policy = Policy.nested(
+        members,
+        [float(rng.choice((1, 2, 4))) for _ in range(groups)],
+        [g % 2 for g in range(groups)],
+    )
+    rate = gbps(1)
+    sim = Simulator()
+    limiter = BCPQP(
+        sim, rate=rate, policy=policy, classifier=SlotClassifier(queues),
+        queue_bytes=float(cell["queue_mss"] * MSS),
+    )
+    limiter.connect(NullSink())
+    packets = [Packet.data(FlowId(0, q), 0, 0.0) for q in range(queues)]
+    gap = burst * MSS / (rate * 1.2)
+    live = rng.sample(range(queues), cell["active"])
+    tick = 0
+
+    def draw_round() -> list[tuple[float, list[Packet]]]:
+        nonlocal live, tick
+        schedule = []
+        for _ in range(cell["ticks"]):
+            if rng.random() < cell["redraw"]:
+                live = rng.sample(range(queues), cell["active"])
+            picks = rng.choices(live, k=burst)
+            schedule.append((tick * gap, [packets[q] for q in picks]))
+            tick += 1
+        return schedule
+
+    def process(schedule: list[tuple[float, list[Packet]]]) -> None:
+        for now, arrivals in schedule:
+            sim._now = now
+            for packet in arrivals:
+                limiter.receive(packet)
+
+    process(draw_round())  # warm up: queues fill, windows start
+    samples = []
+    for _ in range(rounds):
+        schedule = draw_round()
+        start = time.perf_counter()
+        process(schedule)
+        samples.append((time.perf_counter() - start) / (cell["ticks"] * burst))
+    return {
+        "seconds_per_packet": statistics.median(samples),
+        "modeled_cycles_per_packet": round(
+            limiter.cost.cycles_per_packet(limiter.stats.arrived_packets), 2
+        ),
+    }
+
+
 def scaling_section(rounds: int, ns: tuple[int, ...] = SCALING_NS) -> dict:
-    """The drain-scalability sweep: PQP/BC-PQP across aggregate counts."""
+    """The drain-scalability sweep: PQP/BC-PQP across aggregate counts,
+    plus the policy-rich nested-tree cell."""
     schemes = {
         scheme: {str(n): _scaling_cell(scheme, n, rounds) for n in ns}
         for scheme in SCALING_SCHEMES
     }
+    nested = {**NESTED_CELL, **_nested_cell(rounds)}
+    flat = schemes["bcpqp"].get("100")
+    if flat is not None:
+        nested["multiple_of_flat_100"] = round(
+            nested["seconds_per_packet"] / flat["seconds_per_packet"], 3
+        )
     return {
         "unit": "seconds/packet, modeled cycles/packet",
         "batch_packets": BATCH,
         "aggregates": list(ns),
         "schemes": schemes,
+        "nested": nested,
     }
 
 
@@ -329,8 +420,16 @@ def check_scaling(scaling: dict, multiple: float) -> list[str]:
 
     Two gates per scheme, each spanning a 100x aggregate-count jump:
     N=1000 vs ``multiple`` x N=10, and N=10000 vs ``multiple`` x N=100.
+    The nested-tree cell is gated against the same run's flat bcpqp
+    N=100 cell at :data:`NESTED_MAX_MULTIPLE`.
     """
     failures = []
+    ratio = scaling.get("nested", {}).get("multiple_of_flat_100")
+    if ratio is not None and ratio > NESTED_MAX_MULTIPLE:
+        failures.append(
+            f"bcpqp nested-tree cell costs {ratio}x the flat N=100 cell "
+            f"(limit {NESTED_MAX_MULTIPLE}x)"
+        )
     for scheme, per_n in scaling["schemes"].items():
         for small, big in (("10", "1000"), ("100", "10000")):
             base = per_n.get(small)
@@ -1238,6 +1337,14 @@ def _print_scaling(scaling: dict) -> None:
                 f"{cell['seconds_per_packet'] * 1e6:8.2f} us/pkt  "
                 f"{cell['modeled_cycles_per_packet']:8.1f} cycles/pkt"
             )
+    nested = scaling["nested"]
+    ratio = nested.get("multiple_of_flat_100")
+    print(
+        f"  scaling    bcpqp  nested {nested['queues']}q/{nested['groups']}g "
+        f"{nested['seconds_per_packet'] * 1e6:8.2f} us/pkt  "
+        f"{nested['modeled_cycles_per_packet']:8.1f} cycles/pkt"
+        + (f"  {ratio:.2f}x flat N=100" if ratio is not None else "")
+    )
 
 
 if __name__ == "__main__":

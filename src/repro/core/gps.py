@@ -28,9 +28,14 @@ queues.
 
 Structure changes (a queue filling from empty, emptying, or being
 reclaimed to empty) settle the affected root-to-leaf path and re-derive
-the per-class ``dV/dt`` slopes — O(tree internal nodes + log N), and the
-number of such changes is bounded by the number of enqueues, so the whole
-drain is amortized O(log N) per packet.
+the ``dV/dt`` slopes of the changed subtree only — O(1) for a leaf under
+an already-active parent — and the number of such changes is bounded by
+the number of enqueues, so the whole drain is amortized O(log N) per
+packet.
+
+The per-class active weights are also all an instantaneous share needs,
+so BC-PQP reads ``r*_i`` here too: :meth:`VirtualTimeGps.rate_of` folds
+the leaf's spine in O(depth), with no memo and no miss path.
 
 The engine deliberately models *only* the service process.  Magic-byte
 watermarks, capacities and cost accounting stay in
@@ -55,7 +60,7 @@ class _Group:
 
     __slots__ = (
         "node", "priority", "v", "slope", "weight", "active_count",
-        "heap", "active_internal",
+        "heap", "active_internal", "members", "share_weight",
     )
 
     def __init__(self, node: "_Node", priority: int) -> None:
@@ -75,6 +80,22 @@ class _Group:
         self.heap: list[tuple[float, int, int, "_Node"]] = []
         #: Active internal (non-leaf) members, for slope propagation.
         self.active_internal: list["_Node"] = []
+        #: Members in child order when the incrementally kept ``weight``
+        #: can round (a non-integer member weight); ``None`` when it is
+        #: exact and doubles as the share denominator.
+        self.members: list["_Node"] | None = None
+        #: Child-order weight sum of the active ``members`` (``None`` =
+        #: stale; dropped whenever a member activates or deactivates).
+        self.share_weight: float | None = None
+
+
+def _sums_exactly(weights: list[float]) -> bool:
+    """Whether adding and removing ``weights`` one at a time never
+    rounds: all integer-valued, with a total a double holds exactly."""
+    return (
+        all(float(w).is_integer() for w in weights)
+        and sum(weights) <= 2.0 ** 53
+    )
 
 
 class _Node:
@@ -82,7 +103,7 @@ class _Node:
 
     __slots__ = (
         "parent", "weight", "priority", "queue", "children", "groups",
-        "winning", "active", "active_count", "group",
+        "winning", "active", "active_count", "group", "spine",
         "bytes_touch", "v_touch", "epoch",
     )
 
@@ -93,32 +114,30 @@ class _Node:
         self.active = False
         #: The parent-side group this node drains against (set by parent).
         self.group: _Group | None = None
+        #: Leaves only: the nodes from the root's child down to the leaf.
+        self.spine: tuple[_Node, ...] = ()
+        self.groups: dict[int, _Group] = {}
+        self.active_count = 0
+        self.winning: _Group | None = None
+        # Lazy drain state (leaves only).
+        self.bytes_touch = 0.0
+        self.v_touch = 0.0
+        self.epoch = 0
         if isinstance(spec, Leaf):
             self.queue: int | None = spec.queue
             self.children: list[_Node] = []
-            self.groups: dict[int, _Group] = {}
-            self.active_count = 0
-            self.winning: _Group | None = None
-            # Lazy drain state (leaves only).
-            self.bytes_touch = 0.0
-            self.v_touch = 0.0
-            self.epoch = 0
-        else:
-            self.queue = None
-            self.children = [_Node(c, self) for c in spec.children]
-            self.groups = {}
-            for child in self.children:
-                group = self.groups.get(child.priority)
-                if group is None:
-                    group = self.groups[child.priority] = _Group(
-                        self, child.priority
-                    )
-                child.group = group
-            self.active_count = 0
-            self.winning = None
-            self.bytes_touch = 0.0
-            self.v_touch = 0.0
-            self.epoch = 0
+            return
+        self.queue = None
+        self.children = [_Node(c, self) for c in spec.children]
+        for child in self.children:
+            group = self.groups.get(child.priority)
+            if group is None:
+                group = self.groups[child.priority] = _Group(self, child.priority)
+            child.group = group
+        for group in self.groups.values():
+            members = [c for c in self.children if c.group is group]
+            if not _sums_exactly([c.weight for c in members]):
+                group.members = members
 
 
 class VirtualTimeGps:
@@ -135,15 +154,12 @@ class VirtualTimeGps:
     """
 
     def __init__(self, policy: Policy, rate: float, *, start_time: float) -> None:
-        self._policy = policy
         self._rate = rate
         self._root = _Node(policy.root, None)
-        n = policy.num_queues
-        self._leaves: list[_Node] = [None] * n  # type: ignore[list-item]
-        self._index_leaves(self._root)
+        self._leaves: list[_Node] = [None] * policy.num_queues  # type: ignore[list-item]
         #: Static list of internal nodes (event-source groups live here).
         self._internal: list[_Node] = []
-        self._collect_internal(self._root)
+        self._index(self._root, ())
         self._clock = start_time
         #: Bitmask of occupied queues (bit i set when queue i is active).
         self.active_mask = 0
@@ -154,25 +170,18 @@ class VirtualTimeGps:
         #: Monotone tiebreaker for heap entries.
         self._seq = 0
 
-    def _index_leaves(self, node: _Node) -> None:
+    def _index(self, node: _Node, spine: tuple[_Node, ...]) -> None:
         if node.queue is not None:
             self._leaves[node.queue] = node
+            node.spine = spine
+            return
+        self._internal.append(node)
         for child in node.children:
-            self._index_leaves(child)
-
-    def _collect_internal(self, node: _Node) -> None:
-        if node.children:
-            self._internal.append(node)
-            for child in node.children:
-                self._collect_internal(child)
+            self._index(child, spine + (child,))
 
     # ------------------------------------------------------------------
     # Reads (exact at the current clock)
     # ------------------------------------------------------------------
-
-    @property
-    def clock(self) -> float:
-        return self._clock
 
     def length(self, queue: int) -> float:
         """Current bytes in ``queue``; settles its lazy drain state."""
@@ -223,6 +232,34 @@ class VirtualTimeGps:
         """Total bytes across all queues, O(1)."""
         return self._total
 
+    def rate_of(self, queue: int) -> float:
+        """Instantaneous GPS service rate of ``queue`` — BC-PQP's ``r*_i``.
+
+        Pure read, O(depth): folds the cumulative rate down the leaf's
+        spine with the operations, operand order and child-order weight
+        sums of :meth:`Policy._assign`, so the result is bit-equal to
+        ``Policy.fluid_rate_of(queue, active_mask, rate)``.
+        """
+        leaf = self._leaves[queue]
+        if not leaf.active:
+            return 0.0
+        rate = self._rate
+        for node in leaf.spine:
+            group = node.group
+            if group is not node.parent.winning:
+                return 0.0
+            members = group.members
+            if members is None:
+                total = group.weight
+            else:
+                total = group.share_weight
+                if total is None:
+                    total = group.share_weight = sum(
+                        m.weight for m in members if m.active
+                    )
+            rate = rate * node.weight / total
+        return rate
+
     # ------------------------------------------------------------------
     # Service process
     # ------------------------------------------------------------------
@@ -250,7 +287,6 @@ class VirtualTimeGps:
             self._sync(t_event)
             self._settle_empty(leaf)
             self._deactivate(leaf)
-            self._recompute_slopes()
             pieces += 1
         if self._clock < now:
             if self.active_mask:
@@ -319,7 +355,7 @@ class VirtualTimeGps:
         if rate <= 0:
             raise ValueError(f"rate must be positive, got {rate!r}")
         self._rate = rate
-        self._recompute_slopes()
+        self._reslope(self._root)
 
     def add(self, queue: int, size: float) -> None:
         """Enqueue ``size`` bytes into ``queue`` at the current clock."""
@@ -331,7 +367,6 @@ class VirtualTimeGps:
             self._repost(leaf)
         elif leaf.bytes_touch > _EPSILON:
             self._activate(leaf)
-            self._recompute_slopes()
 
     def remove(self, queue: int, size: float) -> None:
         """Take ``size`` bytes out of ``queue`` (magic reclaim) at the
@@ -347,7 +382,6 @@ class VirtualTimeGps:
         leaf.bytes_touch = remaining
         if remaining == 0.0 and leaf.active:
             self._deactivate(leaf)
-            self._recompute_slopes()
         elif leaf.active:
             self._repost(leaf)
 
@@ -373,6 +407,7 @@ class VirtualTimeGps:
             if parent is None:
                 break
             group.weight += node.weight
+            group.share_weight = None
             group.active_count += 1
             if node.children:
                 group.active_internal.append(node)
@@ -380,9 +415,11 @@ class VirtualTimeGps:
             if parent.winning is None or group.priority < parent.winning.priority:
                 parent.winning = group
             if parent.active:
+                node = parent
                 break
             parent.active = True
             node = parent
+        self._reslope(node)
 
     def _deactivate(self, leaf: _Node) -> None:
         self.active_mask &= ~(1 << leaf.queue)  # type: ignore[operator]
@@ -399,18 +436,21 @@ class VirtualTimeGps:
             if parent is None:
                 break
             group.weight -= node.weight
+            group.share_weight = None
             group.active_count -= 1
             if node.children:
                 group.active_internal.remove(node)
             if group.active_count == 0:
                 group.weight = 0.0
+                group.slope = 0.0
             parent.active_count -= 1
             if group.active_count == 0 and parent.winning is group:
                 parent.winning = self._best_group(parent)
+            node = parent
             if parent.active_count > 0:
                 break
             parent.active = False
-            node = parent
+        self._reslope(node)
 
     @staticmethod
     def _best_group(node: _Node) -> _Group | None:
@@ -422,23 +462,29 @@ class VirtualTimeGps:
                 best = group
         return best
 
-    def _recompute_slopes(self) -> None:
-        """Re-derive every class's dV/dt after a structure change.
+    def _reslope(self, top: _Node) -> None:
+        """Re-derive dV/dt below ``top`` after a structure change.
 
-        O(internal nodes): walks only the served spine(s) of the tree;
-        leaf counts never enter.
+        ``top`` is the highest node whose class weights or winning class
+        changed; its own assigned rate did not, so nothing outside its
+        subtree moves.  O(served internal nodes below ``top``): O(1) for
+        a leaf joining or leaving an already-active class of leaves.
+        A frozen class (slope 0) has only frozen classes beneath it, so
+        one that stays frozen is not descended into.
         """
-        for node in self._internal:
-            for group in node.groups.values():
-                group.slope = 0.0
-        if self.active_mask == 0:
-            return
-        stack: list[tuple[_Node, float]] = [(self._root, self._rate)]
+        group = top.group
+        rate = self._rate if group is None else top.weight * group.slope
+        stack: list[tuple[_Node, float]] = [(top, rate)]
         while stack:
             node, rate = stack.pop()
-            group = node.winning
-            if group is None or group.weight <= 0.0:
-                continue
-            group.slope = rate / group.weight
-            for child in group.active_internal:
-                stack.append((child, child.weight * group.slope))
+            winning = node.winning
+            for group in node.groups.values():
+                if group is winning and group.weight > 0.0:
+                    slope = rate / group.weight
+                else:
+                    slope = 0.0
+                if slope == 0.0 and group.slope == 0.0:
+                    continue
+                group.slope = slope
+                for child in group.active_internal:
+                    stack.append((child, child.weight * slope))

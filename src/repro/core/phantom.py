@@ -523,14 +523,13 @@ class PhantomQueueSet:
         self._magic[queue] = 0.0
         return reclaimable
 
-    def fluid_rates(self) -> list[float]:
-        """Current per-queue phantom service rates (after an advance)."""
-        return self._policy.fluid_rates(self.active_mask(), self._rate)
-
     def fluid_rate_of(self, queue: int) -> float:
         """Current phantom service rate of one queue (after an advance).
 
-        O(1) while the occupied set is stable: reads the memoized share
-        vector instead of materializing all N rates.
+        The fluid engine already holds every per-level active weight, so
+        it answers in O(depth) with no memo; the eager disciplines read
+        the policy's memoized share vector.
         """
+        if self._gps is not None:
+            return self._gps.rate_of(queue)
         return self._policy.fluid_rate_of(queue, self.active_mask(), self._rate)

@@ -76,9 +76,11 @@ class Policy:
     and exactly the ``r*_i`` estimate BC-PQP's burst control needs.
     """
 
-    #: Share vectors memoized per (active-set bitmask, rate); cleared when
-    #: it grows past this many entries (distinct active sets seen).
-    _SHARE_CACHE_MAX = 4096
+    #: Share vectors are memoized per (active-set bitmask, rate); the memo
+    #: is cleared once it holds this many floats, so the entry cap shrinks
+    #: as the vectors grow (256 entries at N=256, 6 at N=10^4) and an
+    #: interned policy never pins more than ~0.5 MB of share vectors.
+    _SHARE_CACHE_FLOATS = 1 << 16
 
     def __init__(self, root: Node) -> None:
         self._root = self._compile(root)
@@ -95,37 +97,6 @@ class Policy:
         #: somehow survived the accompanying cache clear.
         self._version = 0
         self._share_cache: dict[tuple[int, int, float], tuple[float, ...]] = {}
-        self._compile_flat()
-
-    def _compile_flat(self) -> None:
-        """Detect a single-level tree and precompute its fast-path state.
-
-        A flat tree (every root child a leaf — the ``fair``/``weighted``/
-        ``prioritized`` factories, i.e. almost every policy an aggregate
-        actually carries) needs no recursive assignment: a queue's GPS
-        rate is ``rate * w_q / W`` where ``W`` sums the weights of the
-        top-priority active leaves.  :meth:`fluid_rate_of` then costs
-        O(active) once per new active set (O(1) for the unit-weight
-        single-priority case) with a *scalar* memo instead of an
-        N-vector walk and N-tuple allocation per set — the difference
-        between flat and cliff-shaped per-packet cost at N=10^4 queues
-        (see ``BENCH_scaling.json``).
-        """
-        root = self._root
-        self._flat_leaves: tuple[Leaf, ...] | None = None
-        self._flat_uniform = False
-        self._flat_cache: dict[tuple[int, int], tuple[int, float]] = {}
-        if isinstance(root.node, Leaf) or not all(
-            isinstance(c.node, Leaf) for c in root.children
-        ):
-            return
-        leaves = tuple(c.node for c in root.children)
-        self._flat_leaves = leaves
-        self._flat_weight = {leaf.queue: leaf.weight for leaf in leaves}
-        self._flat_uniform = all(
-            leaf.weight == 1.0 and leaf.priority == leaves[0].priority
-            for leaf in leaves
-        )
 
     @classmethod
     def _compile(cls, node: Node) -> _CompiledNode:
@@ -144,17 +115,11 @@ class Policy:
         )
 
     def __getstate__(self) -> dict:
-        # The memo caches are derived state; keep pickles (sweep-runner
+        # The memo cache is derived state; keep pickles (sweep-runner
         # configs cross process boundaries) small and deterministic.
         state = dict(self.__dict__)
         state["_share_cache"] = {}
-        state["_flat_cache"] = {}
         return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._share_cache = {}
-        self._flat_cache = {}
 
     @property
     def root(self) -> Node:
@@ -171,9 +136,8 @@ class Policy:
 
         Every mutation of the tree — live policy churn replacing nodes,
         weights or priorities — must go through here: the version counter
-        is part of every ``_share_cache``/``_flat_cache`` key, so a share
-        vector computed against the old tree can never be served again,
-        and the flat fast-path state is recompiled against the new root.
+        is part of every ``_share_cache`` key, so a share vector computed
+        against the old tree can never be served again.
 
         With ``root`` given, the policy is atomically rebound to the new
         tree (validated first; on rejection the policy is untouched).
@@ -193,7 +157,6 @@ class Policy:
             self._num_queues = len(queues)
         self._version += 1
         self._share_cache.clear()
-        self._compile_flat()
 
     @property
     def num_queues(self) -> int:
@@ -244,50 +207,14 @@ class Policy:
     ) -> float:
         """Single-queue GPS rate — same memoized vector, no list built.
 
-        This is the path BC-PQP's per-packet ``r*_i`` estimate takes: an
-        O(1) cache hit while the occupied set is stable, instead of
-        materializing all N rates to read one entry.
+        The ``fluid-ref``/``quantum`` disciplines read BC-PQP's ``r*_i``
+        here; ``fluid`` reads it off the virtual-time engine
+        (:meth:`repro.core.gps.VirtualTimeGps.rate_of`), for which this
+        is the independent oracle.
         """
         if not 0 <= queue < self._num_queues:
             raise ValueError(f"queue {queue} out of range 0..{self._num_queues - 1}")
-        if self._flat_leaves is not None:
-            mask = self._active_mask(active)
-            if rate <= 0 or not mask & (1 << queue):
-                return 0.0
-            if self._flat_uniform:
-                # rate * 1.0 / sum-of-ones == rate / popcount, bit for bit.
-                return rate / mask.bit_count()
-            winner_mask, total_weight = self._flat_winners(mask)
-            if not winner_mask & (1 << queue):
-                return 0.0
-            return rate * self._flat_weight[queue] / total_weight
         return self._rates_for(self._active_mask(active), rate)[queue]
-
-    def _flat_winners(self, mask: int) -> tuple[int, float]:
-        """Memoized ``(winner mask, total weight)`` for a flat tree.
-
-        The weight sum iterates leaves in child order — the same order
-        :meth:`_assign` sums winners in — so the fast path's shares are
-        byte-identical to the recursive walk's.
-        """
-        key = (self._version, mask)
-        cached = self._flat_cache.get(key)
-        if cached is not None:
-            return cached
-        leaves = self._flat_leaves
-        assert leaves is not None
-        live = [leaf for leaf in leaves if mask & (1 << leaf.queue)]
-        top = min(leaf.priority for leaf in live)
-        winners = [leaf for leaf in live if leaf.priority == top]
-        total_weight = sum(leaf.weight for leaf in winners)
-        winner_mask = 0
-        for leaf in winners:
-            winner_mask |= 1 << leaf.queue
-        if len(self._flat_cache) >= self._SHARE_CACHE_MAX:
-            self._flat_cache.clear()
-        result = (winner_mask, total_weight)
-        self._flat_cache[key] = result
-        return result
 
     def _rates_for(self, mask: int, rate: float) -> tuple[float, ...]:
         """Memoized rate vector for an active-set bitmask."""
@@ -298,7 +225,7 @@ class Policy:
         rates = [0.0] * self._num_queues
         if rate > 0 and mask:
             self._assign(self._root, rate, mask, rates)
-        if len(self._share_cache) >= self._SHARE_CACHE_MAX:
+        if len(self._share_cache) * self._num_queues >= self._SHARE_CACHE_FLOATS:
             self._share_cache.clear()
         result = tuple(rates)
         self._share_cache[key] = result

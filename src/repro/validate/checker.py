@@ -33,11 +33,14 @@ Enforced invariants (paper anchors in parentheses):
   wrapped ``reconfigure``), GPS virtual-time baselines are re-seeded
   across engine rebuilds, no phantom event ever targets a queue outside
   the current queue count (removed-queue events never fire), the
-  policy's share/flat caches hold no key from a stale tree version, and
+  policy's share cache holds no key from a stale tree version, and
   BC-PQP's window arrays are re-sized and freshly started at the seam;
 * ``drained_bytes`` / ``drain_recomputes`` monotone non-decreasing and
   GPS virtual times monotone per (node, priority) group (§3.2 fluid
   idealization);
+* engine-read shares (``service="fluid"``): the touched queue's ``r*_i``
+  off the GPS engine equals the independent ``Policy`` oracle bit for
+  bit, and the occupied queues' rates sum to the enforced rate (§4);
 * BC-PQP window accounting: accepted <= arrived per window, and the
   window a packet just arrived into is younger than the period (§4
   thresholds / tumbling windows);
@@ -492,7 +495,7 @@ class InvariantChecker:
                 f"{name}: spare {limiter._spare!r} outside [0, {bucket!r}]",
             )
         elif isinstance(limiter, PQP):
-            self._check_phantom(limiter, state)
+            self._check_phantom(limiter, state, packet)
             if isinstance(limiter, BCPQP):
                 self._check_bcpqp(limiter, packet)
 
@@ -526,11 +529,17 @@ class InvariantChecker:
             f"slack {slack!r} (busy={shaper._busy})",
         )
 
-    def _check_phantom(self, limiter: PQP, state: dict[str, Any]) -> None:
+    def _check_phantom(
+        self, limiter: PQP, state: dict[str, Any], packet: Any
+    ) -> None:
         queues = limiter.queues
         name = limiter.name
         total_peeked = 0.0
+        engine_shares = queues.service == "fluid"
+        share_total = 0.0
         for qi in range(queues.num_queues):
+            if engine_shares:
+                share_total += queues.fluid_rate_of(qi)
             length = queues.peek_length(qi)
             capacity = queues.capacity(qi)
             self._ensure(
@@ -597,19 +606,37 @@ class InvariantChecker:
         state["prev_recomputes"] = queues.drain_recomputes
 
         # No stale-mask cache hits: every memo key must carry the live
-        # tree version (``Policy.invalidate`` bumps it and clears both
-        # caches; a key from an older version means some path computed
+        # tree version (``Policy.invalidate`` bumps it and clears the
+        # cache; a key from an older version means some path computed
         # shares against a replaced tree).
         policy = queues.policy
         version = policy.version
-        stale = [k for k in policy._share_cache if k[0] != version] + [
-            k for k in policy._flat_cache if k[0] != version
-        ]
+        stale = [k for k in policy._share_cache if k[0] != version]
         self._ensure(
             not stale,
             f"{name}: stale policy memo keys {stale[:4]!r} survive at "
             f"tree version {version} (cache not invalidated)",
         )
+
+        if engine_shares:
+            # Work conservation over the engine-read shares, and the
+            # touched queue's read against the independent oracle.
+            mask = queues.active_mask()
+            expected = queues.rate if mask else 0.0
+            self._ensure(
+                abs(share_total - expected) <= _REL * queues.rate,
+                f"{name}: engine shares sum to {share_total!r}, not the "
+                f"enforced rate {expected!r}",
+            )
+            if packet is not None:
+                qi = limiter._classifier.queue_of(packet.flow)
+                engine = queues.fluid_rate_of(qi)
+                oracle = policy.fluid_rate_of(qi, mask, queues.rate)
+                self._ensure(
+                    engine == oracle,
+                    f"{name}: queue {qi} engine rate {engine!r} != policy "
+                    f"oracle {oracle!r} (active mask {mask:#x})",
+                )
 
         virtual_times = queues.gps_virtual_times()
         if virtual_times is not None:

@@ -34,6 +34,7 @@ from repro.churn import (
     UpdateRejected,
     draw_plan,
 )
+from repro.core.phantom import PhantomQueueSet
 from repro.net.packet import FlowId, Packet
 from repro.net.sink import NullSink
 from repro.policy.tree import ClassNode, Leaf, Policy
@@ -242,7 +243,6 @@ def test_invalidate_busts_share_memo():
     # stale cached share vector would have returned [25.0, 75.0].
     assert policy.fluid_rates([True, True], 100.0) == [75.0, 25.0]
     assert all(key[0] == policy.version for key in policy._share_cache)
-    assert all(key[0] == policy.version for key in policy._flat_cache)
 
 
 def test_invalidate_rejects_bad_tree_atomically():
@@ -255,6 +255,49 @@ def test_invalidate_rejects_bad_tree_atomically():
         policy.invalidate(bad)
     assert policy.version == version
     assert policy.fluid_rates([True, True], 100.0) == [25.0, 75.0]
+
+
+# ---------------------------------------------------------------------------
+# Engine-read shares stay equal to the Policy oracle across epoch seams
+# ---------------------------------------------------------------------------
+
+
+def test_engine_shares_match_policy_across_seams():
+    """``service="fluid"`` reads r*_i off the GPS engine; a rate-only
+    reconfigure re-slopes that engine in place and a policy swap rebuilds
+    it, and after either the read must still equal the ``Policy`` memo
+    oracle bit for bit."""
+    def check(queues):
+        rates = [queues.fluid_rate_of(q) for q in range(queues.num_queues)]
+        assert rates == queues.policy.fluid_rates(
+            queues.active_mask(), queues.rate
+        )
+        assert sum(rates) == pytest.approx(queues.rate, rel=1e-9)
+
+    old = Policy.nested([[0.1, 0.2, 0.3], [1.0, 2.5]], group_weights=[0.7, 1.1])
+    queues = PhantomQueueSet(old, 5000.0, [20_000.0] * 5)
+    for q, size in ((4, 900.0), (2, 700.0), (0, 1500.0), (1, 400.0)):
+        assert queues.try_enqueue(q, size)
+        check(queues)
+    queues.advance(0.05)
+    check(queues)
+
+    queues.reconfigure(0.06, rate=7300.0)
+    assert queues.rate == 7300.0
+    check(queues)
+
+    swapped = Policy.nested(
+        [[0.3, 0.1], [0.2, 1.0, 2.5]],
+        group_weights=[1.1, 0.7],
+        group_priorities=[1, 0],
+    )
+    queues.reconfigure(0.07, policy=swapped, rate=6100.0)
+    assert queues.policy is swapped
+    check(queues)
+    queues.advance(0.5)
+    check(queues)
+    assert queues.try_enqueue(3, 800.0)
+    check(queues)
 
 
 # ---------------------------------------------------------------------------

@@ -11,17 +11,27 @@ A separate test pins that the *modeled* cost accounting (Op counts and
 ``drain_recomputes``) is identical across fluid and fluid-ref — the cost
 model charges the paper's per-packet operations, not the Python work the
 optimized engine skips.
+
+``fluid`` also reads BC-PQP's ``r*_i`` off the engine instead of the
+``Policy`` memo: ``TestEngineShares`` pins that read bit-equal (``==``)
+to the ``Policy`` oracle, pins the incrementally kept slopes to a
+from-scratch recompute, and guards that a fluid run never reaches
+``Policy._rates_for``.
 """
+
+import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.classify.classifier import SlotClassifier
+from repro.core.bcpqp import BCPQP
+from repro.core.gps import VirtualTimeGps
 from repro.core.phantom import PhantomQueueSet
 from repro.core.pqp import PQP
 from repro.net.packet import FlowId, Packet
 from repro.net.sink import NullSink
-from repro.policy.tree import Policy
+from repro.policy.tree import ClassNode, Leaf, Policy
 from repro.sim.simulator import Simulator
 from repro.units import MSS
 
@@ -245,3 +255,187 @@ class TestCostModelPinned:
             q.advance(5.0)
             counts[service] = q.drain_recomputes
         assert counts["fluid"] == counts["fluid-ref"]
+
+
+# ---------------------------------------------------------------------------
+# r*_i read off the engine
+# ---------------------------------------------------------------------------
+
+# Non-integer weights force the cached child-order sums (an incremental
+# add/subtract would round differently from ``Policy._assign``'s sum);
+# the integer ones keep the exact incremental ``group.weight`` in play.
+_WEIGHT = st.one_of(
+    st.sampled_from([1.0, 2.0, 4.0, 0.1, 0.2, 0.3, 0.7, 1 / 3, 1.1]),
+    st.floats(min_value=0.05, max_value=8.0),
+)
+_PRIORITY = st.integers(min_value=0, max_value=2)
+_LEAF = st.tuples(_WEIGHT, _PRIORITY)
+
+
+def _class_of(children):
+    return st.tuples(
+        _WEIGHT, _PRIORITY, st.lists(children, min_size=1, max_size=3)
+    )
+
+
+#: Root children of a 1-3 level tree: leaves, classes of leaves, classes
+#: of classes of leaves, freely mixed.
+_SHAPES = st.lists(
+    st.one_of(_LEAF, _class_of(st.one_of(_LEAF, _class_of(_LEAF)))),
+    min_size=1,
+    max_size=4,
+)
+
+# op kinds: 0 = add, 1 = remove, 2 = advance, 3 = set_rate
+_ENGINE_OPS = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=3),
+        st.integers(min_value=0, max_value=63),        # queue (mod n)
+        st.floats(min_value=1.0, max_value=6000.0),    # bytes or rate
+        st.floats(min_value=0.0, max_value=0.4),       # dt for advance
+    ),
+    min_size=1,
+    max_size=50,
+)
+
+
+def _tree(shapes):
+    """Number the drawn shape's leaves depth-first into a Policy root."""
+    counter = itertools.count()
+
+    def build(shape):
+        if len(shape) == 2:
+            weight, priority = shape
+            return Leaf(next(counter), weight=weight, priority=priority)
+        weight, priority, children = shape
+        return ClassNode(
+            tuple(build(c) for c in children), weight=weight, priority=priority
+        )
+
+    return ClassNode(tuple(build(s) for s in shapes))
+
+
+def _groups(engine):
+    return [
+        node.groups[priority]
+        for node in engine._internal
+        for priority in sorted(node.groups)
+    ]
+
+
+def _slopes_from_scratch(engine):
+    """The global recompute the engine used before slopes went
+    incremental (zero every class, re-walk the served spine from the
+    root), kept here as the oracle for ``_reslope``."""
+    slopes = {id(group): 0.0 for group in _groups(engine)}
+    if engine.active_mask:
+        stack = [(engine._root, engine._rate)]
+        while stack:
+            node, rate = stack.pop()
+            group = node.winning
+            if group is None or group.weight <= 0.0:
+                continue
+            slope = slopes[id(group)] = rate / group.weight
+            for child in group.active_internal:
+                stack.append((child, child.weight * slope))
+    return [slopes[id(group)] for group in _groups(engine)]
+
+
+def assert_engine_matches_policy(engine, policy, rate):
+    assert [
+        engine.rate_of(queue) for queue in range(policy.num_queues)
+    ] == policy.fluid_rates(engine.active_mask, rate)
+    assert [g.slope for g in _groups(engine)] == _slopes_from_scratch(engine)
+
+
+class TestEngineShares:
+    @settings(deadline=None, max_examples=150)
+    @given(shapes=_SHAPES, ops=_ENGINE_OPS)
+    def test_rate_of_and_slopes_match_oracles(self, shapes, ops):
+        policy = Policy(_tree(shapes))
+        n = policy.num_queues
+        rate = 4000.0
+        engine = VirtualTimeGps(policy, rate, start_time=0.0)
+        now = 0.0
+        assert_engine_matches_policy(engine, policy, rate)
+        for kind, queue, amount, dt in ops:
+            if kind == 0:
+                engine.add(queue % n, amount)
+            elif kind == 1:
+                engine.remove(queue % n, amount)
+            elif kind == 2:
+                now += dt
+                engine.advance(now)
+            else:
+                rate = amount
+                engine.set_rate(rate)
+            assert_engine_matches_policy(engine, policy, rate)
+
+    def test_share_denominator_is_the_child_order_sum(self):
+        # 0.3 + 0.2 + 0.1 (activation order) is 0.6; _assign sums in
+        # child order, 0.1 + 0.2 + 0.3 = 0.6000000000000001.  And after
+        # queue 0 leaves, (0.6 - 0.1) is not 0.2 + 0.3 either.
+        policy = Policy.weighted([0.1, 0.2, 0.3])
+        engine = VirtualTimeGps(policy, 1000.0, start_time=0.0)
+        for queue in (2, 1, 0):
+            engine.add(queue, 500.0)
+            assert_engine_matches_policy(engine, policy, 1000.0)
+        assert engine.rate_of(2) == 1000.0 * 0.3 / (0.1 + 0.2 + 0.3)
+        engine.remove(0, 500.0)
+        assert_engine_matches_policy(engine, policy, 1000.0)
+
+    @staticmethod
+    def _bcpqp_run(service, monkeypatch):
+        """A small nested-tree BC-PQP run (single and batched entry,
+        window sweeps included); returns ``Policy._rates_for`` entries."""
+        calls = [0]
+        original = Policy._rates_for
+
+        def counting(self, mask, rate):
+            calls[0] += 1
+            return original(self, mask, rate)
+
+        monkeypatch.setattr(Policy, "_rates_for", counting)
+        sim = Simulator()
+        limiter = BCPQP(
+            sim,
+            rate=150_000.0,
+            policy=Policy.nested(
+                [[1.0, 2.0], [0.5, 1.5], [1.0]],
+                group_weights=[2.0, 1.0, 1.0],
+                group_priorities=[0, 0, 1],
+            ),
+            classifier=SlotClassifier(5),
+            queue_bytes=12_000.0,
+            service=service,
+        )
+        limiter.connect(NullSink())
+
+        def burst(k):
+            def fire():
+                packets = [
+                    Packet.data(FlowId(0, (k + j) % 5), k, sim.now, size=1500)
+                    for j in range(1 + k % 4)
+                ]
+                if k % 2:
+                    limiter.receive_batch(packets)
+                else:
+                    for packet in packets:
+                        limiter.receive(packet)
+            return fire
+
+        for k in range(120):
+            sim.schedule(0.004 * k, burst(k))
+        sim.run(until=0.6)
+        limiter.stop()
+        assert limiter.stats.dropped_packets > 0
+        assert limiter.stats.forwarded_packets > 0
+        return calls[0]
+
+    def test_fluid_run_never_enters_policy_rates_for(self, monkeypatch):
+        assert self._bcpqp_run("fluid", monkeypatch) == 0
+
+    def test_guard_counts_the_memo_path(self, monkeypatch):
+        # The same run on an eager discipline does go through the memo,
+        # so a zero above means "not reached", not "not counted".
+        assert self._bcpqp_run("quantum", monkeypatch) > 0

@@ -37,7 +37,7 @@ pytestmark = pytest.mark.scaling
 def scaling():
     # One timing round keeps the smoke test quick; the ratio check below
     # is loose enough that a single median sample suffices.
-    return report.scaling_section(rounds=1, ns=(10, 1000))
+    return report.scaling_section(rounds=1, ns=(10, 100, 1000))
 
 
 class TestScalingSmoke:
@@ -67,6 +67,22 @@ class TestScalingSmoke:
         }
         failures = report.check_scaling(fake, multiple=3.0)
         assert len(failures) == 1 and "pqp" in failures[0]
+
+    def test_nested_cell_is_gated_against_the_flat_cell(self, scaling):
+        # Deterministic half: the policy-rich cell charges the paper's
+        # per-packet operations like any flat cell.  Wall-clock half: the
+        # same-run ratio gate trips on a share-lookup cliff.
+        nested = scaling["nested"]
+        flat = scaling["schemes"]["bcpqp"]["100"]
+        assert nested["modeled_cycles_per_packet"] <= 1.5 * (
+            flat["modeled_cycles_per_packet"]
+        )
+        assert nested["multiple_of_flat_100"] == pytest.approx(
+            nested["seconds_per_packet"] / flat["seconds_per_packet"], abs=1e-3
+        )
+        cliff = {**scaling, "nested": {**nested, "multiple_of_flat_100": 4.5}}
+        failures = report.check_scaling(cliff, multiple=1e9)
+        assert len(failures) == 1 and "nested" in failures[0]
 
 
 @pytest.fixture(scope="module")
