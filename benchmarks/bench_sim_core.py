@@ -102,13 +102,9 @@ def run_soft_reschedule(n: int = RESCHEDULE_EVENTS) -> int:
     return n - remaining
 
 
-def run_eventloop_cell(
-    scheme: str, horizon: float | None = None, batch: int | None = None
-) -> dict:
+def run_eventloop_cell(scheme: str, horizon: float | None = None) -> dict:
     """One saturated fig5 cell end-to-end, instrumented by the engine's
-    own counters.  Deterministic except for ``wall_seconds``.  ``batch``
-    is the delivery batch limit (``None`` = unbounded batched engine,
-    ``1`` = the legacy per-packet path)."""
+    own counters.  Deterministic except for ``wall_seconds``."""
     from repro.experiments import fig5_efficiency
     from repro.runner.aggregate import build_scenario
 
@@ -118,7 +114,7 @@ def run_eventloop_cell(
     cell = fig5_efficiency.grid(config)[
         list(fig5_efficiency.SCHEMES).index(scheme)
     ]
-    sim = Simulator(batch_limit=batch)
+    sim = Simulator()
     limiter, scenario = build_scenario(cell, sim)
     start = time.perf_counter()
     scenario.run()

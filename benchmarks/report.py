@@ -22,14 +22,7 @@ own counters (events/packet, heap pushes/packet, peak heap size,
 cancelled-backlog high-water mark) plus wall us/packet, and the ratios
 against the pinned pre-overhaul engine (``PRE_PR_EVENTLOOP``).
 
-A fourth file, ``BENCH_batch.json``, records the batched-packet-path
-section: each fig5 saturated cell run under the per-packet engine
-(``batch=1``) and the unbounded batched engine, measured *interleaved*
-with the per-engine minimum reported (robust to background load), plus
-the speedup against the committed pre-batching ``BENCH_eventloop.json``
-reference clocks (``REFERENCE_UNBATCHED``).
-
-A fifth file, ``BENCH_impair.json``, records the impairment-machinery
+A fourth file, ``BENCH_impair.json``, records the impairment-machinery
 section (:mod:`repro.net.impair`): one bcpqp aggregate run three ways —
 clean (``impair=None``), with an all-disabled ``ImpairmentSpec()`` (which
 must produce a byte-identical outcome: the disabled machinery constructs
@@ -39,7 +32,7 @@ interleaved with per-side minimums; ``--check`` gates the
 disabled/clean wall ratio at ``IMPAIR_MAX_OVERHEAD`` (1.05) and fails
 hard if the outcomes differ at all.
 
-A sixth file, ``BENCH_churn.json``, records the live-reconfiguration
+A fifth file, ``BENCH_churn.json``, records the live-reconfiguration
 section (:mod:`repro.churn`): one bcpqp aggregate run clean
 (``churn=None``) and with an empty ``ChurnPlan()`` (which must produce a
 byte-identical outcome: the empty plan constructs no driver and
@@ -50,7 +43,7 @@ drawn plan actually mutating the limiter mid-run); and an
 committed against a loaded limiter, gated at
 ``CHURN_MIN_UPDATES_PER_S`` applied/sec.
 
-A seventh file, ``BENCH_fleet.json``, records the sharded-fleet section
+A sixth file, ``BENCH_fleet.json``, records the sharded-fleet section
 (:mod:`repro.fleet`): full end-to-end fleet runs (TCP endpoints, a
 middlebox hosting one limiter per aggregate, merged columnar metrics)
 at N=1000 unsharded (the baseline), N=1000 over 4 shards (whose merged
@@ -74,12 +67,9 @@ event-engine gates fail: heap pushes/packet must stay >= 1.5x below the
 pre-overhaul engine on bcpqp (>= 1.3x elsewhere), events/packet and
 peak heap must not creep back up, and bcpqp wall us/packet must stay
 >= 1.3x faster than the pinned pre-overhaul reference — or (c) the
-batch gates fail: bcpqp batched us/packet must stay >=
---check-min-speedup (default 2.0) times faster than the committed
-pre-batching reference clock *and* under the ``BATCH_BCPQP_US_MAX``
-absolute ceiling (24 us/pkt) — or (d) the impairment gates fail: the
+impairment gates fail: the
 disabled-spec outcome must equal the clean outcome byte-for-byte and
-cost at most 5% extra wall clock — or (e) the fleet gates fail: the sharded
+cost at most 5% extra wall clock — or (d) the fleet gates fail: the sharded
 N=1000 digest must equal the unsharded baseline's, shard-scaling
 efficiency (baseline us/packet over sharded-4x-fleet us/packet, both in
 summed-CPU terms) must stay >= --check-min-efficiency (default 0.7),
@@ -188,26 +178,6 @@ PRE_PR_EVENTLOOP = {
     },
 }
 
-
-#: Pre-batching us/packet on the fig5 saturated cells — the committed
-#: ``BENCH_eventloop.json`` figures at the commit preceding the batched
-#: packet path, measured on the reference dev box with the then-current
-#: per-packet delivery engine.  The batch section's headline speedup is
-#: computed against these clocks (the "47 us/pkt" the batching work set
-#: out to halve); the same-machine batch=1 ratio is reported alongside
-#: so a faster or slower box is visible rather than silently flattering
-#: the ratio.
-REFERENCE_UNBATCHED = {
-    "bcpqp": 47.22,
-    "pqp": 47.28,
-    "shaper": 60.36,
-    "policer": 36.75,
-}
-
-#: Absolute ceiling for bcpqp under the batched engine (the issue's
-#: "47 -> <= 24 us/pkt" target), enforced by ``--check`` alongside the
-#: relative gate.
-BATCH_BCPQP_US_MAX = 24.0
 
 #: Allowed wall-clock ratio of the disabled-``ImpairmentSpec()`` run
 #: over the clean ``impair=None`` run.  The disabled path constructs no
@@ -520,81 +490,6 @@ def check_eventloop(section: dict, *, min_speedup: float = 1.3) -> list[str]:
     return failures
 
 
-def batch_section(rounds: int) -> dict:
-    """Batched vs per-packet delivery on the fig5 saturated cells.
-
-    Wall-clock cells are load-sensitive (the same code can vary tens of
-    percent under background load), so the two engines are measured
-    interleaved — ``batch=1`` then unbounded, ``rounds`` times — and the
-    per-engine *minimum* is reported: the minimum is the estimator least
-    disturbed by load spikes, and interleaving ensures both engines see
-    the same load profile.
-    """
-    schemes = {}
-    for scheme in bench_sim_core.EVENTLOOP_SCHEMES:
-        best: dict = {1: None, None: None}
-        counters: dict = {}
-        for _ in range(rounds):
-            for limit in (1, None):
-                cell = bench_sim_core.run_eventloop_cell(scheme, batch=limit)
-                us = cell["us_per_packet"]
-                if best[limit] is None or us < best[limit]:
-                    best[limit] = us
-                if limit is None:
-                    counters = {
-                        "batched_deliveries": cell["batched_deliveries"],
-                        "inline_advances": cell["inline_advances"],
-                        "heap_pushes_per_packet": cell["heap_pushes_per_packet"],
-                    }
-        reference = REFERENCE_UNBATCHED[scheme]
-        schemes[scheme] = {
-            "us_per_packet_batch1": round(best[1], 2),
-            "us_per_packet_batched": round(best[None], 2),
-            "reference_unbatched_us_per_packet": reference,
-            "speedup_vs_reference": round(reference / best[None], 3),
-            "speedup_same_machine": round(best[1] / best[None], 3),
-            **counters,
-        }
-    return {
-        "unit": "wall us/packet (min of interleaved rounds)",
-        "workload": "fig5 saturated cells",
-        "rounds": rounds,
-        "reference": "committed BENCH_eventloop.json at the pre-batching "
-        "commit (reference dev box, per-packet delivery)",
-        "schemes": schemes,
-    }
-
-
-def check_batch(
-    section: dict,
-    *,
-    min_speedup: float = 2.0,
-    bcpqp_max_us: float = BATCH_BCPQP_US_MAX,
-) -> list[str]:
-    """Acceptance gates for the batched packet path (reference-machine
-    wall clocks): bcpqp must be >= ``min_speedup`` x faster than the
-    committed pre-batching reference *and* under the absolute
-    ``bcpqp_max_us`` ceiling.  Byte-identity between the engines is
-    guarded separately (equivalence pins + the differential fuzzer's
-    batch tier), not by wall clocks."""
-    failures = []
-    bcpqp = section["schemes"].get("bcpqp")
-    if bcpqp is None:
-        return ["bcpqp: batch section missing the gated scheme"]
-    if bcpqp["speedup_vs_reference"] < min_speedup:
-        failures.append(
-            f"bcpqp: batched us/packet speedup "
-            f"{bcpqp['speedup_vs_reference']:.3f}x vs the committed "
-            f"pre-batching reference below the {min_speedup}x gate"
-        )
-    if bcpqp["us_per_packet_batched"] > bcpqp_max_us:
-        failures.append(
-            f"bcpqp: batched {bcpqp['us_per_packet_batched']:.2f} us/packet "
-            f"above the {bcpqp_max_us} us absolute ceiling"
-        )
-    return failures
-
-
 def _impair_config(impair: ImpairmentSpec | None) -> AggregateConfig:
     """The impair section's workload: one bcpqp aggregate, two flows."""
     return AggregateConfig(
@@ -616,9 +511,10 @@ def impair_section(rounds: int) -> dict:
     """Impairment-machinery cost: clean vs disabled vs enabled.
 
     Clean (``impair=None``) and disabled (all-zero ``ImpairmentSpec()``)
-    runs are timed interleaved with per-side minimums (same estimator as
-    the batch section — robust to background load), and their outcomes
-    compared for byte-identity: the disabled spec must wire nothing.
+    runs are timed interleaved with per-side minimums (the minimum is
+    the estimator least disturbed by load spikes, and interleaving gives
+    both sides the same load profile), and their outcomes compared for
+    byte-identity: the disabled spec must wire nothing.
     The enabled cell (loss + jitter) runs once, informationally — its
     clock moves with TCP's loss response, not just gate overhead.
     """
@@ -740,7 +636,7 @@ def churn_section(rounds: int) -> dict:
 
     Clean (``churn=None``) and empty-plan (``ChurnPlan()``) runs are
     timed interleaved with per-side minimums (same estimator as the
-    batch section), and their outcomes compared for byte-identity: the
+    impair section), and their outcomes compared for byte-identity: the
     empty plan must construct no driver and schedule nothing.  The
     churned cell (a drawn plan mutating the limiter mid-run) is
     informational, and the ``apply_update`` microbench prices one
@@ -1015,11 +911,6 @@ def main(argv: list[str] | None = None) -> None:
         help="where to write the event-engine-section JSON",
     )
     parser.add_argument(
-        "--batch-output",
-        default=str(Path(__file__).parent / "BENCH_batch.json"),
-        help="where to write the batched-packet-path-section JSON",
-    )
-    parser.add_argument(
         "--impair-output",
         default=str(Path(__file__).parent / "BENCH_impair.json"),
         help="where to write the impairment-machinery-section JSON",
@@ -1047,27 +938,20 @@ def main(argv: list[str] | None = None) -> None:
     )
     parser.add_argument(
         "--check", action="store_true",
-        help="run only the scaling sweep, event-engine, batch, impair "
+        help="run only the scaling sweep, event-engine, impair, churn "
         "and fleet sections; fail if seconds/packet at N=1000 exceeds "
         "--check-multiple times the N=10 value or any event-engine, "
-        "batch, impair or fleet gate regresses",
+        "impair, churn or fleet gate regresses",
     )
     parser.add_argument(
         "--check-multiple", type=float, default=3.0,
         help="allowed N=1000 / N=10 seconds-per-packet ratio (default 3.0)",
-    )
-    parser.add_argument(
-        "--check-min-speedup", type=float, default=2.0,
-        help="required bcpqp batched us/packet speedup vs the committed "
-        "pre-batching reference clock (default 2.0)",
     )
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
     if args.check_multiple <= 0:
         parser.error("--check-multiple must be positive")
-    if args.check_min_speedup <= 0:
-        parser.error("--check-min-speedup must be positive")
     if args.check_min_efficiency <= 0:
         parser.error("--check-min-efficiency must be positive")
 
@@ -1080,10 +964,6 @@ def main(argv: list[str] | None = None) -> None:
         _write_eventloop(args.eventloop_output, eventloop)
         _print_eventloop(eventloop)
         failures += check_eventloop(eventloop)
-        batch = batch_section(args.rounds)
-        _write_batch(args.batch_output, batch)
-        _print_batch(batch)
-        failures += check_batch(batch, min_speedup=args.check_min_speedup)
         impair = impair_section(args.rounds)
         _write_impair(args.impair_output, impair)
         _print_impair(impair)
@@ -1103,10 +983,9 @@ def main(argv: list[str] | None = None) -> None:
                 print(f"FAIL {failure}")
             raise SystemExit(1)
         print(
-            f"scaling + eventloop + batch + impair + churn + fleet "
+            f"scaling + eventloop + impair + churn + fleet "
             f"checks passed "
             f"(multiple={args.check_multiple}, "
-            f"min-speedup={args.check_min_speedup}, "
             f"min-efficiency={args.check_min_efficiency})"
         )
         return
@@ -1136,9 +1015,6 @@ def main(argv: list[str] | None = None) -> None:
     eventloop = eventloop_section()
     _write_eventloop(args.eventloop_output, eventloop)
     _print_eventloop(eventloop)
-    batch = batch_section(args.rounds)
-    _write_batch(args.batch_output, batch)
-    _print_batch(batch)
     impair = impair_section(args.rounds)
     _write_impair(args.impair_output, impair)
     _print_impair(impair)
@@ -1263,29 +1139,6 @@ def _print_impair(section: dict) -> None:
         f"jitter={enabled['spec']['jitter']}) {enabled['seconds']:7.4f}s  "
         f"drop-rate {enabled['drop_rate']:.4f}"
     )
-
-
-def _write_batch(path: str, section: dict) -> None:
-    document = {
-        "schema": "repro-bench-batch/1",
-        "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        "python": platform.python_version(),
-        "platform": platform.platform(),
-        "batch": section,
-    }
-    Path(path).write_text(json.dumps(document, indent=2) + "\n")
-    print(f"wrote {path}")
-
-
-def _print_batch(section: dict) -> None:
-    for scheme, cell in section["schemes"].items():
-        print(
-            f"  batch      {scheme:8s} "
-            f"batch=1 {cell['us_per_packet_batch1']:7.2f} us/pkt  "
-            f"batched {cell['us_per_packet_batched']:7.2f} us/pkt  "
-            f"vs-ref {cell['speedup_vs_reference']:5.2f}x  "
-            f"same-box {cell['speedup_same_machine']:5.2f}x"
-        )
 
 
 def _write_eventloop(path: str, section: dict) -> None:

@@ -134,10 +134,6 @@ class BCPQP(PQP):
         """
         return now - self._window_start[queue]
 
-    def _arrived(self, queue: int, packet: Packet, now: float) -> None:
-        self._maybe_roll_window(queue, now)
-        self._arrived_window[queue] += packet.size
-
     def _maybe_roll_window(self, queue: int, now: float) -> None:
         """Tumble the queue's window once it is a full period old, applying
         the lower-threshold (reclaim) check to the elapsed window.  Windows
@@ -162,18 +158,15 @@ class BCPQP(PQP):
         self.cost.charge(Op.ALU, 3)
 
     def receive_batch(self, packets: list[Packet]) -> None:
-        """Fused batch entry point with the BC-PQP window hooks inlined.
+        """The BC-PQP decision: PQP's admit loop with the §4 window
+        accounting around ``try_enqueue``.
 
-        The generic :meth:`PQP.receive_batch` would dispatch
-        ``_arrived``/``_accepted`` per packet; this override folds both
-        hooks (and ``_maybe_roll_window``) into the decision loop in
-        restricted compilable style — flat locals, branches instead of
-        ``max()``, cost charges accumulated and posted once.  Float
-        operations on the window state happen on the same values in the
-        same order as the per-packet hooks, and cost counts are
-        integer-valued (commutative), so the fused loop is
-        bit-identical to the unbatched path — which stays the executable
-        reference via ``_on_packet``.
+        The per-packet common case is inline — flat locals, branches
+        instead of ``max()``, cost charges accumulated and posted once
+        (they are integer-valued, hence commutative).  The rare window
+        roll goes through :meth:`_maybe_roll_window`, shared with the
+        periodic sweep.  Nothing here reserves a simulator seq, so
+        decide-all-then-forward is order-safe (see DESIGN.md).
         """
         n = len(packets)
         stats = self.stats
@@ -187,7 +180,6 @@ class BCPQP(PQP):
         fraction = self._ecn_mark_fraction
         period = self.period
         theta_plus = self.theta_plus
-        theta_minus = self.theta_minus
         accepted_window = self._accepted_window
         arrived_window = self._arrived_window
         window_start = self._window_start
@@ -205,24 +197,24 @@ class BCPQP(PQP):
             before = queues.drain_recomputes
             advance(now)
             alu += 3 + 2 * (queues.drain_recomputes - before)
-            # _arrived: roll the window on the queue's own clock first.
-            elapsed = now - window_start[qi]
-            if elapsed >= period:
-                floor = theta_minus * fluid_rate_of(qi) * elapsed
-                if arrived_window[qi] < floor and queues.magic_bytes(qi) > 0:
-                    queues.reclaim_magic(qi)
-                    self.magic_reclaims += 1
-                window_start[qi] = now
-                accepted_window[qi] = 0.0
-                arrived_window[qi] = 0.0
-                alu += 3
+            # Every arrival, accepted or not: roll the window on the
+            # queue's own clock first (idle detection), then count it.
+            if now - window_start[qi] >= period:
+                self._maybe_roll_window(qi, now)
             arrived_window[qi] += size
             if try_enqueue(qi, size):
-                # _accepted: upper-threshold (magic fill) check.
+                # Upper threshold (magic fill).  r*_i comes from the
+                # active set; the packet just enqueued guarantees `qi`
+                # itself is active.
                 acc = accepted_window[qi] + size
                 accepted_window[qi] = acc
                 x_i = fluid_rate_of(qi) * period
                 alu += 3
+                # Keep at least two packets of slack above the window
+                # budget so low-rate queues (X_i of a packet or two)
+                # don't trip on packetization granularity — the same
+                # reason token buckets are never sized below a couple of
+                # MTUs.
                 ceiling = theta_plus * x_i
                 slack = x_i + _TWO_MSS
                 if ceiling < slack:
@@ -231,6 +223,10 @@ class BCPQP(PQP):
                     if queues.fill_with_magic(qi) > 0:
                         self.magic_fills += 1
                         alu += 2
+                    # Restart this queue's window at the fill so the next
+                    # lower-threshold check sees a full window of
+                    # post-fill behaviour (the queue now admits exactly
+                    # at its drain rate).
                     window_start[qi] = now
                     accepted_window[qi] = 0.0
                     arrived_window[qi] = 0.0
@@ -256,33 +252,6 @@ class BCPQP(PQP):
             stats.dropped_bytes += drop_bytes
         if accepted:
             self._forward_batch(accepted)
-
-    # ------------------------------------------------------------------
-    # PQP hooks
-    # ------------------------------------------------------------------
-
-    def _accepted(self, queue: int, packet: Packet, now: float) -> None:
-        self._accepted_window[queue] += packet.size
-        # Estimate r*_i from the active set (the packet we just enqueued
-        # guarantees `queue` itself is active).
-        x_i = self.expected_window_bytes(queue)
-        self.cost.charge(Op.ALU, 3)
-        # Keep at least two packets of slack above the window budget so
-        # low-rate queues (X_i of a packet or two) don't trip on
-        # packetization granularity — the same reason token buckets are
-        # never sized below a couple of MTUs.
-        ceiling = max(self.theta_plus * x_i, x_i + 2.0 * MSS)
-        if self._accepted_window[queue] > ceiling:
-            added = self.queues.fill_with_magic(queue)
-            if added > 0:
-                self.magic_fills += 1
-                self.cost.charge(Op.ALU, 2)
-            # Restart this queue's window at the fill so the next lower-
-            # threshold check sees a full window of post-fill behaviour
-            # (the queue now admits exactly at its drain rate).
-            self._window_start[queue] = now
-            self._accepted_window[queue] = 0.0
-            self._arrived_window[queue] = 0.0
 
     def _on_window_sweep(self) -> None:
         now = self._sim.now

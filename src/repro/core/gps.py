@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import heapq
 
-from repro.policy.tree import Leaf, Node, Policy
+from repro.policy.tree import ClassNode, Leaf, Node, Policy
 
 #: Counters below this many bytes are treated as empty (float hygiene);
 #: mirrors :data:`repro.core.phantom._EPSILON`.
@@ -155,7 +155,14 @@ class VirtualTimeGps:
 
     def __init__(self, policy: Policy, rate: float, *, start_time: float) -> None:
         self._rate = rate
-        self._root = _Node(policy.root, None)
+        root = policy.root
+        if isinstance(root, Leaf):
+            # One-queue policy: leaves drain against a parent class, so
+            # serve the lone queue as the only child of a synthetic root
+            # — at weight 1, because a root leaf takes the whole rate
+            # whatever its own weight says (``Policy._assign``).
+            root = ClassNode((Leaf(root.queue),))
+        self._root = _Node(root, None)
         self._leaves: list[_Node] = [None] * policy.num_queues  # type: ignore[list-item]
         #: Static list of internal nodes (event-source groups live here).
         self._internal: list[_Node] = []

@@ -182,45 +182,16 @@ class PQP(RateLimiter):
         (BC-PQP closes its accounting windows here)."""
         del now
 
-    def _on_packet(self, packet: Packet) -> None:
-        now = self._sim.now
-        qi = self._classifier.queue_of(packet.flow)
-        self.cost.charge(Op.MAP, 1)  # classification
-        before = self.queues.drain_recomputes
-        self.queues.advance(now)
-        # Counter updates: lazy drain recomputes (amortized) + occupancy
-        # check + enqueue increment.  All cache-resident counters.
-        # ``drain_recomputes`` counts the *paper's* per-packet drain work
-        # (linear pieces / phantom dequeues), which every service
-        # discipline reports identically — the modeled cost is pinned to
-        # the mechanism, not to how much Python bookkeeping the optimized
-        # engines skip (see repro.limiters.costs).
-        self.cost.charge(Op.ALU, 3 + 2 * (self.queues.drain_recomputes - before))
-        self._arrived(qi, packet, now)
-        if self.queues.try_enqueue(qi, packet.size):
-            self._accepted(qi, packet, now)
-            if (
-                self._ecn_mark_fraction is not None
-                and packet.ecn_capable
-                and self.queues.length(qi)
-                > self._ecn_mark_fraction * self.queues.capacity(qi)
-            ):
-                packet.ce = True
-                self.ecn_marked_packets += 1
-            self._forward(packet)
-        else:
-            self._drop(packet, queue=qi)
-
     def receive_batch(self, packets: list[Packet]) -> None:
-        """Fused batch entry point: decide every packet in one tight
-        loop, then forward the accepted ones downstream in one call.
+        """The admit decision: decide every packet in one tight loop,
+        then forward the accepted ones downstream in one call.
 
-        Safe because the decision path (classify, advance, hooks,
-        try_enqueue, ECN mark) reserves no simulator seqs — so running
-        all decisions before any forwarding assigns downstream seqs
-        exactly as the unbatched engine would (see DESIGN.md).  Cost
-        charges are integer-valued and commutative, so they accumulate
-        locally and post once per batch.
+        Safe because the decision path (classify, advance, try_enqueue,
+        ECN mark) reserves no simulator seqs — so running all decisions
+        before any forwarding assigns downstream seqs exactly as
+        packet-by-packet processing would (see DESIGN.md).  Cost charges
+        are integer-valued and commutative, so they accumulate locally
+        and post once per batch.
         """
         n = len(packets)
         stats = self.stats
@@ -231,9 +202,6 @@ class PQP(RateLimiter):
         try_enqueue = queues.try_enqueue
         now = self._sim._now
         fraction = self._ecn_mark_fraction
-        cls = type(self)
-        arrived_hook = None if cls._arrived is PQP._arrived else self._arrived
-        accepted_hook = None if cls._accepted is PQP._accepted else self._accepted
         accepted = self._accept_scratch
         accepted.clear()
         append = accepted.append
@@ -247,12 +215,16 @@ class PQP(RateLimiter):
             qi = queue_of(packet.flow)
             before = queues.drain_recomputes
             advance(now)
+            # Counter updates: lazy drain recomputes (amortized) +
+            # occupancy check + enqueue increment, all cache-resident.
+            # ``drain_recomputes`` counts the *paper's* per-packet drain
+            # work (linear pieces / phantom dequeues), which every
+            # service discipline reports identically — the modeled cost
+            # is pinned to the mechanism, not to how much Python
+            # bookkeeping the optimized engines skip (see
+            # repro.limiters.costs).
             alu += 3 + 2 * (queues.drain_recomputes - before)
-            if arrived_hook is not None:
-                arrived_hook(qi, packet, now)
             if try_enqueue(qi, size):
-                if accepted_hook is not None:
-                    accepted_hook(qi, packet, now)
                 if (
                     fraction is not None
                     and packet.ecn_capable
@@ -275,11 +247,3 @@ class PQP(RateLimiter):
             stats.dropped_bytes += drop_bytes
         if accepted:
             self._forward_batch(accepted)
-
-    def _arrived(self, queue: int, packet: Packet, now: float) -> None:
-        """Hook: every arrival, accepted or not (BC-PQP's idle detection)."""
-        del queue, packet, now
-
-    def _accepted(self, queue: int, packet: Packet, now: float) -> None:
-        """Hook for subclasses (BC-PQP's window accounting)."""
-        del queue, packet, now

@@ -133,27 +133,9 @@ def _parse_args(argv: list[str] | None) -> argparse.Namespace:
         default=None,
         help="profile the run (forces serial execution) and print a "
         "cumulative-time table of the hottest functions afterwards, "
-        "plus the batched-delivery entry points broken out",
+        "plus the packet-path entry points broken out",
     )
-    batching = parser.add_mutually_exclusive_group()
-    batching.add_argument(
-        "--batch",
-        type=int,
-        default=None,
-        metavar="N",
-        help="cap delivery batches at N packets per drain (default: "
-        "unbounded; output is byte-identical for every setting)",
-    )
-    batching.add_argument(
-        "--no-batch",
-        action="store_true",
-        help="run the legacy per-packet delivery engine (same as "
-        "--batch 1)",
-    )
-    args = parser.parse_args(argv)
-    if args.batch is not None and args.batch < 1:
-        parser.error("--batch must be at least 1")
-    return args
+    return parser.parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> None:
@@ -163,10 +145,6 @@ def main(argv: list[str] | None = None) -> None:
         from repro.experiments.common import set_validate
 
         set_validate(True)
-    if args.no_batch or args.batch is not None:
-        from repro.experiments.common import set_batch
-
-        set_batch(1 if args.no_batch else args.batch)
     supervised = (
         args.retries is not None
         or args.task_timeout is not None
@@ -216,14 +194,12 @@ def main(argv: list[str] | None = None) -> None:
             print("cProfile: top 30 functions by cumulative time")
             stats = pstats.Stats(profiler).sort_stats("cumulative")
             stats.print_stats(30)
-            # The batched packet path runs inside distinct drain frames
-            # (deliver_batch / receive_batch / drain_coalesced / the
-            # fused endpoint loops), so batching cost is attributable
-            # separately from per-packet work.
-            print("cProfile: batched-delivery entry points")
+            # The packet path in one table: the link/pipe drain, every
+            # component's receive entry, and the sender's ACK/send bodies.
+            print("cProfile: packet-path entry points")
             stats.print_stats(
-                r"deliver_batch|receive_batch|drain_coalesced"
-                r"|_ack_fast|_try_send_fast|receive_one|receive_fast"
+                r"deliver_batch|drain_coalesced|\(receive(_batch)?\)"
+                r"|_process_ack|_try_send"
             )
     print("=" * 72)
     print(f"All experiments completed in {time.time() - grand_start:.1f} s.")

@@ -76,7 +76,7 @@ class FleetSpec:
     max_start: float = 0.1
     #: Phantom service discipline for pqp/bcpqp; ignored otherwise.
     phantom_service: str = "fluid"
-    #: Delivery batch limit (``None`` = unbounded, ``1`` = per-packet).
+    #: Delivery batch cap (``None`` = unbounded, ``1`` = singletons).
     batch: int | None = None
     #: Attach the runtime invariant checker inside every shard.
     validate: bool = False

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -33,13 +32,19 @@ class LimiterStats:
         return self.dropped_packets / self.arrived_packets
 
 
-class RateLimiter(ABC):
+class RateLimiter:
     """A rate-enforcement element sitting in the forwarding path.
 
-    Subclasses implement :meth:`_on_packet` and either forward the packet
-    immediately (policers: :meth:`_forward`), drop it (:meth:`_drop`), or
-    buffer it for later release (the shaper, which calls :meth:`_forward`
-    from its dequeue timer).
+    Every arrival enters through :meth:`receive_batch` (:meth:`receive`
+    is a batch of one), so each limiter holds its decision exactly once.
+    Limiters whose per-packet decision consumes simulator seqs (the
+    shaper's dequeue timers) or forwards inline implement
+    :meth:`_on_packet` and inherit the per-packet loop; policers whose
+    decisions are schedule-free override :meth:`receive_batch` with a
+    decide-all-then-forward-all loop.  A decision forwards the packet
+    (:meth:`_forward` / :meth:`_forward_batch`), drops it (:meth:`_drop`),
+    or buffers it for later release (the shaper, which calls
+    :meth:`_forward` from its dequeue timer).
 
     The downstream hop is attached with :meth:`connect` after construction
     so topology wiring order doesn't matter.
@@ -50,16 +55,19 @@ class RateLimiter(ABC):
         self.name = name
         self._downstream: PacketSink | None = None
         self._downstream_batch: PacketSink | None = None
-        # Reused by fused receive_batch overrides to collect the accepted
+        # Reused by receive_batch overrides to collect the accepted
         # packets of a batch before the single _forward_batch call.
         self._accept_scratch: list[Packet] = []
+        # The one-element batch :meth:`receive` hands to receive_batch.
+        self._one: list[Packet] = [None]  # type: ignore[list-item]
         self.stats = LimiterStats()
         self.cost = CostMeter()
         validator = getattr(sim, "validator", None)
         if validator is not None:
-            # The checker wraps instance-level bound methods (receive and,
-            # for BC-PQP, the window sweep) and defers all introspection
-            # to call time — subclass attributes don't exist yet here.
+            # The checker wraps instance-level bound methods
+            # (receive_batch and, for BC-PQP, the window sweep) and defers
+            # all introspection to call time — subclass attributes don't
+            # exist yet here.
             validator.attach_limiter(self)
 
     def connect(self, downstream: PacketSink) -> None:
@@ -106,28 +114,32 @@ class RateLimiter(ABC):
         )
 
     def receive(self, packet: Packet) -> None:
-        """PacketSink entry point: account the arrival then decide."""
-        self.stats.arrived_packets += 1
-        self.stats.arrived_bytes += packet.size
-        self._on_packet(packet)
+        """PacketSink entry point: a batch of one."""
+        one = self._one
+        one[0] = packet
+        self.receive_batch(one)
 
     def receive_batch(self, packets: list[Packet]) -> None:
-        """Batch entry point.
+        """Account each arrival, then decide it via :meth:`_on_packet`.
 
-        The base implementation loops :meth:`receive` per packet — always
-        a legal realization of a batch, and exactly what limiters whose
-        per-packet decision consumes simulator seqs (the shaper's dequeue
-        timers) must do to preserve the unbatched seq order.  Policers
-        whose decisions are schedule-free override this with a fused
-        decide-all-then-forward-all loop.
+        Strictly per packet — always a legal realization of a batch, and
+        what a limiter whose decision consumes simulator seqs must do to
+        keep the seq order independent of batch granularity.
         """
-        receive = self.receive
+        stats = self.stats
+        on_packet = self._on_packet
         for packet in packets:
-            receive(packet)
+            stats.arrived_packets += 1
+            stats.arrived_bytes += packet.size
+            on_packet(packet)
 
-    @abstractmethod
     def _on_packet(self, packet: Packet) -> None:
-        """Decide the packet's fate (forward / drop / buffer)."""
+        """Decide one packet's fate (forward / drop / buffer).  Required
+        of every subclass that does not override :meth:`receive_batch`."""
+        raise NotImplementedError(
+            f"{type(self).__name__} defines neither _on_packet nor "
+            "receive_batch"
+        )
 
     def _forward(self, packet: Packet) -> None:
         if self._downstream is None:
@@ -140,10 +152,10 @@ class RateLimiter(ABC):
         """Forward an accepted batch downstream in one call.
 
         Only safe for limiters whose decision phase reserves no simulator
-        seqs: the unbatched engine would interleave each packet's
+        seqs: packet-by-packet processing interleaves each packet's
         downstream traversal with the next packet's decision, and the two
         orders assign identical seqs exactly when the decisions consume
-        none (see DESIGN.md, "Batched packet path").
+        none (see DESIGN.md, "Packet path").
         """
         if self._downstream is None:
             raise RuntimeError(f"{self.name}: no downstream connected")

@@ -109,27 +109,17 @@ class TokenBucketPolicer(RateLimiter):
             )
             self._last_refill = now
 
-    def _on_packet(self, packet: Packet) -> None:
-        self._refill()
-        # Finding this aggregate's bucket is a flow-table lookup (every
-        # scheme pays it), then refill + compare + decrement are a handful
-        # of cache-hot ALU ops.
-        self.cost.charge(Op.MAP, 1)
-        self.cost.charge(Op.ALU, 3)
-        if self._tokens >= packet.size:
-            self._tokens -= packet.size
-            self._forward(packet)
-        else:
-            self._drop(packet)
-
     def receive_batch(self, packets: list[Packet]) -> None:
-        """Fused batch entry point: one lazy refill (the per-packet
+        """The policing decision: one lazy refill (the per-packet
         refills of a same-instant batch are no-ops after the first), one
         decide loop on a local token count, one downstream call."""
         n = len(packets)
         stats = self.stats
         stats.arrived_packets += n
         self._refill()
+        # Finding this aggregate's bucket is a flow-table lookup (every
+        # scheme pays it), then refill + compare + decrement are a handful
+        # of cache-hot ALU ops.
         cost = self.cost
         cost.charge(Op.MAP, n)
         cost.charge(Op.ALU, 3 * n)

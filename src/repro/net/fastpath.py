@@ -1,41 +1,36 @@
-"""The batched drain kernel shared by :class:`~repro.net.pipe.Pipe` and
+"""The drain kernel shared by :class:`~repro.net.pipe.Pipe` and
 :class:`~repro.net.link.Link`.
 
-``drain_coalesced`` is the single hot inner loop of the batched packet
-path.  Each invocation pops the head of a coalesced FIFO, collects the
-longest *same-instant* prefix whose reserved ``(time, seq)`` keys all
-precede every other heap event, and hands the whole prefix to the
-receiver in one ``receive_batch`` call.  Between prefixes it either
-continues inline (same instant, still globally next), advances the
-simulation clock inline (strictly later instant, still globally next,
-and an un-budgeted ``run()`` is driving — see
-``Simulator._advance_bound``), or re-arms a heap event for the new head
-exactly like the legacy per-packet engine.
+``drain_coalesced`` is the one delivery loop of the packet path.  Each
+invocation pops the head of a coalesced FIFO, collects the longest
+*same-instant* prefix whose reserved ``(time, seq)`` keys all precede
+every other heap event (capped at ``Simulator.batch_limit`` packets),
+and hands the whole prefix to the receiver in one ``receive_batch``
+call.  Between prefixes it either continues inline (same instant, still
+globally next), advances the simulation clock inline (strictly later
+instant, still globally next, and an un-budgeted ``run()`` is driving —
+see ``Simulator._advance_bound``), or re-arms a heap event for the new
+head.
 
-Byte-identity argument
-----------------------
-The legacy drain checks, *after* delivering each packet, whether the
-next pending ``(t, s)`` still precedes the heap head.  Collecting the
-guarded prefix *before* delivering is equivalent because every event
-pushed during delivery of a batch member carries ``time >= now`` and a
-seq **greater** than every seq reserved before it — so a push can never
-slip in front of a same-instant pending member, and the prefix guard's
-outcome is invariant under the deliveries it elides.  Cancellations
-never remove heap tuples (lazy deletion), so the guard's comparison
-target is stable too.  Inline clock advancement fires the exact event
-the run loop would have popped next, at the same ``(time, seq)``, with
-the same clock value — only the heap round-trip (push, sift, pop,
-handle recycle) is skipped, none of which is observable to components.
-
-Compilability constraints
--------------------------
-The kernel is deliberately written in a restricted, mypyc/Cython-
-compilable style: one flat function, plain locals, no closures, no
-comprehensions in the loop, explicit ``while``/``break`` control flow,
-and a caller-preallocated scratch list reused across batches.  An
-optionally compiled extension (``repro.net._fastpath_c``) is picked up
-when present; the pure-python definition below is the reference and the
-fallback — no build step is ever required.
+Order-safety argument
+---------------------
+One heap event per packet, each at its reserved ``(time, seq)``, is the
+reference semantics; delivering packet by packet and checking *after*
+each one whether the next pending ``(t, s)`` still precedes the heap
+head realises it exactly.  Collecting the guarded prefix *before*
+delivering is equivalent because every event pushed during delivery of
+a batch member carries ``time >= now`` and a seq **greater** than every
+seq reserved before it — so a push can never slip in front of a
+same-instant pending member, and the prefix guard's outcome is invariant
+under the deliveries it elides.  Cancellations never remove heap tuples
+(lazy deletion), so the guard's comparison target is stable too.  Inline
+clock advancement fires the exact event the run loop would have popped
+next, at the same ``(time, seq)``, with the same clock value — only the
+heap round-trip (push, sift, pop, handle recycle) is skipped, none of
+which is observable to components.  The batch cap therefore changes
+bookkeeping granularity only: every ``batch_limit`` yields the same
+simulation (pinned by ``tests/test_engine_equivalence.py`` and
+``tests/test_batching.py``).
 """
 
 from __future__ import annotations
@@ -96,8 +91,8 @@ def drain_coalesced(
         s1 = nxt[1]
         now = sim._now
         if t1 <= now:
-            # Same instant: the legacy guard (conservative — a cancelled
-            # heap top falls back to the re-arm path, as it always did).
+            # Same instant: conservative guard — a cancelled heap top
+            # falls back to the re-arm path.
             if not heap:
                 continue
             top = heap[0]
@@ -143,8 +138,3 @@ def drain_coalesced(
             sim._peak_heap = len(heap)
         return False
 
-
-try:  # pragma: no cover - exercised only where the extension is built
-    from repro.net._fastpath_c import drain_coalesced  # type: ignore  # noqa: F811,E501
-except ImportError:
-    pass

@@ -1,7 +1,7 @@
 """Impairment channels: lossy, bursty, jittery and trace-driven links.
 
 Every element in the reproduction's clean topology is a serializing
-FIFO, so loss recovery (SACK/RACK/TLP/RTO), the batched fast path and
+FIFO, so loss recovery (SACK/RACK/TLP/RTO), batched delivery and
 the packet pools had never been exercised under hostile conditions.
 This module provides composable, ``Pipe``-compatible impairment
 wrappers:

@@ -55,9 +55,6 @@ class Link:
         self._prop_armed = False
         self._batch_sink = batch_capable(sink)
         self._scratch: list[Packet] = []
-        self._deliver_entry = (
-            self._deliver if sim.batch_limit == 1 else self.deliver_batch
-        )
 
         self.forwarded_packets = 0
         self.forwarded_bytes = 0
@@ -83,9 +80,9 @@ class Link:
         """Accept a same-instant batch.
 
         Serialization start (``call_after``) consumes a seq per packet,
-        so the enqueue side must run strictly per-packet to preserve the
-        unbatched engine's seq assignment — the batching win for a link
-        is on the *delivery* side (:meth:`deliver_batch`).
+        so the enqueue side must run strictly per-packet to keep the
+        seq assignment independent of batch granularity — a link batches
+        on the *delivery* side only (:meth:`deliver_batch`).
         """
         receive = self.receive
         for packet in packets:
@@ -134,7 +131,7 @@ class Link:
             prop.append((time, seq, packet))
             if not self._prop_armed:
                 self._prop_armed = True
-                sim.call_at_reserved(time, seq, self._deliver_entry)
+                sim.call_at_reserved(time, seq, self.deliver_batch)
         else:
             self._sink.receive(packet)
         if self._queue:
@@ -143,27 +140,6 @@ class Link:
             self._transmit(nxt)
         else:
             self._busy = False
-
-    def _deliver(self) -> None:
-        prop = self._prop
-        sim = self._sim
-        now = sim.now
-        receive = self._sink.receive
-        heap = sim._heap
-        while True:
-            receive(prop.popleft()[2])
-            if not prop:
-                self._prop_armed = False
-                return
-            time, seq, _packet = prop[0]
-            if time <= now and (
-                not heap
-                or heap[0][0] > time
-                or (heap[0][0] == time and heap[0][1] > seq)
-            ):
-                continue
-            sim.call_at_reserved(time, seq, self._deliver)
-            return
 
     def deliver_batch(self) -> None:
         """Batched drain of the propagation FIFO (see

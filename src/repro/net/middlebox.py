@@ -54,7 +54,7 @@ class Middlebox:
 
         Only consecutive runs may be merged: merging across an unrelated
         packet would reorder that packet's traversal relative to the run,
-        which the unbatched engine never does.
+        which packet-by-packet dispatch never does.
         """
         limiters = self._limiters
         run: list[Packet] = []

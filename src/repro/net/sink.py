@@ -108,9 +108,9 @@ class TeeSink:
             sink.receive(packet)
 
     def receive_batch(self, packets: list[Packet]) -> None:
-        # Per-packet across all sinks, in the legacy interleaving: a
-        # sink that reserves seqs (a downstream pipe) must consume them
-        # in exactly the unbatched order.
+        # Per-packet across all sinks: a sink that reserves seqs (a
+        # downstream pipe) must consume them in exactly the
+        # packet-by-packet order.
         sinks = self._sinks
         for packet in packets:
             for sink in sinks:

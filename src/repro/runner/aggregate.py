@@ -61,12 +61,12 @@ class AggregateConfig:
     #: the field participates in the config ``repr`` so validated and
     #: unvalidated runs never share cache entries.
     validate: bool = False
-    #: Delivery batching (``Simulator(batch_limit=...)``): ``None`` =
-    #: unbounded batches (the default engine), ``1`` = the legacy
-    #: per-packet path, ``K`` = cap batches at K.  Outcomes are
-    #: byte-identical for every setting (pinned by
-    #: ``tests/test_engine_equivalence.py`` and the differential
-    #: fuzzer); the field participates in the cache token regardless.
+    #: Delivery batch cap (``Simulator(batch_limit=...)``): ``None`` =
+    #: unbounded, ``1`` = singleton batches, ``K`` = at most K packets
+    #: per hand-off.  It selects no code and outcomes are byte-identical
+    #: for every setting (pinned by ``tests/test_engine_equivalence.py``
+    #: and the differential fuzzer); the field participates in the cache
+    #: token regardless.
     batch: int | None = None
     #: Optional impairment channels (loss/jitter/reorder/corrupt plus a
     #: capacity trace) applied to the scenario.  ``None`` and an

@@ -73,14 +73,13 @@ class Simulator:
             raise SimulationError(
                 f"batch_limit must be None or >= 1, got {batch_limit!r}"
             )
-        #: Batched-delivery policy for coalesced FIFO components
-        #: (link/pipe): ``None`` = unbounded batches (the default engine),
-        #: ``1`` = the legacy one-packet-per-callback path, ``K`` = cap
-        #: each batch at K packets.  ``batch=1`` is byte-identical by
-        #: construction (it *is* the old code path); every other setting
-        #: is byte-identical by the reserved-seq argument in
-        #: ``net/fastpath.py`` and is pinned by
-        #: ``tests/test_engine_equivalence.py``.
+        #: Cap on the same-instant batch a coalesced FIFO component
+        #: (link/pipe) hands its sink per ``receive_batch`` call:
+        #: ``None`` = unbounded (the default), ``K`` = at most K packets,
+        #: ``1`` = every batch is a singleton.  It selects no code — one
+        #: drain kernel (``net/fastpath.py``) runs at every setting — and
+        #: by that module's reserved-seq argument every setting is the
+        #: same simulation, pinned by ``tests/test_engine_equivalence.py``.
         self.batch_limit = batch_limit
         # Kernel-facing cap: 0 means unbounded (a batch of n packets
         # stops growing when ``n == cap``; n starts at 1 so 0 never hits).
@@ -88,8 +87,8 @@ class Simulator:
         #: While ``run()`` executes without a ``max_events`` budget, the
         #: clock may be advanced *inline* by a batched drain (up to this
         #: bound) whenever the drain's own next packet is provably the
-        #: globally next event — saving the heap round-trip the legacy
-        #: engine paid.  ``None`` disables inline advancement (the state
+        #: globally next event — saving a heap round-trip per packet.
+        #: ``None`` disables inline advancement (the state
         #: outside ``run()`` and under ``max_events`` stepping).
         self._advance_bound: float | None = None
         self._inline_advances = 0
@@ -170,9 +169,8 @@ class Simulator:
 
     @property
     def inline_advances(self) -> int:
-        """Clock advances performed inline by batched drains — each one
-        replaced a heap push + pop + handle recycle of the legacy
-        engine."""
+        """Clock advances performed inline by link/pipe drains — each one
+        replaced a heap push + pop + handle recycle."""
         return self._inline_advances
 
     @property
@@ -388,7 +386,7 @@ class Simulator:
         # un-budgeted run() is driving the loop: under ``max_events`` the
         # caller observes (and resumes from) every individual firing, so
         # inline advancement would change where the budget lands.
-        if max_events is None and self.batch_limit != 1:
+        if max_events is None:
             self._advance_bound = _INF if until is None else until
         # Local-variable hot loop: one pass per event, no peek_time/step
         # double scan of the heap head and no per-event method dispatch.

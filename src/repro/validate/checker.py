@@ -4,8 +4,13 @@ The checker is a passive observer: components self-register at
 construction (``Simulator(validate=checker)`` makes ``sim.validator``
 non-None, and each limiter / TCP sender / middlebox ``__init__`` calls
 the matching ``attach_*``).  Attachment wraps *instance-level* bound
-methods (``receive``, BC-PQP's ``_on_window_sweep``, the phantom set's
-enqueue/fill/reclaim), so:
+methods — each component's packet entry (a limiter's ``receive_batch``,
+which its ``receive`` funnels into; a sender's and a middlebox's
+``receive`` and ``receive_batch``), BC-PQP's ``_on_window_sweep`` and the
+phantom set's enqueue/fill/reclaim.  Every wrapper calls the method it
+shadows, one packet at a time, and probes after each call: the decision
+loop, ``_process_ack`` and ``_try_send`` a validated run executes are the
+ones an unvalidated run executes.  So:
 
 * with validation off nothing is wrapped and the hot path is untouched —
   the disabled cost is exactly one ``getattr`` per component construction;
@@ -121,32 +126,31 @@ class InvariantChecker:
         state: dict[str, Any] = {"ready": False}
         self._limiters.append((limiter, state))
 
-        original_receive = limiter.receive
-
-        def wrapped_receive(packet: Any) -> None:
-            if not state["ready"]:
-                self._init_limiter(limiter, state)
-            original_receive(packet)
-            self._check_limiter(limiter, state, packet)
-
-        limiter.receive = wrapped_receive
+        original_receive_batch = limiter.receive_batch
+        single: list[Any] = [None]
 
         def wrapped_receive_batch(packets: Any) -> None:
-            # Instance attribute shadows the fused class-level batch
-            # path, so a validated run takes the per-packet wrapped
-            # route — every per-packet invariant still fires, and the
-            # validated run stays bit-identical to batch=1 (the fused
-            # paths are proven equivalent separately, by the equivalence
-            # pins and the differential fuzzer).
+            # The limiter's one entry point (``receive`` is a batch of
+            # one through this same attribute).  Each packet goes through
+            # the *original* decision loop as a singleton batch so the
+            # per-packet invariants fire between decisions; forwarding
+            # one at a time instead of after the whole batch is
+            # order-safe for the same reason decide-all-then-forward is
+            # (DESIGN.md, "Packet path"), so the validated run stays
+            # bit-identical.
+            if not state["ready"]:
+                self._init_limiter(limiter, state)
             stats = limiter.stats
             arrived_packets = stats.arrived_packets
             arrived_bytes = stats.arrived_bytes
             batch_bytes = 0
             for packet in packets:
                 batch_bytes += packet.size
-                wrapped_receive(packet)
+                single[0] = packet
+                original_receive_batch(single)
+                self._check_limiter(limiter, state, packet)
             # Batch-aware invariants: the whole batch (and nothing else)
-            # was accounted across this deliver_batch() hand-off...
+            # was accounted across this hand-off...
             self._ensure(
                 stats.arrived_packets - arrived_packets == len(packets),
                 f"{limiter.name}: batch packet accounting broken: "
@@ -210,20 +214,27 @@ class InvariantChecker:
         self._simulators.append(sim)
 
     def attach_sender(self, sender: Any) -> None:
-        """Wrap a TCP sender's ACK entry point for per-ACK checking."""
+        """Wrap a TCP sender's two ACK entry points for per-ACK checking;
+        both call the originals, so ``_process_ack`` / ``_try_send`` run
+        exactly as they do unvalidated."""
         self._senders.append(sender)
         original_receive = sender.receive
+        original_receive_batch = sender.receive_batch
+        single: list[Any] = [None]
 
         def wrapped_receive(packet: Any) -> None:
             original_receive(packet)
             self._check_sender(sender)
 
-        sender.receive = wrapped_receive
-
         def wrapped_receive_batch(packets: Any) -> None:
+            # One ACK at a time through the original batch entry, so the
+            # per-ACK check runs between ACKs.
             for packet in packets:
-                wrapped_receive(packet)
+                single[0] = packet
+                original_receive_batch(single)
+                self._check_sender(sender)
 
+        sender.receive = wrapped_receive
         sender.receive_batch = wrapped_receive_batch
 
     def attach_middlebox(self, middlebox: Any) -> None:
@@ -250,21 +261,28 @@ class InvariantChecker:
         middlebox.add_aggregate = wrapped_add
 
         original_receive = middlebox.receive
+        original_receive_batch = middlebox.receive_batch
+        single: list[Any] = [None]
 
-        def wrapped_receive(packet: Any) -> None:
+        def count(packet: Any) -> None:
             state["packets"] += 1
             state["bytes"] += packet.size
             if packet.flow.aggregate not in middlebox._limiters:
                 state["unmatched_bytes"] += packet.size
+
+        def wrapped_receive(packet: Any) -> None:
+            count(packet)
             original_receive(packet)
             self._check_middlebox(middlebox, state)
 
-        middlebox.receive = wrapped_receive
-
         def wrapped_receive_batch(packets: Any) -> None:
             for packet in packets:
-                wrapped_receive(packet)
+                count(packet)
+                single[0] = packet
+                original_receive_batch(single)
+                self._check_middlebox(middlebox, state)
 
+        middlebox.receive = wrapped_receive
         middlebox.receive_batch = wrapped_receive_batch
 
     # ------------------------------------------------------------------

@@ -1,14 +1,15 @@
-"""Batched packet path: ordering and equivalence properties.
+"""Delivery granularity: ordering and equivalence properties.
 
-The batched engine's contract is that a batch is *bookkeeping*, not a
+The packet path's contract is that a batch is *bookkeeping*, not a
 semantic unit: draining a same-instant prefix of a pipe/link FIFO in one
-callback must produce exactly the global event interleaving the
-per-packet engine would have produced.  These tests drive randomized
-workloads of packet arrivals and competing timer events through a
+callback must produce exactly the global event interleaving that one
+heap event per packet would.  These tests drive randomized workloads of
+packet arrivals and competing timer events through a
 :class:`~repro.net.pipe.Pipe` under every interesting batch limit
-(1 = legacy per-packet, tiny caps that split batches at awkward places,
+(1 = singleton batches, tiny caps that split batches at awkward places,
 and the unbounded default) and require the observed delivery/timer log
-to be *identical* across all of them.
+to be *identical* across all of them — a metamorphic relation over one
+drain kernel.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from repro.sim.simulator import Simulator
 
 pytestmark = pytest.mark.batch
 
-#: Batch limits under test: the two engine endpoints plus boundary-forcing
-#: caps (a cap of 2 or 3 splits every burst into multiple drains).
+#: Batch limits under test: the two extremes plus boundary-forcing caps
+#: (a cap of 2 or 3 splits every burst into multiple drains).
 BATCH_LIMITS = (1, 2, 3, None)
 
 FLOW = FlowId(aggregate=0, slot=0)
@@ -89,9 +90,9 @@ def test_batch_boundaries_preserve_global_event_order(arrivals, timers, delay):
         assert _run_scenario(batch, arrivals, timers, delay) == reference
 
 
-def test_batch_one_uses_legacy_drain():
-    """``batch=1`` must keep the per-packet reference path: no batched
-    deliveries are ever counted."""
+def test_batch_one_delivers_singletons():
+    """``batch=1`` caps every hand-off at one packet: the drain delivers
+    in order and no multi-packet delivery is ever counted."""
     sim = Simulator(batch_limit=1)
     log: list = []
     pipe = Pipe(sim, 0.001, _Recorder(sim, log))
@@ -104,7 +105,7 @@ def test_batch_one_uses_legacy_drain():
 
 def test_unbounded_batch_drains_same_instant_prefix_in_one_call():
     """A same-instant burst behind a constant-delay pipe arrives as one
-    batched drain under the unbounded engine."""
+    batched drain when the batch size is unbounded."""
     sim = Simulator()
     batches: list[list[int]] = []
 

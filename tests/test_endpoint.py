@@ -156,16 +156,20 @@ class TestSackRecovery:
         sender, gate, receiver = make_connection(sim, cc=cc, total=150)
         # Drop seq 30 twice: original and first retransmission.
         gate.drop_once.add(30)
-        original_transmit = sender._transmit
+        forward = gate.receive
         state = {"dropped_retx": False}
 
-        def hook(seq, *, retransmit):
-            if seq == 30 and retransmit and not state["dropped_retx"]:
+        def drop_first_retransmission(packet):
+            if (
+                packet.seq == 30
+                and packet.retransmit
+                and not state["dropped_retx"]
+            ):
                 state["dropped_retx"] = True
                 gate.drop_once.add(30)
-            original_transmit(seq, retransmit=retransmit)
+            forward(packet)
 
-        sender._transmit = hook
+        gate.receive = drop_first_retransmission
         sim.run(until=30.0)
         assert sender.done
         assert state["dropped_retx"]

@@ -8,6 +8,13 @@ samples, the same figures.  These cells were measured under both engines
 change to event ordering anywhere (timer wake seqs, link/pipe delivery
 interleaving, pool reuse) shows up here as a hard failure.
 
+The per-packet reference engine that used to run beside the batched one
+(``batch=1`` selected separate sender / receiver / pipe / limiter code)
+is gone: one packet path runs at every ``batch_limit``.  Its role as an
+oracle is held by ``LEGACY_DIGESTS`` — sha256 digests of full outcomes
+captured from that engine at the last commit that carried it — which the
+single engine must reproduce at every delivery granularity.
+
 The cells deliberately stress the order-sensitive paths: mixed CC
 algorithms with different RTTs (RTO/TLP timer ties — PTO clamps produce
 *constant* deadlines, so cross-flow same-instant ties are common, not
@@ -15,11 +22,17 @@ measure-zero), loss-heavy policers (retransmission scheduling), and the
 shaper (its own serialization events interleaving with pipe delivery).
 """
 
+import hashlib
+from random import Random
+
 import pytest
 
+from repro.churn import draw_plan
 from repro.experiments import common
+from repro.net.impair import ImpairmentSpec
+from repro.runner import AggregateConfig, simulate_aggregate
 from repro.units import mbps, ms
-from repro.workload.spec import FlowSpec
+from repro.workload.spec import FlowSpec, OnOffSpec
 
 # scheme -> (cc mix, pinned (mean_xr, peak_xr, drop_rate, jain)) at
 # rate=5 Mbps, max_rtt=80 ms, horizon=6 s, warmup=1 s, RTTs 20+15i ms.
@@ -42,13 +55,17 @@ PINNED = {
 }
 
 
+def _specs(ccs):
+    return [
+        FlowSpec(slot=i, cc=cc, rtt=ms(20 + 15 * i)) for i, cc in enumerate(ccs)
+    ]
+
+
 @pytest.mark.parametrize(
     "scheme,ccs", sorted(PINNED), ids=lambda v: v if isinstance(v, str) else "+".join(v)
 )
 def test_outcomes_identical_to_pre_overhaul_engine(scheme, ccs):
-    specs = [
-        FlowSpec(slot=i, cc=cc, rtt=ms(20 + 15 * i)) for i, cc in enumerate(ccs)
-    ]
+    specs = _specs(ccs)
     result = common.run_aggregate(
         scheme, specs, rate=mbps(5), max_rtt=ms(80), horizon=6.0, warmup=1.0
     )
@@ -68,13 +85,10 @@ def test_outcomes_identical_to_pre_overhaul_engine(scheme, ccs):
     "scheme,ccs", sorted(PINNED), ids=lambda v: v if isinstance(v, str) else "+".join(v)
 )
 def test_batched_engine_matches_unbatched(scheme, ccs):
-    """The batched packet path is the same simulation at a different
-    delivery granularity: every outcome metric must be bit-for-bit equal
-    between ``batch=1`` (legacy per-packet reference) and the unbounded
-    batched engine, across all five schemes."""
-    specs = [
-        FlowSpec(slot=i, cc=cc, rtt=ms(20 + 15 * i)) for i, cc in enumerate(ccs)
-    ]
+    """Granularity invariance of the one engine: every outcome metric
+    must be bit-for-bit equal between singleton batches (``batch=1``)
+    and unbounded ones, across all five schemes."""
+    specs = _specs(ccs)
     results = [
         common.run_aggregate(
             scheme, specs, rate=mbps(5), max_rtt=ms(80), horizon=6.0,
@@ -101,3 +115,83 @@ def test_batched_engine_matches_unbatched(scheme, ccs):
         batched.drop_rate,
         batched.fairness,
     ) == PINNED[(scheme, ccs)]
+
+
+# ---------------------------------------------------------------------------
+# Literal pins captured from the deleted per-packet engine
+# ---------------------------------------------------------------------------
+
+#: cell -> sha256 of the full outcome (see :func:`_outcome_digest`),
+#: computed with ``batch=1`` at commit 47cd7cf, the last one whose
+#: ``batch=1`` ran the legacy per-packet sender/receiver/pipe/limiter
+#: bodies.  The five ``PINNED`` cells plus one impaired churn cell.
+LEGACY_DIGESTS = {
+    "policer": "c3ed3cb3154d596f6c4045986cf5e0128e8799bb6bf3b4416eca49fff263064a",
+    "bcpqp": "d5e148472ec9e25ba616e9ff60d3ea9e24b2fa1555bea700ff7cdd385ee36cc8",
+    "pqp": "09f56831481b8712f759d1127f1d9061303458f036d375f64e9712368fd0973d",
+    "shaper": "de51e02e07b7cf98accd25c8e7a169431b3c18341595a933b9d0a32e8c1a6db2",
+    "fairpolicer": "174fd8b91068a56d4a800d641713d00ddc91b70a0df537c81e301770fa656e49",
+    "churn": "a1c59182f5e76de2719fa2dfeec7cbf66c2a4be755f1f46ddbee130d54263655",
+}
+
+
+def _outcome_digest(outcome) -> str:
+    """sha256 over everything order-sensitive an outcome carries (float
+    ``repr`` round-trips exactly, so equal digests mean equal bits)."""
+    payload = (
+        outcome.aggregate_series.times,
+        outcome.aggregate_series.values,
+        sorted(
+            (slot, s.times, s.values) for slot, s in outcome.slot_series.items()
+        ),
+        outcome.drop_rate,
+        outcome.arrived_packets,
+        outcome.magic_fills,
+        outcome.magic_reclaims,
+        [
+            (r.slot, r.incarnation, r.start, r.end, r.packets)
+            for r in outcome.flow_records
+        ],
+    )
+    return hashlib.sha256(repr(payload).encode()).hexdigest()
+
+
+def _legacy_cell(cell: str, batch: int | None) -> AggregateConfig:
+    if cell == "churn":
+        # Loss + jitter + reordering + ACK loss under a drawn policy
+        # churn plan, with an on-off slot so flow records are non-empty:
+        # the traffic that leaves the common path (SACK/RACK recovery,
+        # RTO/TLP, JitterPipe, apply_update).
+        return AggregateConfig(
+            scheme="bcpqp",
+            specs=(
+                FlowSpec(slot=0, cc="reno", rtt=ms(20)),
+                FlowSpec(slot=1, cc="cubic", rtt=ms(50)),
+                FlowSpec(slot=2, cc="bbr", rtt=ms(35),
+                         on_off=OnOffSpec(60, 0.05)),
+            ),
+            rate=mbps(4), max_rtt=ms(100), horizon=4.0, warmup=0.5, seed=3,
+            batch=batch,
+            impair=ImpairmentSpec(loss=0.02, jitter=0.003, reorder=0.05,
+                                  reorder_extra=0.002, ack_loss=0.01),
+            churn=draw_plan(Random(7), num_queues=3, rate=mbps(4),
+                            horizon=4.0, actions=8),
+        )
+    ccs = next(c for s, c in PINNED if s == cell)
+    return AggregateConfig(
+        scheme=cell,
+        specs=_specs(ccs),
+        rate=mbps(5), max_rtt=ms(80), horizon=6.0, warmup=1.0, batch=batch,
+    )
+
+
+@pytest.mark.batch
+@pytest.mark.parametrize("batch", (1, 3, None), ids=lambda b: f"batch={b}")
+@pytest.mark.parametrize("cell", sorted(LEGACY_DIGESTS))
+def test_outcomes_match_legacy_engine_digests(cell, batch):
+    outcome = simulate_aggregate(_legacy_cell(cell, batch))
+    if cell == "churn":
+        # The pin must cover recovery, burst control and churn commits.
+        assert outcome.flow_records and outcome.magic_fills
+        assert outcome.updates_applied == 8
+    assert _outcome_digest(outcome) == LEGACY_DIGESTS[cell]

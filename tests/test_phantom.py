@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.phantom import PhantomQueueSet
-from repro.policy.tree import Policy
+from repro.policy.tree import Leaf, Policy
 
 
 def make(n=2, rate=1000.0, cap=10_000.0, policy=None):
@@ -28,6 +28,25 @@ class TestEnqueue:
         q = make(n=3)
         q.try_enqueue(1, 100)
         assert q.active_flags() == [False, True, False]
+
+
+class TestRootLeafPolicy:
+    """A one-queue policy whose root *is* the leaf (no class above it)."""
+
+    @pytest.mark.parametrize("service", ["fluid", "fluid-ref", "quantum"])
+    def test_root_leaf_takes_the_whole_rate(self, service):
+        # The leaf's own weight is irrelevant without siblings.
+        q = PhantomQueueSet(
+            Policy(Leaf(0, weight=3.0)), 1e6, [3000.0], service=service
+        )
+        q.advance(0.0)
+        assert q.try_enqueue(0, 1500)
+        q.advance(0.001)
+        assert q.length(0) == 500.0
+        assert q.fluid_rate_of(0) == 1e6
+        q.advance(0.01)
+        assert q.length(0) == 0.0
+        assert q.fluid_rate_of(0) == 0.0
 
 
 class TestFluidDrain:

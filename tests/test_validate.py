@@ -1,10 +1,14 @@
 """Tests for the runtime invariant checker (repro.validate)."""
 
+from collections import Counter
+
 import pytest
 
+from repro.cc.endpoint import TcpSender
 from repro.core.bcpqp import BCPQP
 from repro.core.pqp import PQP
 from repro.classify.classifier import SlotClassifier
+from repro.limiters.base import RateLimiter
 from repro.limiters.token_bucket import TokenBucketPolicer
 from repro.net.packet import FlowId, Packet
 from repro.net.sink import NullSink
@@ -181,3 +185,74 @@ class TestZeroPerturbation:
             )
 
         assert run(False) == run(True)
+
+
+class TestValidationAuditsProduction:
+    """``validate=`` must observe the code an unvalidated run executes,
+    not a per-packet twin of it."""
+
+    def test_validated_run_enters_the_production_bodies(self, monkeypatch):
+        counts: Counter = Counter()
+
+        def count_calls(cls, name):
+            original = getattr(cls, name)
+
+            def counted(self, *args, **kwargs):
+                counts[name] += 1
+                return original(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, name, counted)
+
+        count_calls(BCPQP, "receive_batch")
+        count_calls(TcpSender, "_process_ack")
+        count_calls(TcpSender, "_try_send")
+
+        def run(validate):
+            counts.clear()
+            checker = InvariantChecker() if validate else None
+            sim = Simulator(validate=checker)
+            config = AggregateConfig(
+                scheme="bcpqp",
+                specs=tuple(FlowSpec(slot=i, cc="reno", rtt=ms(20 + 10 * i))
+                            for i in range(4)),
+                rate=mbps(10), max_rtt=ms(100), horizon=1.0, warmup=0.25,
+                seed=5,
+            )
+            limiter, scenario = build_scenario(config, sim)
+            scenario.run()
+            if checker is not None:
+                checker.finalize(traces=(scenario.trace,))
+                assert checker.violations == []
+            stats = limiter.stats
+            outcome = (
+                stats.arrived_packets, stats.forwarded_bytes,
+                stats.dropped_bytes, dict(stats.per_queue_drops),
+                limiter.magic_fills, limiter.magic_reclaims,
+                limiter.queues.drained_bytes, limiter.cost.snapshot(),
+                tuple(scenario.trace.times), sim.events_processed,
+            )
+            return outcome, dict(counts)
+
+        plain, plain_calls = run(False)
+        checked, checked_calls = run(True)
+        assert plain == checked  # byte-for-byte, as TestZeroPerturbation
+        arrived = plain[0]
+        assert arrived > 500 and plain[3]  # saturated: the limiter drops
+        # The decision loop: at least one entry per arrived packet when
+        # validated (exactly one — the checker feeds singletons).
+        assert checked_calls["receive_batch"] == arrived
+        assert 0 < plain_calls["receive_batch"] <= arrived
+        # One _process_ack per processed ACK in both runs, each clocking
+        # out a _try_send (plus the start / pacing / RTO entries).
+        assert checked_calls["_process_ack"] == plain_calls["_process_ack"] > 0
+        assert checked_calls["_try_send"] == plain_calls["_try_send"]
+        assert checked_calls["_try_send"] >= checked_calls["_process_ack"]
+
+    def test_limiters_have_no_second_per_packet_decision(self):
+        # ``receive`` is the base class's batch-of-one; the policers keep
+        # their decision in receive_batch alone.
+        for cls in (PQP, BCPQP, TokenBucketPolicer):
+            assert cls.receive is RateLimiter.receive
+            assert cls._on_packet is RateLimiter._on_packet
+            assert not hasattr(cls, "_arrived")
+            assert not hasattr(cls, "_accepted")
