@@ -14,13 +14,15 @@ A second file, ``BENCH_scaling.json``, records the ``scaling`` section:
 wall seconds/packet and modeled cycles/packet for PQP and BC-PQP at
 N ∈ {1, 10, 100, 1000, 10000} aggregates — the Figure 5 flatness claim
 applied to our own hot path — plus a policy-rich cell (BC-PQP over a
-256-queue, 16-group, two-priority tree with a churning active set).
+256-queue, 16-group, two-priority tree with a churning active set) and
+the shaper at 10 / 100 / 1000 queues (enqueue + DRR dequeue per packet).
 
 A third file, ``BENCH_eventloop.json``, records the event-engine
 section: each fig5 saturated cell run end-to-end with the simulator's
 own counters (events/packet, heap pushes/packet, peak heap size,
-cancelled-backlog high-water mark) plus wall us/packet, and the ratios
-against the pinned pre-overhaul engine (``PRE_PR_EVENTLOOP``).
+cancelled-backlog high-water mark) plus wall us/packet (informational),
+and the counter ratios against the pinned pre-overhaul engine
+(``PRE_PR_EVENTLOOP``).
 
 A fourth file, ``BENCH_impair.json``, records the impairment-machinery
 section (:mod:`repro.net.impair`): one bcpqp aggregate run three ways —
@@ -59,14 +61,15 @@ seconds/packet at N=1000 exceeds ``--check-multiple`` (default 3.0)
 times the N=10 value, or N=10000 exceeds the same multiple of N=100 —
 the guard for the virtual-time drain staying O(log N) — or the
 nested-tree cell exceeds ``NESTED_MAX_MULTIPLE`` (2.5) times the same
-run's flat bcpqp N=100 cell — or the churn
+run's flat bcpqp N=100 cell, or the shaper's N=1000 row exceeds
+``SHAPER_MAX_MULTIPLE`` (2.5) times its N=10 row — or the churn
 gates fail: the empty-plan outcome must equal the clean outcome
 byte-for-byte at <= 1.05x its wall clock, and update throughput must
 hold the floor — or (b) the
 event-engine gates fail: heap pushes/packet must stay >= 1.5x below the
-pre-overhaul engine on bcpqp (>= 1.3x elsewhere), events/packet and
-peak heap must not creep back up, and bcpqp wall us/packet must stay
->= 1.3x faster than the pinned pre-overhaul reference — or (c) the
+pre-overhaul engine on bcpqp (>= 1.3x elsewhere), and events/packet and
+peak heap must not creep back up (machine-independent counters only: no
+gate compares a wall clock with one committed from another box) — or (c) the
 impairment gates fail: the
 disabled-spec outcome must equal the clean outcome byte-for-byte and
 cost at most 5% extra wall clock — or (d) the fleet gates fail: the sharded
@@ -123,6 +126,17 @@ BATCH = 1000
 SCALING_SCHEMES = ("pqp", "bcpqp")
 SCALING_NS = (1, 10, 100, 1000, 10000)
 
+#: The shaper's rows of the sweep: queue counts, and the most N=1000 may
+#: cost as a multiple of N=10 in the same run.  Each batch spreads
+#: ``BATCH`` arrivals round-robin over the queues and then runs the
+#: simulator until they are served, so at N=1000 every packet is also an
+#: empty -> occupied -> empty transition of its queue — the scheduler's
+#: worst case.  Occupancy-tracked DRR measures ~1.4x (4.2 -> 5.9
+#: us/packet); the stateless head-list scan it replaced measured ~300x
+#: on the same box (17 -> 5200 us/packet: its idle reset was O(N^2)).
+SHAPER_NS = (10, 100, 1000)
+SHAPER_MAX_MULTIPLE = 2.5
+
 #: The policy-rich scaling cell: bcpqp over a two-level tree whose
 #: occupied set keeps changing (the ``openloop_bcpqp`` suite workload's
 #: shape).  1.2x a 1 Gbps rate arrives in same-instant ticks of ``burst``
@@ -144,37 +158,33 @@ NESTED_MAX_MULTIPLE = 2.5
 
 #: Pre-overhaul engine metrics on the fig5 saturated workload (default
 #: 12 s horizon), measured at the commit preceding the event-engine
-#: overhaul on the reference dev box.  The per-packet counters are
-#: machine-independent (deterministic simulation); ``us_per_packet`` is
-#: the reference wall clock the speedup ratio is computed against.
+#: overhaul.  Only the per-packet counters are kept: they are
+#: machine-independent (deterministic simulation), which a wall clock
+#: measured on that box is not.
 PRE_PR_EVENTLOOP = {
     "bcpqp": {
         "arrived_packets": 35550,
         "events_per_packet": 2.2632,
         "heap_pushes_per_packet": 3.6866,
         "peak_heap_size": 856,
-        "us_per_packet": 123.8,
     },
     "pqp": {
         "arrived_packets": 40324,
         "events_per_packet": 2.1983,
         "heap_pushes_per_packet": 3.5110,
         "peak_heap_size": 2350,
-        "us_per_packet": 145.2,
     },
     "shaper": {
         "arrived_packets": 28250,
         "events_per_packet": 2.9604,
         "heap_pushes_per_packet": 4.7295,
         "peak_heap_size": 867,
-        "us_per_packet": 257.6,
     },
     "policer": {
         "arrived_packets": 37827,
         "events_per_packet": 2.3015,
         "heap_pushes_per_packet": 3.5965,
         "peak_heap_size": 654,
-        "us_per_packet": 147.2,
     },
 }
 
@@ -283,13 +293,18 @@ def _scaling_cell(scheme: str, n: int, rounds: int) -> dict[str, float]:
     limiter.connect(NullSink())
     flows = [FlowId(0, i) for i in range(n)]
     counter = itertools.count()
+    is_shaper = scheme == "shaper"
 
     def process_batch() -> None:
         base = next(counter) * BATCH
         for i in range(BATCH):
-            sim._now = (base + i) * 2e-5  # 50k pkt/s arrival clock
+            if not is_shaper:
+                sim._now = (base + i) * 2e-5  # 50k pkt/s arrival clock
             limiter.receive(Packet.data(flows[(base + i) % n], base + i,
                                         sim.now))
+        if is_shaper:
+            # Dequeues fire on the shaper's own timers: serve the batch.
+            sim.run(until=sim.now + BATCH * MSS / limiter.rate)
 
     process_batch()  # warm up: queues activate, share caches populate
     samples = []
@@ -370,6 +385,10 @@ def scaling_section(rounds: int, ns: tuple[int, ...] = SCALING_NS) -> dict:
         scheme: {str(n): _scaling_cell(scheme, n, rounds) for n in ns}
         for scheme in SCALING_SCHEMES
     }
+    schemes["shaper"] = {
+        str(n): _scaling_cell("shaper", n, rounds)
+        for n in SHAPER_NS if n in ns
+    }
     nested = {**NESTED_CELL, **_nested_cell(rounds)}
     flat = schemes["bcpqp"].get("100")
     if flat is not None:
@@ -391,7 +410,8 @@ def check_scaling(scaling: dict, multiple: float) -> list[str]:
     Two gates per scheme, each spanning a 100x aggregate-count jump:
     N=1000 vs ``multiple`` x N=10, and N=10000 vs ``multiple`` x N=100.
     The nested-tree cell is gated against the same run's flat bcpqp
-    N=100 cell at :data:`NESTED_MAX_MULTIPLE`.
+    N=100 cell at :data:`NESTED_MAX_MULTIPLE`, and the shaper's N=1000
+    row against its N=10 row at :data:`SHAPER_MAX_MULTIPLE`.
     """
     failures = []
     ratio = scaling.get("nested", {}).get("multiple_of_flat_100")
@@ -408,10 +428,11 @@ def check_scaling(scaling: dict, multiple: float) -> list[str]:
                 continue
             base_s = base["seconds_per_packet"]
             top_s = top["seconds_per_packet"]
-            if top_s > multiple * base_s:
+            limit = SHAPER_MAX_MULTIPLE if scheme == "shaper" else multiple
+            if top_s > limit * base_s:
                 failures.append(
                     f"{scheme}: {top_s:.3e} s/pkt at N={big} exceeds "
-                    f"{multiple}x the N={small} value ({base_s:.3e})"
+                    f"{limit}x the N={small} value ({base_s:.3e})"
                 )
     return failures
 
@@ -432,9 +453,6 @@ def eventloop_section(horizon: float | None = None) -> dict:
                 pre["heap_pushes_per_packet"] / cell["heap_pushes_per_packet"],
                 3,
             )
-            cell["speedup_vs_pre_pr"] = round(
-                pre["us_per_packet"] / cell["us_per_packet"], 3
-            )
         schemes[scheme] = cell
     return {
         "unit": "per-packet engine counters + wall us/packet",
@@ -445,16 +463,15 @@ def eventloop_section(horizon: float | None = None) -> dict:
     }
 
 
-def check_eventloop(section: dict, *, min_speedup: float = 1.3) -> list[str]:
+def check_eventloop(section: dict) -> list[str]:
     """Regression gates for the event-engine overhaul.
 
     Deterministic gates (exact on any machine): bcpqp heap pushes/packet
     reduced >= 1.5x vs the pre-overhaul engine (>= 1.3x for the other
     schemes), events/packet within 5% of the old engine (soft-timer
     stale wakes may add a little), peak heap at most a quarter of the
-    old cancel-bloated depth.  Wall gate (reference-machine clock): bcpqp
-    us/packet at least ``min_speedup`` x faster than the pinned pre-PR
-    number.
+    old cancel-bloated depth.  The cells' wall us/packet is reported but
+    not gated: the only reference for it was a clock from another box.
     """
     failures = []
     for scheme, cell in section["schemes"].items():
@@ -478,14 +495,6 @@ def check_eventloop(section: dict, *, min_speedup: float = 1.3) -> list[str]:
             failures.append(
                 f"{scheme}: peak heap {cell['peak_heap_size']} above a "
                 f"quarter of the pre-overhaul {pre['peak_heap_size']}"
-            )
-    bcpqp = section["schemes"].get("bcpqp")
-    if bcpqp is not None:
-        speedup = PRE_PR_EVENTLOOP["bcpqp"]["us_per_packet"] / bcpqp["us_per_packet"]
-        if speedup < min_speedup:
-            failures.append(
-                f"bcpqp: us/packet speedup {speedup:.3f}x vs the pinned "
-                f"pre-overhaul reference below the {min_speedup}x gate"
             )
     return failures
 
@@ -1156,10 +1165,9 @@ def _write_eventloop(path: str, section: dict) -> None:
 def _print_eventloop(section: dict) -> None:
     for scheme, cell in section["schemes"].items():
         push_ratio = cell.get("heap_push_reduction_vs_pre_pr")
-        speedup = cell.get("speedup_vs_pre_pr")
         ratios = ""
         if push_ratio is not None:
-            ratios = f"  pushes -{push_ratio:.2f}x  wall +{speedup:.2f}x"
+            ratios = f"  pushes -{push_ratio:.2f}x"
         print(
             f"  eventloop  {scheme:8s} "
             f"{cell['heap_pushes_per_packet']:7.3f} pushes/pkt  "

@@ -82,20 +82,24 @@ class CostMeter:
     """Per-limiter accumulator of primitive-operation counts."""
 
     def __init__(self) -> None:
-        self._counts: list[float] = [0.0] * len(_OPS)
+        #: Operation counts indexed by :attr:`Op.index`.  A per-packet hot
+        #: path may add to the list directly instead of calling
+        #: :meth:`charge` once per op class; while every charge is
+        #: integer-valued, the order of the additions cannot change a total.
+        self.counts: list[float] = [0.0] * len(_OPS)
 
     def charge(self, op: Op, count: float = 1.0) -> None:
         """Record ``count`` operations of class ``op``."""
-        self._counts[op.index] += count
+        self.counts[op.index] += count
 
     def count(self, op: Op) -> float:
         """Total operations recorded for ``op``."""
-        return self._counts[op.index]
+        return self.counts[op.index]
 
     def cycles(self, table: CostTable | None = None) -> float:
         """Total modeled cycles under ``table`` (default prices)."""
         table = table or CostTable()
-        counts = self._counts
+        counts = self.counts
         return sum(table.price(op) * counts[op.index] for op in _OPS)
 
     def cycles_per_packet(
@@ -108,11 +112,11 @@ class CostMeter:
 
     def snapshot(self) -> dict[str, float]:
         """Operation counts keyed by class name (for reports/tests)."""
-        counts = self._counts
+        counts = self.counts
         return {op.value: counts[op.index] for op in _OPS}
 
     def reset(self) -> None:
         """Zero all counters."""
-        counts = self._counts
+        counts = self.counts
         for i in range(len(counts)):
             counts[i] = 0.0

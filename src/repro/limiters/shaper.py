@@ -5,6 +5,11 @@ the enforced rate, ordered by a hierarchical DRR scheduler realizing the
 configured policy tree.  The cost meter charges the packet store on
 enqueue, the packet fetch (pointer chase) plus a timer event on every
 dequeue — the structural sources of the shaper's CPU cost.
+
+Per-packet bookkeeping is O(1) per enqueue and O(tree depth) per dequeue:
+head sizes and the total backlog are running state, and the scheduler is
+told of each empty <-> occupied transition instead of rescanning the
+queues (see :mod:`repro.sched.drr`).
 """
 
 from __future__ import annotations
@@ -21,6 +26,13 @@ from repro.policy.tree import Policy
 from repro.sched.drr import HierarchicalDrrScheduler
 from repro.sim.simulator import Simulator
 from repro.units import MSS
+
+_ALU = Op.ALU.index
+_MAP = Op.MAP.index
+_PKT_STORE = Op.PKT_STORE.index
+_PKT_FETCH = Op.PKT_FETCH.index
+_TIMER = Op.TIMER.index
+_SCHED = Op.SCHED.index
 
 
 class Shaper(RateLimiter):
@@ -68,6 +80,10 @@ class Shaper(RateLimiter):
         n = policy.num_queues
         self._queues: list[deque[Packet]] = [deque() for _ in range(n)]
         self._queue_bytes = [0.0] * n
+        #: Head packet size per queue (``None`` when empty), handed to the
+        #: scheduler's ``select`` as is, and the sum of ``_queue_bytes``.
+        self._heads: list[int | None] = [None] * n
+        self._backlog = 0.0
         self._busy = False
         self.max_backlog_bytes = 0.0
 
@@ -89,7 +105,7 @@ class Shaper(RateLimiter):
     def backlog_bytes(self, queue: int | None = None) -> float:
         """Bytes buffered in ``queue`` (or in all queues when ``None``)."""
         if queue is None:
-            return sum(self._queue_bytes)
+            return self._backlog
         return self._queue_bytes[queue]
 
     def _stage_update(self, update: PolicyUpdate) -> Callable[[], None] | None:
@@ -171,73 +187,109 @@ class Shaper(RateLimiter):
                 if policy is self._policy:
                     policy.invalidate()
                 self._policy = policy
-                self._scheduler = HierarchicalDrrScheduler(
-                    policy, quantum=self._quantum
-                )
                 # Migrate backlogs by index; removed queues drop whole.
                 for qi in range(n_new, n_cur):
                     for packet in self._queues[qi]:
                         self._drop(packet, queue=qi)
+                grown = max(0, n_new - n_cur)
                 self._queues = self._queues[:n_new] + [
-                    deque() for _ in range(max(0, n_new - n_cur))
+                    deque() for _ in range(grown)
                 ]
-                self._queue_bytes = self._queue_bytes[:n_new] + [0.0] * max(
-                    0, n_new - n_cur
-                )
+                self._queue_bytes = self._queue_bytes[:n_new] + [0.0] * grown
             if new_classifier is not None:
                 self._classifier = new_classifier
-            if capacity is not None or policy is not None:
-                # Drop-tail trim: newest packets above the (possibly
-                # shrunk) capacity go first, as if they had arrived full.
-                for qi, queue in enumerate(self._queues):
+            if capacity is None and policy is None:
+                return
+            # Drop-tail trim: newest packets above the (possibly shrunk)
+            # capacity go first, as if they had arrived full.
+            emptied = []
+            for qi, queue in enumerate(self._queues):
+                if self._queue_bytes[qi] > self._capacity:
                     while queue and self._queue_bytes[qi] > self._capacity:
                         packet = queue.pop()
                         self._queue_bytes[qi] -= packet.size
                         self._drop(packet, queue=qi)
+                    if not queue:
+                        emptied.append(qi)
+            # Re-derive the running state from the surviving backlogs.
+            self._heads = [q[0].size if q else None for q in self._queues]
+            self._backlog = sum(self._queue_bytes)
+            if policy is None:
+                for qi in emptied:
+                    self._scheduler.deactivate(qi)
+                return
+            # A new tree starts from zero deficits and cursors, seeded with
+            # the queues that still hold packets.
+            self._scheduler = HierarchicalDrrScheduler(
+                policy, quantum=self._quantum
+            )
+            for qi, queue in enumerate(self._queues):
+                if queue:
+                    self._scheduler.activate(qi)
 
         return commit
 
+    def _drop(self, packet: Packet, queue: int = 0) -> None:
+        # A drop-tail buffer is the terminal consumer of what it drops.
+        super()._drop(packet, queue)
+        Packet.recycle(packet)
+
     def _on_packet(self, packet: Packet) -> None:
         qi = self._classifier.queue_of(packet.flow)
-        self.cost.charge(Op.MAP, 1)  # classification lookup
-        if self._queue_bytes[qi] + packet.size > self._capacity:
-            self.cost.charge(Op.ALU, 1)
+        counts = self.cost.counts
+        counts[_MAP] += 1  # classification lookup
+        size = packet.size
+        queue_bytes = self._queue_bytes
+        if queue_bytes[qi] + size > self._capacity:
+            counts[_ALU] += 1
             self._drop(packet, queue=qi)
             return
         # Store the packet into buffer memory: the DDIO-evicted write §2.1
         # describes, plus the queue bookkeeping.
-        self.cost.charge(Op.PKT_STORE, 1)
-        self.cost.charge(Op.ALU, 2)
-        self._queues[qi].append(packet)
-        self._queue_bytes[qi] += packet.size
-        backlog = sum(self._queue_bytes)
+        counts[_PKT_STORE] += 1
+        counts[_ALU] += 2
+        queue = self._queues[qi]
+        if not queue:
+            self._heads[qi] = size
+            self._scheduler.activate(qi)
+        queue.append(packet)
+        queue_bytes[qi] += size
+        backlog = self._backlog = self._backlog + size
         if backlog > self.max_backlog_bytes:
             self.max_backlog_bytes = backlog
         if not self._busy:
             self._serve_next()
 
     def _serve_next(self) -> None:
-        heads = [
-            q[0].size if q else None for q in self._queues
-        ]
-        qi = self._scheduler.select(heads)
-        self.cost.charge(Op.SCHED, 2)
+        heads = self._heads
+        scheduler = self._scheduler
+        qi = scheduler.select(heads)
+        counts = self.cost.counts
+        counts[_SCHED] += 2
         if qi is None:
             self._busy = False
             return
         self._busy = True
-        packet = self._queues[qi].popleft()
-        self._queue_bytes[qi] -= packet.size
-        self._scheduler.charge(packet.size)
+        queue = self._queues[qi]
+        packet = queue.popleft()
+        size = packet.size
+        self._queue_bytes[qi] -= size
+        self._backlog -= size
+        if queue:
+            heads[qi] = queue[0].size
+        else:
+            heads[qi] = None
+            scheduler.deactivate(qi)
+        scheduler.charge(size)
         # Serialize at the enforced rate, then emit and pick the next one.
         # Fetching the packet back from buffer memory (pointer chase across
         # per-flow queues) and arming the dequeue timer are the dominant
         # per-packet costs of a shaper.
-        self.cost.charge(Op.PKT_FETCH, 1)
-        self.cost.charge(Op.TIMER, 1)
+        counts[_PKT_FETCH] += 1
+        counts[_TIMER] += 1
         # Fire-and-forget: dequeue completions are never cancelled, so
         # they ride the simulator's pooled-handle path.
-        self._sim.call_after(packet.size / self._rate, self._emit, packet)
+        self._sim.call_after(size / self._rate, self._emit, packet)
 
     def _emit(self, packet: Packet) -> None:
         self._forward(packet)

@@ -22,7 +22,9 @@ ones an unvalidated run executes.  So:
 Enforced invariants (paper anchors in parentheses):
 
 * byte/packet conservation per limiter: arrived = forwarded + dropped
-  (+ backlog and the in-service packet, for the shaper);
+  (+ backlog and the in-service packet, for the shaper), and the
+  shaper's O(1) running state (total backlog, head sizes, the occupancy
+  reported to its scheduler) equals a rescan of its queues;
 * ``per_queue_drops`` sums to the total drop count;
 * token buckets: ``0 <= tokens <= B`` (§2.2), FairPolicer per-flow
   buckets and spare pool within ``[0, B]``;
@@ -545,6 +547,19 @@ class InvariantChecker:
             slack >= -_EPS and (shaper._busy or slack <= _EPS),
             f"{shaper.name}: byte conservation broken: unaccounted "
             f"slack {slack!r} (busy={shaper._busy})",
+        )
+        # The O(1) running state against a rescan of the queues: total
+        # backlog, head sizes, and the occupancy the scheduler was told.
+        heads = [q[0].size if q else None for q in shaper._queues]
+        occupied = len(heads) - heads.count(None)
+        self._ensure(
+            shaper.backlog_bytes() == sum(shaper._queue_bytes)
+            and shaper._heads == heads
+            and shaper._scheduler._root.occupied == occupied,
+            f"{shaper.name}: running state stale: backlog="
+            f"{shaper.backlog_bytes()!r} vs {sum(shaper._queue_bytes)!r}, "
+            f"heads={shaper._heads!r} vs {heads!r}, scheduler sees "
+            f"{shaper._scheduler._root.occupied} occupied vs {occupied}",
         )
 
     def _check_phantom(

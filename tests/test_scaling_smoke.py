@@ -10,10 +10,9 @@ O(log N).  Two guards:
   loose (CI machines are noisy) but far below the ~100x an O(N)-per-
   arrival drain would show at N=1000 vs N=10.
 
-The event-engine overhaul rides the same marker: its deterministic
-gates (heap pushes/packet, events/packet, peak heap vs the pinned
-pre-overhaul engine) run exactly, with only the wall-clock speedup gate
-loosened for CI noise.
+The event-engine overhaul rides the same marker: its gates (heap
+pushes/packet, events/packet, peak heap vs the pinned pre-overhaul
+engine) are deterministic counters and run exactly.
 
 Marked ``scaling`` so wall-clock-sensitive environments can deselect
 them with ``-m "not scaling"``.
@@ -68,6 +67,28 @@ class TestScalingSmoke:
         failures = report.check_scaling(fake, multiple=3.0)
         assert len(failures) == 1 and "pqp" in failures[0]
 
+    def test_shaper_rows_are_gated_in_the_same_run(self, scaling):
+        # Wall-clock half, kept loose: the stateless head-list scan the
+        # occupancy-tracked scheduler replaced measured ~300x here.
+        rows = scaling["schemes"]["shaper"]
+        assert sorted(rows, key=int) == ["10", "100", "1000"]
+        assert (
+            rows["1000"]["seconds_per_packet"]
+            <= 5.0 * rows["10"]["seconds_per_packet"]
+        )
+        # Deterministic half: enqueue + dequeue charge the same ops per
+        # packet at every queue count.
+        assert rows["1000"]["modeled_cycles_per_packet"] == pytest.approx(
+            rows["10"]["modeled_cycles_per_packet"], rel=0.01
+        )
+        # The gate itself uses the shaper's own multiple, not --check-multiple.
+        cliff = {"schemes": {"shaper": {
+            "10": {"seconds_per_packet": 1e-6},
+            "1000": {"seconds_per_packet": 2.6e-6},
+        }}}
+        failures = report.check_scaling(cliff, multiple=1e9)
+        assert len(failures) == 1 and "shaper" in failures[0]
+
     def test_nested_cell_is_gated_against_the_flat_cell(self, scaling):
         # Deterministic half: the policy-rich cell charges the paper's
         # per-packet operations like any flat cell.  Wall-clock half: the
@@ -94,9 +115,9 @@ def eventloop():
 
 class TestEventloopSmoke:
     def test_deterministic_gates_pass(self, eventloop):
-        # min_speedup=0.6 keeps the wall gate loose on noisy CI boxes;
-        # the heap-push / events-per-packet / peak-heap gates are exact.
-        assert report.check_eventloop(eventloop, min_speedup=0.6) == []
+        # Heap-push / events-per-packet / peak-heap gates: exact on any
+        # machine.  No wall clock is gated.
+        assert report.check_eventloop(eventloop) == []
 
     @pytest.mark.parametrize("scheme", report.PRE_PR_EVENTLOOP)
     def test_workload_unchanged_vs_pre_overhaul(self, eventloop, scheme):
@@ -108,11 +129,15 @@ class TestEventloopSmoke:
             == report.PRE_PR_EVENTLOOP[scheme]["arrived_packets"]
         )
 
-    def test_check_flags_regressions(self):
+    def test_check_flags_regressions(self, eventloop):
         # Feed the gate a cell that regressed back to pre-overhaul costs.
         pre = report.PRE_PR_EVENTLOOP["bcpqp"]
         fake = {"schemes": {"bcpqp": dict(pre)}}
-        failures = report.check_eventloop(fake, min_speedup=1.3)
+        failures = report.check_eventloop(fake)
         assert any("heap pushes" in f for f in failures)
         assert any("peak heap" in f for f in failures)
-        assert any("speedup" in f for f in failures)
+        # A slow box alone must not trip the gate.
+        slow = {"schemes": {"bcpqp": {
+            **eventloop["schemes"]["bcpqp"], "us_per_packet": 1e9,
+        }}}
+        assert report.check_eventloop(slow) == []

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.churn import PolicyUpdate
 from repro.classify.classifier import SlotClassifier
 from repro.limiters.shaper import Shaper
 from repro.net.packet import FlowId, Packet
@@ -139,3 +140,94 @@ class TestShaping:
         for i in range(10):
             shaper.receive(pkt(0, i))
         assert shaper.max_backlog_bytes >= 9 * 1500
+
+
+def conserved(shaper):
+    """Packet and byte books of a shaper, as the validator reads them."""
+    stats = shaper.stats
+    buffered = sum(len(q) for q in shaper._queues)
+    in_service = 1 if shaper._busy else 0
+    assert stats.arrived_packets == (
+        stats.forwarded_packets + stats.dropped_packets + buffered + in_service
+    )
+    assert shaper.backlog_bytes() == sum(
+        shaper.backlog_bytes(q) for q in range(shaper.num_queues)
+    )
+    assert shaper.backlog_bytes() == sum(
+        p.size for q in shaper._queues for p in q
+    )
+    assert shaper._heads == [q[0].size if q else None for q in shaper._queues]
+
+
+class TestRunningState:
+    def test_policy_swap_and_capacity_shrink_keep_the_books_exact(self):
+        sim = Simulator()
+        sink = NullSink()
+        shaper = make(sim, rate=15_000.0, n=4, queue_bytes=6000.0, sink=sink)
+        for slot, count, size in ((0, 10, 300), (1, 10, 300), (2, 3, 1500),
+                                  (3, 5, 300)):
+            for i in range(count):
+                shaper.receive(pkt(slot, i, size=size))
+        assert shaper.stats.dropped_packets == 0
+        # The first arrival went straight into service.
+        assert shaper.max_backlog_bytes == shaper.backlog_bytes() == 11_700.0
+        conserved(shaper)
+
+        # Policy swap 4 -> 3 queues: queue 3 drops whole.
+        shaper.apply_update(PolicyUpdate(policy=Policy.weighted([1, 2, 3])))
+        assert shaper.stats.per_queue_drops == {3: 5}
+        assert shaper.backlog_bytes() == 10_200.0
+        conserved(shaper)
+
+        # Capacity shrink below one 1500 B packet: queue 2 empties, queues
+        # 0 and 1 keep four 300 B packets each.  The scheduler is *not*
+        # rebuilt here, so it has to hear that queue 2 went idle.
+        shaper.apply_update(PolicyUpdate(capacities=1200.0))
+        assert shaper.backlog_bytes(2) == 0.0
+        assert shaper.backlog_bytes() == 2400.0
+        assert shaper.stats.per_queue_drops == {3: 5, 2: 3, 0: 5, 1: 6}
+        assert shaper.max_backlog_bytes == 11_700.0
+        conserved(shaper)
+
+        # Service resumes over the survivors and drains them all.
+        sim.run(until=5.0)
+        assert sink.count == 1 + 8
+        assert shaper.backlog_bytes() == 0.0 and not shaper._busy
+        stats = shaper.stats
+        assert stats.arrived_bytes == stats.forwarded_bytes + stats.dropped_bytes
+        conserved(shaper)
+
+        # ... and the emptied queue is served again when it refills.
+        for i in range(3):  # one into service, one stored, one over 1200 B
+            shaper.receive(pkt(2, 99 + i, size=900))
+        sim.run(until=10.0)
+        assert sink.count == 11 and shaper.stats.per_queue_drops[2] == 4
+        conserved(shaper)
+
+    def test_drop_tail_returns_what_it_drops_to_the_pool(self):
+        # Arrival overflow, churn tail-trims and removed-queue drops each
+        # recycle the dropped packet exactly once; stored and forwarded
+        # packets are not the shaper's to recycle.
+        sim = Simulator()
+        shaper = make(sim, rate=15_000.0, n=2, queue_bytes=3000.0)
+        packets = [pkt(slot, i) for slot in (0, 1) for i in range(4)]
+        Packet._data_pool.clear()
+        for packet in packets:
+            shaper.receive(packet)
+        # Queue 0: one in service, two stored, one overflowed; queue 1:
+        # two stored, two overflowed.
+        overflowed = [packets[3], packets[6], packets[7]]
+        assert [p for p in packets if p._in_pool] == overflowed
+        shaper.apply_update(PolicyUpdate(capacities=1500.0))
+        trimmed = [packets[2], packets[5]]
+        assert [p for p in packets if p._in_pool] == sorted(
+            overflowed + trimmed, key=packets.index
+        )
+        shaper.apply_update(
+            PolicyUpdate(policy=Policy.fair(1), capacities=1500.0)
+        )
+        assert packets[4]._in_pool  # queue 1 removed with one packet left
+        assert len(Packet._data_pool) == shaper.stats.dropped_packets == 6
+        assert len({id(p) for p in Packet._data_pool}) == 6
+        assert not packets[0]._in_pool and not packets[1]._in_pool
+        Packet._data_pool.clear()
