@@ -14,8 +14,10 @@ A second file, ``BENCH_scaling.json``, records the ``scaling`` section:
 wall seconds/packet and modeled cycles/packet for PQP and BC-PQP at
 N ∈ {1, 10, 100, 1000, 10000} aggregates — the Figure 5 flatness claim
 applied to our own hot path — plus a policy-rich cell (BC-PQP over a
-256-queue, 16-group, two-priority tree with a churning active set) and
-the shaper at 10 / 100 / 1000 queues (enqueue + DRR dequeue per packet).
+256-queue, 16-group, two-priority tree with a churning active set), the
+same scheme over 4 / 64 / 1024 four-leaf classes of which two carry
+traffic (what idle classes cost), and the shaper at 10 / 100 / 1000
+queues (enqueue + DRR dequeue per packet).
 
 A third file, ``BENCH_eventloop.json``, records the event-engine
 section: each fig5 saturated cell run end-to-end with the simulator's
@@ -61,8 +63,9 @@ seconds/packet at N=1000 exceeds ``--check-multiple`` (default 3.0)
 times the N=10 value, or N=10000 exceeds the same multiple of N=100 —
 the guard for the virtual-time drain staying O(log N) — or the
 nested-tree cell exceeds ``NESTED_MAX_MULTIPLE`` (2.5) times the same
-run's flat bcpqp N=100 cell, or the shaper's N=1000 row exceeds
-``SHAPER_MAX_MULTIPLE`` (2.5) times its N=10 row — or the churn
+run's flat bcpqp N=100 cell, or the 1024-class idle-class row exceeds
+``IDLE_MAX_MULTIPLE`` (2) times the 4-class row, or the shaper's N=1000
+row exceeds ``SHAPER_MAX_MULTIPLE`` (2.5) times its N=10 row — or the churn
 gates fail: the empty-plan outcome must equal the clean outcome
 byte-for-byte at <= 1.05x its wall clock, and update throughput must
 hold the floor — or (b) the
@@ -151,10 +154,25 @@ NESTED_CELL = {
 
 #: The nested cell's seconds/packet may be at most this multiple of the
 #: flat bcpqp N=100 cell's, both measured in this run.  Reading shares
-#: off the GPS engine measures ~1.5x (17 internal nodes to sync instead
-#: of 1); a per-active-set share memo (O(N) walk and N-tuple per miss)
-#: plus a global slope recompute measured 4.5-5.6x.
+#: off the GPS engine measures ~1.5x (up to 9 served classes to sync
+#: instead of 1, and a queue fills from empty or drains out on four
+#: packets in five); a per-active-set share memo (O(N) walk and N-tuple
+#: per miss) plus a global slope recompute measured 4.5-5.6x.
 NESTED_MAX_MULTIPLE = 2.5
+
+#: The idle-class rows: bcpqp over ``classes`` equal classes of
+#: ``leaves`` queues each, 1.2x a 1 Gbps rate arriving one packet per
+#: instant round-robin over the queues of the first ``live`` classes.
+#: Every other class stays empty, so the rows differ only in how many
+#: idle classes the tree carries.
+IDLE_CLASS_CELL = {"leaves": 4, "live": 2, "queue_mss": 64}
+IDLE_CLASS_COUNTS = (4, 64, 1024)
+
+#: The 1024-class row may cost at most this multiple of the 4-class row
+#: of the same run.  A drain that walks the served classes measures
+#: ~1.0x (4.1 -> 4.0 us/packet); one that walks every internal node per
+#: advance measured ~7x on the same box (4.5 -> 31.6 us/packet).
+IDLE_MAX_MULTIPLE = 2.0
 
 #: Pre-overhaul engine metrics on the fig5 saturated workload (default
 #: 12 s horizon), measured at the commit preceding the event-engine
@@ -306,7 +324,13 @@ def _scaling_cell(scheme: str, n: int, rounds: int) -> dict[str, float]:
             # Dequeues fire on the shaper's own timers: serve the batch.
             sim.run(until=sim.now + BATCH * MSS / limiter.rate)
 
-    process_batch()  # warm up: queues activate, share caches populate
+    return _time_batches(limiter, process_batch, rounds)
+
+
+def _time_batches(limiter, process_batch, rounds: int) -> dict[str, float]:
+    """One warm-up batch (queues activate, windows start), then the
+    median seconds/packet of ``rounds`` timed ``BATCH``-packet batches."""
+    process_batch()
     samples = []
     for _ in range(rounds):
         start = time.perf_counter()
@@ -378,9 +402,38 @@ def _nested_cell(rounds: int) -> dict[str, float]:
     }
 
 
+def _idle_class_cell(classes: int, rounds: int) -> dict[str, float]:
+    """Seconds/packet and modeled cycles/packet with ``classes`` classes
+    in the tree and :data:`IDLE_CLASS_CELL` ``live`` of them loaded."""
+    cell = IDLE_CLASS_CELL
+    leaves = cell["leaves"]
+    policy = Policy.nested([[1.0] * leaves for _ in range(classes)])
+    rate = gbps(1)
+    sim = Simulator()
+    limiter = BCPQP(
+        sim, rate=rate, policy=policy,
+        classifier=SlotClassifier(classes * leaves),
+        queue_bytes=float(cell["queue_mss"] * MSS),
+    )
+    limiter.connect(NullSink())
+    packets = [
+        Packet.data(FlowId(0, q), 0, 0.0) for q in range(cell["live"] * leaves)
+    ]
+    gap = MSS / (rate * 1.2)
+    counter = itertools.count()
+
+    def process_batch() -> None:
+        base = next(counter) * BATCH
+        for i in range(base, base + BATCH):
+            sim._now = i * gap
+            limiter.receive(packets[i % len(packets)])
+
+    return _time_batches(limiter, process_batch, rounds)
+
+
 def scaling_section(rounds: int, ns: tuple[int, ...] = SCALING_NS) -> dict:
     """The drain-scalability sweep: PQP/BC-PQP across aggregate counts,
-    plus the policy-rich nested-tree cell."""
+    plus the policy-rich nested-tree cell and the idle-class rows."""
     schemes = {
         scheme: {str(n): _scaling_cell(scheme, n, rounds) for n in ns}
         for scheme in SCALING_SCHEMES
@@ -395,12 +448,25 @@ def scaling_section(rounds: int, ns: tuple[int, ...] = SCALING_NS) -> dict:
         nested["multiple_of_flat_100"] = round(
             nested["seconds_per_packet"] / flat["seconds_per_packet"], 3
         )
+    idle_rows = {
+        str(classes): _idle_class_cell(classes, rounds)
+        for classes in IDLE_CLASS_COUNTS
+    }
+    small, big = (idle_rows[str(c)] for c in (IDLE_CLASS_COUNTS[0],
+                                              IDLE_CLASS_COUNTS[-1]))
     return {
         "unit": "seconds/packet, modeled cycles/packet",
         "batch_packets": BATCH,
         "aggregates": list(ns),
         "schemes": schemes,
         "nested": nested,
+        "idle_classes": {
+            **IDLE_CLASS_CELL,
+            "classes": idle_rows,
+            "multiple_of_fewest": round(
+                big["seconds_per_packet"] / small["seconds_per_packet"], 3
+            ),
+        },
     }
 
 
@@ -410,10 +476,19 @@ def check_scaling(scaling: dict, multiple: float) -> list[str]:
     Two gates per scheme, each spanning a 100x aggregate-count jump:
     N=1000 vs ``multiple`` x N=10, and N=10000 vs ``multiple`` x N=100.
     The nested-tree cell is gated against the same run's flat bcpqp
-    N=100 cell at :data:`NESTED_MAX_MULTIPLE`, and the shaper's N=1000
-    row against its N=10 row at :data:`SHAPER_MAX_MULTIPLE`.
+    N=100 cell at :data:`NESTED_MAX_MULTIPLE`, the 1024-class idle-class
+    row against the 4-class row at :data:`IDLE_MAX_MULTIPLE`, and the
+    shaper's N=1000 row against its N=10 row at
+    :data:`SHAPER_MAX_MULTIPLE`.
     """
     failures = []
+    ratio = scaling.get("idle_classes", {}).get("multiple_of_fewest")
+    if ratio is not None and ratio > IDLE_MAX_MULTIPLE:
+        failures.append(
+            f"bcpqp with {IDLE_CLASS_COUNTS[-1]} classes in the tree costs "
+            f"{ratio}x the {IDLE_CLASS_COUNTS[0]}-class row for the same "
+            f"traffic (limit {IDLE_MAX_MULTIPLE}x)"
+        )
     ratio = scaling.get("nested", {}).get("multiple_of_flat_100")
     if ratio is not None and ratio > NESTED_MAX_MULTIPLE:
         failures.append(
@@ -1205,6 +1280,17 @@ def _print_scaling(scaling: dict) -> None:
         f"{nested['seconds_per_packet'] * 1e6:8.2f} us/pkt  "
         f"{nested['modeled_cycles_per_packet']:8.1f} cycles/pkt"
         + (f"  {ratio:.2f}x flat N=100" if ratio is not None else "")
+    )
+    idle = scaling["idle_classes"]
+    for classes, cell in idle["classes"].items():
+        print(
+            f"  scaling    bcpqp  {classes:>4s} classes, {idle['live']} live "
+            f"{cell['seconds_per_packet'] * 1e6:8.2f} us/pkt  "
+            f"{cell['modeled_cycles_per_packet']:8.1f} cycles/pkt"
+        )
+    print(
+        f"  scaling    bcpqp  idle classes: {idle['multiple_of_fewest']:.2f}x "
+        f"from {IDLE_CLASS_COUNTS[0]} to {IDLE_CLASS_COUNTS[-1]} classes"
     )
 
 

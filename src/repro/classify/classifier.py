@@ -44,6 +44,8 @@ class HashClassifier:
     "approximate it by hashing the flow identifiers").
 
     Uses a keyed stable hash so collisions are reproducible across runs.
+    The hash is paid once per flow: flow ids carry a cached ``__hash__``,
+    so every later packet is one dict probe (one entry per flow seen).
     """
 
     def __init__(self, num_queues: int, *, salt: int = 0) -> None:
@@ -51,11 +53,16 @@ class HashClassifier:
             raise ValueError("need at least one queue")
         self.num_queues = num_queues
         self._salt = salt
+        self._queues: dict[FlowId, int] = {}
 
     def queue_of(self, flow: FlowId) -> int:
-        key = f"{self._salt}|{flow.aggregate}|{flow.slot}".encode()
-        digest = hashlib.sha256(key).digest()
-        return int.from_bytes(digest[:4], "big") % self.num_queues
+        queue = self._queues.get(flow)
+        if queue is None:
+            key = f"{self._salt}|{flow.aggregate}|{flow.slot}".encode()
+            digest = hashlib.sha256(key).digest()
+            queue = int.from_bytes(digest[:4], "big") % self.num_queues
+            self._queues[flow] = queue
+        return queue
 
 
 class SingleQueueClassifier:

@@ -159,7 +159,7 @@ class BCPQP(PQP):
 
     def receive_batch(self, packets: list[Packet]) -> None:
         """The BC-PQP decision: PQP's admit loop with the §4 window
-        accounting around ``try_enqueue``.
+        accounting around ``offer``.
 
         The per-packet common case is inline — flat locals, branches
         instead of ``max()``, cost charges accumulated and posted once
@@ -173,9 +173,7 @@ class BCPQP(PQP):
         stats.arrived_packets += n
         queues = self.queues
         queue_of = self._classifier.queue_of
-        advance = queues.advance
-        try_enqueue = queues.try_enqueue
-        fluid_rate_of = queues.fluid_rate_of
+        offer = queues.offer
         now = self._sim._now
         fraction = self._ecn_mark_fraction
         period = self.period
@@ -187,28 +185,28 @@ class BCPQP(PQP):
         accepted.clear()
         append = accepted.append
         arrived_bytes = 0
-        alu = 0
         drops = 0
         drop_bytes = 0
+        before = queues.drain_recomputes
+        queues.advance(now)
+        alu = 3 * n + 2 * (queues.drain_recomputes - before)
         for packet in packets:
             size = packet.size
             arrived_bytes += size
             qi = queue_of(packet.flow)
-            before = queues.drain_recomputes
-            advance(now)
-            alu += 3 + 2 * (queues.drain_recomputes - before)
             # Every arrival, accepted or not: roll the window on the
             # queue's own clock first (idle detection), then count it.
             if now - window_start[qi] >= period:
                 self._maybe_roll_window(qi, now)
             arrived_window[qi] += size
-            if try_enqueue(qi, size):
+            rate_i = offer(qi, size)
+            if rate_i >= 0.0:
                 # Upper threshold (magic fill).  r*_i comes from the
                 # active set; the packet just enqueued guarantees `qi`
                 # itself is active.
                 acc = accepted_window[qi] + size
                 accepted_window[qi] = acc
-                x_i = fluid_rate_of(qi) * period
+                x_i = rate_i * period
                 alu += 3
                 # Keep at least two packets of slack above the window
                 # budget so low-rate queues (X_i of a packet or two)

@@ -4,8 +4,8 @@ The reference fluid drain (``service="fluid-ref"``) advances the phantom
 counters piecewise: recompute every queue's share, scan every queue for
 the piece boundary, subtract every queue's drain — O(N) Python work per
 arrival even when the occupied set never changes.  This module is the
-O(log N) replacement (``service="fluid"``): the classic WFQ/GPS
-*virtual time* construction, applied per policy-tree node.
+replacement (``service="fluid"``): the classic WFQ/GPS *virtual time*
+construction, applied per policy-tree node.
 
 Core idea
 ---------
@@ -22,20 +22,27 @@ rescales change only ``dV/dt``, never the per-unit-V share ``w``.
 Each queue therefore stores just ``(bytes_at_touch, V_at_touch)`` and its
 current length is computed lazily; its future empty time is the fixed
 virtual instant ``V_at_touch + bytes/w``, which goes into a per-class
-min-heap.  Advancing the drain pops due events (queue empties) in O(log N)
-each and otherwise does O(1) work per arrival; nothing ever scans all N
-queues.
+min-heap.
 
-Structure changes (a queue filling from empty, emptying, or being
-reclaimed to empty) settle the affected root-to-leaf path and re-derive
-the ``dV/dt`` slopes of the changed subtree only — O(1) for a leaf under
-an already-active parent — and the number of such changes is bounded by
-the number of enqueues, so the whole drain is amortized O(log N) per
-packet.
+What the work is proportional to
+--------------------------------
+The engine keeps the **served list**: the classes whose virtual time is
+moving (``slope > 0``), at most one per internal node, in internal-node
+order.  A non-zero-width :meth:`VirtualTimeGps.advance` walks that list
+once per linear piece (to find the next queue-empty event and to move
+the virtual times), so an arrival costs O(served classes) plus
+O(log leaves-in-class) per queue that empties — a class that is idle, or
+occupied but starved by a higher priority, costs nothing.  Structure
+changes (a queue filling from empty, emptying, or being reclaimed to
+empty) walk the leaf's spine and re-derive the ``dV/dt`` slopes of the
+changed subtree only — O(1) for a leaf under an already-active class of
+leaves — and the number of such changes is bounded by the number of
+enqueues.
 
 The per-class active weights are also all an instantaneous share needs,
 so BC-PQP reads ``r*_i`` here too: :meth:`VirtualTimeGps.rate_of` folds
-the leaf's spine in O(depth), with no memo and no miss path.
+the leaf's spine in O(depth), with no memo and no miss path, and
+:meth:`VirtualTimeGps.offer` is the whole admit decision in one call.
 
 The engine deliberately models *only* the service process.  Magic-byte
 watermarks, capacities and cost accounting stay in
@@ -45,7 +52,10 @@ for lengths and activity.
 
 from __future__ import annotations
 
-import heapq
+from bisect import insort
+from heapq import heapify, heappop, heappush
+from math import inf
+from operator import attrgetter
 
 from repro.policy.tree import ClassNode, Leaf, Node, Policy
 
@@ -53,19 +63,31 @@ from repro.policy.tree import ClassNode, Leaf, Node, Policy
 #: mirrors :data:`repro.core.phantom._EPSILON`.
 _EPSILON = 1e-6
 
+#: A class's empty-event heap is rebuilt from its live entries once it
+#: holds more than ``_HEAP_SLACK x (active leaves + 1)`` of them.  Every
+#: accepted packet pushes one entry and stale ones are popped only off
+#: the top of a *served* heap, so without this a starved class would
+#: grow by one entry per fill/reclaim cycle for ever.
+_HEAP_SLACK = 8
+
+_served_order = attrgetter("order")
+
 
 class _Group:
     """One (internal node, priority class) GPS server: the children of a
     node that share service at one priority level."""
 
     __slots__ = (
-        "node", "priority", "v", "slope", "weight", "active_count",
+        "node", "priority", "order", "v", "slope", "weight", "active_count",
         "heap", "active_internal", "members", "share_weight",
     )
 
     def __init__(self, node: "_Node", priority: int) -> None:
         self.node = node
         self.priority = priority
+        #: Position of ``node`` among the engine's internal nodes — the
+        #: served list's sort key (assigned when the engine indexes it).
+        self.order = 0
         #: Virtual time: cumulative service per unit weight delivered to
         #: this class.  Monotone, advances only while the class is served.
         self.v = 0.0
@@ -103,7 +125,7 @@ class _Node:
 
     __slots__ = (
         "parent", "weight", "priority", "queue", "children", "groups",
-        "winning", "active", "active_count", "group", "spine",
+        "winning", "active", "active_count", "group", "spine", "sole",
         "bytes_touch", "v_touch", "epoch",
     )
 
@@ -117,6 +139,9 @@ class _Node:
         #: Leaves only: the nodes from the root's child down to the leaf.
         self.spine: tuple[_Node, ...] = ()
         self.groups: dict[int, _Group] = {}
+        #: A class of leaves at one priority: its only group, which
+        #: :meth:`VirtualTimeGps._reslope` then sets without a stack.
+        self.sole: _Group | None = None
         self.active_count = 0
         self.winning: _Group | None = None
         # Lazy drain state (leaves only).
@@ -138,19 +163,33 @@ class _Node:
             members = [c for c in self.children if c.group is group]
             if not _sums_exactly([c.weight for c in members]):
                 group.members = members
+        if len(self.groups) == 1 and all(
+            c.queue is not None for c in self.children
+        ):
+            (self.sole,) = self.groups.values()
 
 
 class VirtualTimeGps:
     """Virtual-time GPS drain over ``policy`` at cumulative ``rate``.
 
     The caller drives it with :meth:`advance` (bring the service process
-    up to ``now``), :meth:`add` / :meth:`remove` (enqueue/reclaim bytes at
-    the current clock) and reads :meth:`length` / :meth:`total` /
-    :attr:`drained_bytes` / :attr:`active_mask`.
+    up to ``now``), :meth:`offer` / :meth:`add` / :meth:`remove`
+    (admit, enqueue or reclaim bytes at the current clock) and reads
+    :meth:`length` / :meth:`total` / :attr:`drained_bytes` /
+    :attr:`active_mask`.
 
-    ``events`` counts processed queue-empty piece boundaries and
-    ``pieces(now)`` reports how many linear pieces an advance spanned —
-    the quantity the cost model's ``drain_recomputes`` is pinned to.
+    :meth:`advance` returns how many linear pieces it spanned — the
+    quantity the cost model's ``drain_recomputes`` is pinned to.
+
+    Invariants the outcomes depend on:
+
+    * ``_served`` holds exactly the groups with ``slope > 0`` — each the
+      ``winning`` group of its node — sorted by the node's position in
+      ``_internal``.  A slope is assigned in :meth:`_reslope` and zeroed
+      in :meth:`_deactivate`, nowhere else, and both keep the list.
+    * Queue-empty events due at the same float instant are processed in
+      that order (first served class wins a tie), which is the order the
+      scan over every internal node used to produce.
     """
 
     def __init__(self, policy: Policy, rate: float, *, start_time: float) -> None:
@@ -164,8 +203,10 @@ class VirtualTimeGps:
             root = ClassNode((Leaf(root.queue),))
         self._root = _Node(root, None)
         self._leaves: list[_Node] = [None] * policy.num_queues  # type: ignore[list-item]
-        #: Static list of internal nodes (event-source groups live here).
+        #: Static list of internal nodes, in depth-first child order.
         self._internal: list[_Node] = []
+        #: The groups being served (``slope > 0``), in ``_internal`` order.
+        self._served: list[_Group] = []
         self._index(self._root, ())
         self._clock = start_time
         #: Bitmask of occupied queues (bit i set when queue i is active).
@@ -182,6 +223,8 @@ class VirtualTimeGps:
             self._leaves[node.queue] = node
             node.spine = spine
             return
+        for group in node.groups.values():
+            group.order = len(self._internal)
         self._internal.append(node)
         for child in node.children:
             self._index(child, spine + (child,))
@@ -274,8 +317,14 @@ class VirtualTimeGps:
     def advance(self, now: float) -> int:
         """Drain up to ``now``; returns the number of linear pieces spanned
         (queue-empty boundaries crossed, plus the final partial piece while
-        anything was occupied) — the reference loop's recompute count."""
-        if now == self._clock:
+        anything was occupied) — the reference loop's recompute count.
+
+        One pass over the served list per piece finds the earliest valid
+        queue-empty event at or before ``now``; a second moves every
+        served virtual time (and the total/drained counters) to it.
+        """
+        clock = self._clock
+        if now == clock:
             # Zero-width advance (repeat arrivals at one instant): no
             # virtual time elapses, and a valid queue-empty event at
             # exactly the current clock cannot exist — an active leaf's
@@ -285,66 +334,47 @@ class VirtualTimeGps:
             # defers only the lazy stale-entry pops, which the next
             # real advance performs identically.
             return 0
+        served = self._served
+        rate = self._rate
         pieces = 0
         while True:
-            event = self._next_event(now)
-            if event is None:
-                break
-            t_event, leaf = event
-            self._sync(t_event)
-            self._settle_empty(leaf)
-            self._deactivate(leaf)
-            pieces += 1
-        if self._clock < now:
-            if self.active_mask:
-                pieces += 1
-            self._sync(now)
-        return pieces
-
-    def _next_event(self, horizon: float) -> tuple[float, _Node] | None:
-        """Earliest valid queue-empty event at or before ``horizon``."""
-        best: tuple[float, _Node] | None = None
-        for node in self._internal:
-            group = node.winning
-            if group is None or group.slope <= 0.0:
-                continue
-            heap = group.heap
-            while heap:
-                v_finish, _seq, epoch, leaf = heap[0]
-                if not leaf.active or leaf.epoch != epoch:
-                    heapq.heappop(heap)
-                    continue
-                t_finish = self._clock + (v_finish - group.v) / group.slope
-                if t_finish <= horizon and (best is None or t_finish < best[0]):
-                    best = (t_finish, leaf)
-                break
-        return best
-
-    def _sync(self, t: float) -> None:
-        """Advance every served group's virtual time (and the running
-        total/drained counters) to real time ``t``."""
-        dt = t - self._clock
-        if dt > 0.0:
-            if self.active_mask:
-                for node in self._internal:
-                    group = node.winning
-                    if group is not None and group.slope > 0.0:
+            due: _Node | None = None
+            t_next = now
+            for group in served:
+                heap = group.heap
+                while heap:
+                    v_finish, _seq, epoch, leaf = heap[0]
+                    if not leaf.active or leaf.epoch != epoch:
+                        heappop(heap)
+                        continue
+                    t_finish = clock + (v_finish - group.v) / group.slope
+                    # A tie goes to the class found first.
+                    if t_finish <= t_next and (due is None or t_finish < t_next):
+                        due = leaf
+                        t_next = t_finish
+                    break
+            dt = t_next - clock
+            if dt > 0.0:
+                if self.active_mask:
+                    for group in served:
                         group.v += group.slope * dt
-                drained = self._rate * dt
-                if drained > self._total:
-                    drained = self._total
-                self._total -= drained
-                self.drained_bytes += drained
-            self._clock = t
-        elif dt == 0.0:
-            self._clock = t
-
-    def _settle_empty(self, leaf: _Node) -> None:
-        """Pin an emptying leaf at exactly zero (no float crumbs)."""
-        group = leaf.group
-        assert group is not None
-        leaf.bytes_touch = 0.0
-        leaf.v_touch = group.v
+                    drained = rate * dt
+                    if drained > self._total:
+                        drained = self._total
+                    self._total -= drained
+                    self.drained_bytes += drained
+                    if due is None:
+                        pieces += 1
+                clock = t_next
+            if due is None:
+                break
+            # Pin the emptying leaf at exactly zero (no float crumbs).
+            due.bytes_touch = 0.0
+            due.v_touch = due.group.v  # type: ignore[union-attr]
+            self._deactivate(due)
+            pieces += 1
+        self._clock = now
+        return pieces
 
     # ------------------------------------------------------------------
     # Structure changes
@@ -364,16 +394,30 @@ class VirtualTimeGps:
         self._rate = rate
         self._reslope(self._root)
 
-    def add(self, queue: int, size: float) -> None:
-        """Enqueue ``size`` bytes into ``queue`` at the current clock."""
+    def offer(self, queue: int, size: float, limit: float) -> tuple[float, float]:
+        """The admit decision at the current clock: enqueue ``size``
+        bytes into ``queue`` unless that would take it past ``limit``.
+
+        Returns ``(length, rate)``: the queue's settled length *before*
+        the offer, and its service rate :meth:`rate_of` after it — or a
+        negative rate when the bytes did not fit and nothing changed.
+        """
+        length = self.length(queue)
         leaf = self._leaves[queue]
-        current = self.length(queue)
-        leaf.bytes_touch = current + size
+        occupancy = length + size
+        if occupancy > limit:
+            return length, -1.0
+        leaf.bytes_touch = occupancy
         self._total += size
         if leaf.active:
             self._repost(leaf)
-        elif leaf.bytes_touch > _EPSILON:
+        elif occupancy > _EPSILON:
             self._activate(leaf)
+        return length, self.rate_of(queue)
+
+    def add(self, queue: int, size: float) -> None:
+        """Enqueue ``size`` bytes into ``queue`` at the current clock."""
+        self.offer(queue, size, inf)
 
     def remove(self, queue: int, size: float) -> None:
         """Take ``size`` bytes out of ``queue`` (magic reclaim) at the
@@ -401,7 +445,13 @@ class VirtualTimeGps:
         leaf.epoch += 1
         self._seq += 1
         v_finish = group.v + leaf.bytes_touch / leaf.weight
-        heapq.heappush(group.heap, (v_finish, self._seq, leaf.epoch, leaf))
+        heap = group.heap
+        heappush(heap, (v_finish, self._seq, leaf.epoch, leaf))
+        if len(heap) > _HEAP_SLACK * (group.active_count + 1):
+            # Valid entries are totally ordered by (v_finish, seq), so
+            # dropping the stale ones changes no pop.
+            heap[:] = [e for e in heap if e[3].active and e[3].epoch == e[2]]
+            heapify(heap)
 
     def _activate(self, leaf: _Node) -> None:
         self.active_mask |= 1 << leaf.queue  # type: ignore[operator]
@@ -449,7 +499,9 @@ class VirtualTimeGps:
                 group.active_internal.remove(node)
             if group.active_count == 0:
                 group.weight = 0.0
-                group.slope = 0.0
+                if group.slope != 0.0:
+                    group.slope = 0.0
+                    self._served.remove(group)
             parent.active_count -= 1
             if group.active_count == 0 and parent.winning is group:
                 parent.winning = self._best_group(parent)
@@ -477,21 +529,64 @@ class VirtualTimeGps:
         subtree moves.  O(served internal nodes below ``top``): O(1) for
         a leaf joining or leaving an already-active class of leaves.
         A frozen class (slope 0) has only frozen classes beneath it, so
-        one that stays frozen is not descended into.
+        one that stays frozen is not descended into.  A class of leaves
+        (``sole``) has nothing beneath it and is set in place — as
+        ``top`` and as a member of the node being walked — without a
+        stack entry: that is every class of a two-level tree, where the
+        stack round trip per class cost 8% of ``openloop_bcpqp``'s time
+        per packet.  Every assignment keeps ``_served``.
         """
         group = top.group
         rate = self._rate if group is None else top.weight * group.slope
-        stack: list[tuple[_Node, float]] = [(top, rate)]
-        while stack:
-            node, rate = stack.pop()
+        served = self._served
+        group = top.sole
+        if group is not None:
+            if group is top.winning and group.weight > 0.0:
+                slope = rate / group.weight
+            else:
+                slope = 0.0
+            if group.slope == 0.0:
+                if slope == 0.0:
+                    return
+                insort(served, group, key=_served_order)
+            elif slope == 0.0:
+                served.remove(group)
+            group.slope = slope
+            return
+        stack: list[tuple[_Node, float]] = []
+        node = top
+        while True:
             winning = node.winning
             for group in node.groups.values():
                 if group is winning and group.weight > 0.0:
                     slope = rate / group.weight
                 else:
                     slope = 0.0
-                if slope == 0.0 and group.slope == 0.0:
-                    continue
+                if group.slope == 0.0:
+                    if slope == 0.0:
+                        continue
+                    insort(served, group, key=_served_order)
+                elif slope == 0.0:
+                    served.remove(group)
                 group.slope = slope
                 for child in group.active_internal:
-                    stack.append((child, child.weight * slope))
+                    below = child.sole
+                    if below is None:
+                        stack.append((child, child.weight * slope))
+                        continue
+                    # A class of leaves: one group, always its winner
+                    # while anything in it is active.
+                    if below.weight > 0.0:
+                        inner = child.weight * slope / below.weight
+                    else:
+                        inner = 0.0
+                    if below.slope == 0.0:
+                        if inner == 0.0:
+                            continue
+                        insort(served, below, key=_served_order)
+                    elif inner == 0.0:
+                        served.remove(below)
+                    below.slope = inner
+            if not stack:
+                return
+            node, rate = stack.pop()

@@ -10,8 +10,9 @@ Three service disciplines are provided:
 * ``fluid`` (default) — the piecewise-linear GPS process, realized by the
   virtual-time engine (:mod:`repro.core.gps`): per-queue drains are
   evaluated lazily as ``weight x (V(now) - V(touch))`` and piece
-  boundaries come off a min-heap of predicted queue-empty times, so each
-  arrival costs amortized O(log N) instead of a full O(N) rescan.
+  boundaries come off per-class min-heaps of predicted queue-empty
+  times, so an arrival costs O(classes being served) plus a heap
+  operation instead of a full O(N) rescan.
 * ``fluid-ref`` — the direct piecewise loop (recompute all shares, scan
   all queues per piece).  Byte-equivalent to ``fluid`` up to float
   rounding; kept as the executable specification the property tests
@@ -459,27 +460,41 @@ class PhantomQueueSet:
     # Enqueue / magic manipulation (callers advance() first)
     # ------------------------------------------------------------------
 
-    def try_enqueue(self, queue: int, size: float) -> bool:
-        """Enqueue ``size`` phantom bytes if they fit; return success."""
+    def offer(self, queue: int, size: float) -> float:
+        """The admit decision for ``size`` bytes arriving at ``queue``.
+
+        Enqueues them if they fit and returns the queue's phantom service
+        rate ``r*_i`` with them in place (what :meth:`fluid_rate_of`
+        would say, never negative); returns a negative value, having
+        changed nothing but the watermark clamp, when they do not.
+        """
         if self._gps is not None:
-            # Settle via self.length() so the magic watermark clamps at
-            # this instant — new real bytes stack on top of the low-water
+            # One engine call: settle, capacity test, enqueue, r*_i.  The
+            # magic watermark clamps against the *settled* length at this
+            # instant — new real bytes stack on top of the low-water
             # mark, and a later settle must not clamp magic against them.
-            if self.length(queue) + size <= self._capacity[queue] + _EPSILON:
-                self._gps.add(queue, size)
-                return True
-            return False
-        if self._length[queue] + size <= self._capacity[queue] + _EPSILON:
+            length, rate = self._gps.offer(
+                queue, size, self._capacity[queue] + _EPSILON
+            )
+            if self._magic[queue] > length:
+                self._magic[queue] = length
+            return rate
+        length = self._length[queue]
+        if length + size <= self._capacity[queue] + _EPSILON:
             if (
                 self._drr is not None
-                and self._length[queue] <= _EPSILON
-                and self._length[queue] + size > _EPSILON
+                and length <= _EPSILON
+                and length + size > _EPSILON
             ):
                 self._drr.activate(queue)
             self._length[queue] += size
             self._total += size
-            return True
-        return False
+            return self.fluid_rate_of(queue)
+        return -1.0
+
+    def try_enqueue(self, queue: int, size: float) -> bool:
+        """Enqueue ``size`` phantom bytes if they fit; return success."""
+        return self.offer(queue, size) >= 0.0
 
     def fill_with_magic(self, queue: int) -> float:
         """Fill ``queue`` to capacity with magic bytes; return bytes added."""

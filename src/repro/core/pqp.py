@@ -186,8 +186,8 @@ class PQP(RateLimiter):
         """The admit decision: decide every packet in one tight loop,
         then forward the accepted ones downstream in one call.
 
-        Safe because the decision path (classify, advance, try_enqueue,
-        ECN mark) reserves no simulator seqs — so running all decisions
+        Safe because the decision path (classify, advance, offer, ECN
+        mark) reserves no simulator seqs — so running all decisions
         before any forwarding assigns downstream seqs exactly as
         packet-by-packet processing would (see DESIGN.md).  Cost charges
         are integer-valued and commutative, so they accumulate locally
@@ -198,33 +198,31 @@ class PQP(RateLimiter):
         stats.arrived_packets += n
         queues = self.queues
         queue_of = self._classifier.queue_of
-        advance = queues.advance
-        try_enqueue = queues.try_enqueue
-        now = self._sim._now
+        offer = queues.offer
         fraction = self._ecn_mark_fraction
         accepted = self._accept_scratch
         accepted.clear()
         append = accepted.append
         arrived_bytes = 0
-        alu = 0
         drops = 0
         drop_bytes = 0
+        # One drain for the whole batch: its packets share an instant and
+        # a zero-width advance spans no piece.  Counter updates: lazy
+        # drain recomputes (amortized), then an occupancy check and an
+        # enqueue increment per packet, all cache-resident.
+        # ``drain_recomputes`` counts the *paper's* per-packet drain
+        # work (linear pieces / phantom dequeues), which every service
+        # discipline reports identically — the modeled cost is pinned to
+        # the mechanism, not to how much Python bookkeeping the
+        # optimized engines skip (see repro.limiters.costs).
+        before = queues.drain_recomputes
+        queues.advance(self._sim._now)
+        alu = 3 * n + 2 * (queues.drain_recomputes - before)
         for packet in packets:
             size = packet.size
             arrived_bytes += size
             qi = queue_of(packet.flow)
-            before = queues.drain_recomputes
-            advance(now)
-            # Counter updates: lazy drain recomputes (amortized) +
-            # occupancy check + enqueue increment, all cache-resident.
-            # ``drain_recomputes`` counts the *paper's* per-packet drain
-            # work (linear pieces / phantom dequeues), which every
-            # service discipline reports identically — the modeled cost
-            # is pinned to the mechanism, not to how much Python
-            # bookkeeping the optimized engines skip (see
-            # repro.limiters.costs).
-            alu += 3 + 2 * (queues.drain_recomputes - before)
-            if try_enqueue(qi, size):
+            if offer(qi, size) >= 0.0:
                 if (
                     fraction is not None
                     and packet.ecn_capable

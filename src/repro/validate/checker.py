@@ -394,16 +394,18 @@ class InvariantChecker:
                     "(removed-queue event fired after reconfiguration)",
                 )
 
-            original_enqueue = queues.try_enqueue
+            original_offer = queues.offer
 
-            def wrapped_enqueue(queue: int, size: float) -> bool:
+            def wrapped_offer(queue: int, size: float) -> float:
+                # The one admit entry point: the limiters look it up per
+                # batch and ``try_enqueue`` goes through it too.
                 check_queue(queue)
-                accepted = original_enqueue(queue, size)
-                if accepted:
+                rate = original_offer(queue, size)
+                if rate >= 0.0:
                     state["ledger_in"] += size
-                return accepted
+                return rate
 
-            queues.try_enqueue = wrapped_enqueue
+            queues.offer = wrapped_offer
 
             original_fill = queues.fill_with_magic
 

@@ -1,5 +1,7 @@
 """Tests for flow classifiers."""
 
+import hashlib
+
 import pytest
 
 from repro.classify.classifier import (
@@ -51,6 +53,21 @@ class TestHashClassifier:
         c = HashClassifier(8)
         buckets = {c.queue_of(FlowId(0, s)) for s in range(200)}
         assert len(buckets) == 8
+
+    def test_hashes_once_per_flow_and_keeps_the_mapping(self, monkeypatch):
+        ids = [(0, 0, 0), (0, 1, 0), (0, 1, 5), (2, 7, 0), (9, 41, 2)]
+        calls = []
+        real = hashlib.sha256
+        monkeypatch.setattr(
+            hashlib, "sha256", lambda key: calls.append(key) or real(key)
+        )
+        c = HashClassifier(8, salt=3)
+        for _ in range(3):
+            # Fresh, equal ids each pass: the memo is by value.
+            queues = [c.queue_of(FlowId(*fid)) for fid in ids]
+            # The mapping before the memo (incarnations share a queue).
+            assert queues == [0, 3, 3, 1, 6]
+        assert len(calls) == len(ids)
 
 
 class TestSingleQueueClassifier:

@@ -14,9 +14,12 @@ optimized engine skips.
 
 ``fluid`` also reads BC-PQP's ``r*_i`` off the engine instead of the
 ``Policy`` memo: ``TestEngineShares`` pins that read bit-equal (``==``)
-to the ``Policy`` oracle, pins the incrementally kept slopes to a
-from-scratch recompute, and guards that a fluid run never reaches
-``Policy._rates_for``.
+to the ``Policy`` oracle, pins the incrementally kept slopes and the
+served list to from-scratch recomputes, and guards that a fluid run
+never reaches ``Policy._rates_for``.  ``TestServedList`` pins what the
+served list must not change: the order of simultaneous queue-empty
+events, a run's independence of the idle classes around it, and the
+bound on a starved class's event heap.
 """
 
 import itertools
@@ -26,7 +29,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.classify.classifier import SlotClassifier
 from repro.core.bcpqp import BCPQP
-from repro.core.gps import VirtualTimeGps
+from repro.core.gps import _HEAP_SLACK, VirtualTimeGps
 from repro.core.phantom import PhantomQueueSet
 from repro.core.pqp import PQP
 from repro.net.packet import FlowId, Packet
@@ -286,10 +289,10 @@ _SHAPES = st.lists(
     max_size=4,
 )
 
-# op kinds: 0 = add, 1 = remove, 2 = advance, 3 = set_rate
+# op kinds: 0 = add, 1 = remove, 2 = advance, 3 = set_rate, 4 = offer
 _ENGINE_OPS = st.lists(
     st.tuples(
-        st.integers(min_value=0, max_value=3),
+        st.integers(min_value=0, max_value=4),
         st.integers(min_value=0, max_value=63),        # queue (mod n)
         st.floats(min_value=1.0, max_value=6000.0),    # bytes or rate
         st.floats(min_value=0.0, max_value=0.4),       # dt for advance
@@ -346,6 +349,11 @@ def assert_engine_matches_policy(engine, policy, rate):
         engine.rate_of(queue) for queue in range(policy.num_queues)
     ] == policy.fluid_rates(engine.active_mask, rate)
     assert [g.slope for g in _groups(engine)] == _slopes_from_scratch(engine)
+    # The served list: every moving class, once, in internal-node order
+    # (a moving class is its node's winning one, so at most one per node).
+    moving = [g for g in _groups(engine) if g.slope > 0.0]
+    assert all(g is g.node.winning for g in moving)
+    assert engine._served == moving
 
 
 class TestEngineShares:
@@ -366,9 +374,20 @@ class TestEngineShares:
             elif kind == 2:
                 now += dt
                 engine.advance(now)
-            else:
+            elif kind == 3:
                 rate = amount
                 engine.set_rate(rate)
+            else:
+                before = engine.length(queue % n)
+                total = engine.total()
+                length, share = engine.offer(queue % n, amount, 5000.0)
+                assert length == before
+                if before + amount > 5000.0:
+                    assert share == -1.0 and engine.total() == total
+                    assert engine.length(queue % n) == before
+                else:
+                    assert share == engine.rate_of(queue % n) >= 0.0
+                    assert engine.length(queue % n) == before + amount
             assert_engine_matches_policy(engine, policy, rate)
 
     def test_share_denominator_is_the_child_order_sum(self):
@@ -439,3 +458,104 @@ class TestEngineShares:
         # The same run on an eager discipline does go through the memo,
         # so a zero above means "not reached", not "not counted".
         assert self._bcpqp_run("quantum", monkeypatch) > 0
+
+
+def _padded(classes, idle):
+    """``classes`` (weight, priority, member weights) followed by
+    ``idle`` four-leaf classes at mixed priorities that no test touches."""
+    groups = [members for _w, _p, members in classes] + [[1.0] * 4] * idle
+    weights = [w for w, _p, _m in classes] + [1.0 + (k % 3) for k in range(idle)]
+    priorities = [p for _w, p, _m in classes] + [k % 3 for k in range(idle)]
+    return Policy.nested(groups, weights, priorities)
+
+
+class TestServedList:
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+    def test_simultaneous_empties_keep_internal_node_order(self, order):
+        # Two symmetric classes hold the same bytes, so their queues
+        # empty at the same float instant.  The class that comes first in
+        # the tree goes first, whichever filled first: that is the order
+        # the scan over every internal node produced.
+        policy = Policy.nested([[1.0], [1.0]])
+        engine = VirtualTimeGps(policy, 1000.0, start_time=0.0)
+        for queue in order:
+            engine.add(queue, 250.0)
+        emptied = []
+        deactivate = engine._deactivate
+
+        def recording(leaf):
+            emptied.append(leaf.queue)
+            deactivate(leaf)
+
+        engine._deactivate = recording
+        assert engine.advance(0.4) == 1 and emptied == []
+        assert engine.advance(1.0) == 2  # both boundaries, no third piece
+        assert emptied == [0, 1]
+        assert engine.drained_bytes == 500.0
+        assert engine.active_mask == 0 and engine._served == []
+
+    @pytest.mark.parametrize("service", PhantomQueueSet.SERVICES)
+    def test_idle_sibling_classes_change_nothing(self, service):
+        # Metamorphic: classes that never hold a byte carry no weight, so
+        # a run must not depend on how many of them the tree has.
+        classes = [(2.0, 0, [1.0, 0.5, 3.0]), (1.0, 1, [1.0, 1.0]),
+                   (1.5, 0, [0.25, 1.0])]
+        capacity = 9000.0
+
+        def run(idle):
+            policy = _padded(classes, idle)
+            q = PhantomQueueSet(
+                policy, 50_000.0, [capacity] * policy.num_queues,
+                service=service,
+            )
+            trace = []
+            now = 0.0
+            for step in range(600):
+                now += (1 + step % 7) * 0.004
+                queue = (step * 5 + step // 11) % 7
+                q.advance(now)
+                if step % 37 == 36:
+                    trace.append(q.fill_with_magic(queue))
+                elif step % 53 == 52:
+                    trace.append(q.reclaim_magic(queue))
+                else:
+                    trace.append(q.offer(queue, 300.0 + 100.0 * (step % 9)))
+                trace.append([q.peek_length(i) for i in range(7)])
+            return trace, q.drained_bytes, q.drain_recomputes, q.total_length()
+
+        base = run(0)
+        assert any(rate < 0.0 for rate in base[0][::2])   # some rejected
+        assert any(rate > 0.0 for rate in base[0][::2])   # some served
+        for idle in (64, 1024):
+            assert run(idle) == base
+
+    def test_starved_class_heap_stays_bounded(self):
+        # Queue 2's class is frozen behind a busy higher priority, so no
+        # advance ever pops its heap; every fill/reclaim cycle used to
+        # leave one stale entry behind.
+        policy = Policy.nested(
+            [[1.0], [1.0, 2.0]], group_priorities=[0, 1]
+        )
+        q = PhantomQueueSet(policy, 1000.0, [30_000.0, 6000.0, 6000.0])
+        q.offer(0, 20_000.0)   # the higher priority is busy until t = 20
+        q.offer(1, 1500.0)     # keeps the starved class occupied
+        heap = q._gps._leaves[2].group.heap
+        now = 0.0
+        for cycle in range(10_000):
+            now += 0.001
+            q.advance(now)
+            if cycle < 3:
+                assert q.offer(2, 700.0) == 0.0   # starved: admitted, r* = 0
+            assert q.fill_with_magic(2) > 0.0
+            assert q.reclaim_magic(2) > 0.0
+            assert len(heap) <= _HEAP_SLACK * 3 + 1
+        assert q.length(1) == 1500.0              # frozen: never drained
+        # Thawed at t = 20, the class still empties its queues in finish
+        # order: queue 2 (2100 bytes at 2/3 of the rate) at 23.15, queue 1
+        # (1500 bytes at 1/3, then all of it) at 23.6.
+        q.advance(23.0)
+        assert q.active_mask() == 0b110
+        q.advance(23.3)
+        assert q.active_mask() == 0b010
+        q.advance(24.0)
+        assert q.active_mask() == 0 and q.total_length() == 0.0

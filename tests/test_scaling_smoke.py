@@ -105,6 +105,30 @@ class TestScalingSmoke:
         failures = report.check_scaling(cliff, multiple=1e9)
         assert len(failures) == 1 and "nested" in failures[0]
 
+    def test_idle_class_rows_are_gated_in_the_same_run(self, scaling):
+        idle = scaling["idle_classes"]
+        rows = idle["classes"]
+        assert sorted(rows, key=int) == ["4", "64", "1024"]
+        # Deterministic half: the same traffic charges the same ops
+        # however many idle classes surround it.
+        assert (
+            rows["1024"]["modeled_cycles_per_packet"]
+            == rows["4"]["modeled_cycles_per_packet"]
+        )
+        # Wall-clock half, kept loose: a drain that walks every internal
+        # node per advance measured ~7x here.
+        assert (
+            rows["1024"]["seconds_per_packet"]
+            <= 3.0 * rows["4"]["seconds_per_packet"]
+        )
+        assert idle["multiple_of_fewest"] == pytest.approx(
+            rows["1024"]["seconds_per_packet"]
+            / rows["4"]["seconds_per_packet"], abs=1e-3
+        )
+        cliff = {**scaling, "idle_classes": {**idle, "multiple_of_fewest": 2.1}}
+        failures = report.check_scaling(cliff, multiple=1e9)
+        assert len(failures) == 1 and "1024 classes" in failures[0]
+
 
 @pytest.fixture(scope="module")
 def eventloop():

@@ -186,6 +186,53 @@ class TestZeroPerturbation:
 
         assert run(False) == run(True)
 
+    @pytest.mark.parametrize("service", ["fluid", "fluid-ref", "quantum"])
+    def test_nested_policy_bursts_byte_identical(self, service):
+        # Same-instant bursts into a three-class, two-priority tree: the
+        # production loop drains once per batch and admits through
+        # ``offer``; the checker feeds it singletons (a zero-width
+        # advance each) through its ledger wrapper on the same method.
+        policy = Policy.nested(
+            [[1.0, 2.0, 0.5], [1.0, 1.0], [3.0, 1.0, 1.0]],
+            group_weights=[2.0, 1.0, 1.5], group_priorities=[0, 1, 0],
+        )
+        picks = [(7 * k + 3 * (k // 5)) % 8 for k in range(16 * 60)]
+
+        def run(validate):
+            checker = InvariantChecker() if validate else None
+            sim = Simulator(validate=checker)
+            limiter = BCPQP(
+                sim, rate=mbps(40), policy=policy,
+                classifier=SlotClassifier(8), queue_bytes=12.0 * MSS,
+                period=ms(20), service=service,
+            )
+            sink = NullSink()
+            limiter.connect(sink)
+            for tick in range(60):
+                burst = [data_packet(slot=q, size=400 + 100 * (q % 3))
+                         for q in picks[16 * tick:16 * tick + 16]]
+                sim.call_at(tick * 1.1e-3, limiter.receive_batch, burst)
+            sim.run(until=0.1)
+            limiter.stop()
+            if checker is not None:
+                checker.finalize()
+                assert checker.violations == [] and checker.checks > 0
+            stats = limiter.stats
+            queues = limiter.queues
+            return (
+                stats.forwarded_packets, stats.forwarded_bytes,
+                stats.dropped_bytes, dict(stats.per_queue_drops),
+                limiter.magic_fills, limiter.magic_reclaims,
+                queues.drained_bytes, queues.drain_recomputes,
+                [queues.peek_length(q) for q in range(8)],
+                [queues.raw_magic(q) for q in range(8)],
+                limiter.cost.snapshot(), sink.bytes,
+            )
+
+        plain, checked = run(False), run(True)
+        assert plain == checked
+        assert plain[2] > 0 and plain[4] > 0  # it dropped and magic-filled
+
 
 class TestValidationAuditsProduction:
     """``validate=`` must observe the code an unvalidated run executes,
