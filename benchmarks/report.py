@@ -53,10 +53,10 @@ middlebox hosting one limiter per aggregate, merged columnar metrics)
 at N=1000 unsharded (the baseline), N=1000 over 4 shards (whose merged
 digest must be byte-identical to the baseline's — the shard-count
 invariance gate), and N=4000 over 4 shards (whose summed-CPU us/packet
-is gated against the baseline).  A ``headline`` subsection carries the
-big committed run (10^5 aggregates over 100 shards) which ``--check``
-consistency-checks but does not re-run; regenerate it with
-``--fleet-headline``.
+is gated against the baseline, both measured in this run).  The big run
+(10^5 aggregates over 100 shards, EXPERIMENTS.md records its digest) is
+not part of ``--check``: ``--fleet-headline 100000`` runs it and adds it
+to the section as a ``headline`` cell.
 
 ``--check`` runs only those sections and exits non-zero if (a)
 seconds/packet at N=1000 exceeds ``--check-multiple`` (default 3.0)
@@ -78,9 +78,7 @@ disabled-spec outcome must equal the clean outcome byte-for-byte and
 cost at most 5% extra wall clock — or (d) the fleet gates fail: the sharded
 N=1000 digest must equal the unsharded baseline's, shard-scaling
 efficiency (baseline us/packet over sharded-4x-fleet us/packet, both in
-summed-CPU terms) must stay >= --check-min-efficiency (default 0.7),
-and the committed headline run's us/packet must stay within
-``FLEET_US_MAX_MULTIPLE`` (2x) of the fresh baseline.
+summed-CPU terms) must stay >= --check-min-efficiency (default 0.7).
 
 The JSON is the stable interface for tracking this repository's
 performance over time; the pytest-benchmark suite asserts the qualitative
@@ -253,11 +251,6 @@ FLEET_SCALED = {"aggregates": 4000, "shards": 4}
 #: the population grows; 0.7 allows for per-shard bookkeeping overhead
 #: without letting a superlinear regression back in.
 FLEET_MIN_EFFICIENCY = 0.7
-
-#: The committed headline run's us/packet must stay within this multiple
-#: of the fresh N=1000 unsharded baseline (the acceptance bound for the
-#: 10^5-aggregate run).
-FLEET_US_MAX_MULTIPLE = 2.0
 
 
 def modeled_cycles() -> dict[str, float]:
@@ -830,10 +823,9 @@ def _fleet_cell(
 def fleet_section(headline: dict | None = None) -> dict:
     """The sharded-fleet section: invariance + shard-scaling cells.
 
-    ``headline`` carries the big committed run (e.g. 10^5 aggregates over
-    100 shards) forward from the previous ``BENCH_fleet.json``; it is too
-    expensive to re-run on every check and is regenerated explicitly with
-    ``--fleet-headline``.
+    ``headline`` is the big run's cell (e.g. 10^5 aggregates over 100
+    shards) when ``--fleet-headline`` asked for one; it is reported, not
+    gated.
     """
     baseline = _fleet_cell(**FLEET_BASELINE)
     invariance = _fleet_cell(**FLEET_INVARIANCE)
@@ -857,14 +849,11 @@ def fleet_section(headline: dict | None = None) -> dict:
     }
     if headline is not None:
         section["headline"] = headline
-        section["headline_us_multiple"] = round(
-            headline["us_per_packet"] / baseline["us_per_packet"], 3
-        )
     return section
 
 
 def run_fleet_headline(aggregates: int) -> dict:
-    """The big committed fleet run: one shard per ~1000 aggregates, each
+    """The big fleet run: one shard per ~1000 aggregates, each
     in a disposable supervised process (exact per-shard peak RSS)."""
     shards = max(1, aggregates // 1000)
     return _fleet_cell(aggregates, shards, isolate=True)
@@ -875,10 +864,8 @@ def check_fleet(section: dict, *, min_efficiency: float) -> list[str]:
 
     Deterministic gate (exact on any machine): the 4-shard N=1000 merge
     must be byte-identical to the unsharded baseline (digest equality
-    over the full per-aggregate columns).  Wall gates (same-machine
-    clocks, both sides measured in this run): shard-scaling efficiency
-    >= ``min_efficiency``, and the committed headline us/packet within
-    ``FLEET_US_MAX_MULTIPLE`` x of the fresh baseline.
+    over the full per-aggregate columns).  Wall gate (both sides
+    measured in this run): shard-scaling efficiency >= ``min_efficiency``.
     """
     failures = []
     cells = section["cells"]
@@ -896,21 +883,6 @@ def check_fleet(section: dict, *, min_efficiency: float) -> list[str]:
             f"{cells['baseline']['us_per_packet']:.2f} us/pkt, scaled "
             f"{cells['scaled']['us_per_packet']:.2f} us/pkt)"
         )
-    headline = section.get("headline")
-    if headline is None:
-        failures.append(
-            "fleet: no committed headline run (generate one with "
-            "--fleet-headline 100000)"
-        )
-    else:
-        multiple = section["headline_us_multiple"]
-        if multiple > FLEET_US_MAX_MULTIPLE:
-            failures.append(
-                f"fleet: headline ({headline['aggregates']} aggregates) "
-                f"us/packet {headline['us_per_packet']:.2f} is "
-                f"{multiple}x the N=1000 baseline, above the "
-                f"{FLEET_US_MAX_MULTIPLE}x bound"
-            )
     return failures
 
 
@@ -1011,9 +983,8 @@ def main(argv: list[str] | None = None) -> None:
     )
     parser.add_argument(
         "--fleet-headline", type=int, default=None, metavar="N",
-        help="re-run the committed fleet headline with N aggregates "
-        "(one shard per ~1000, supervised; expensive — default: carry "
-        "the committed headline forward)",
+        help="also run the fleet headline with N aggregates (one shard "
+        "per ~1000, supervised; expensive — default: no headline cell)",
     )
     parser.add_argument(
         "--check-min-efficiency", type=float, default=FLEET_MIN_EFFICIENCY,
@@ -1111,24 +1082,16 @@ def main(argv: list[str] | None = None) -> None:
 
 
 def _fleet_headline(args: argparse.Namespace) -> dict | None:
-    """The headline cell: freshly run with ``--fleet-headline N``, else
-    carried forward from the committed ``BENCH_fleet.json``."""
-    if args.fleet_headline is not None:
-        if args.fleet_headline < 1000:
-            raise SystemExit("--fleet-headline needs at least 1000 aggregates")
-        print(
-            f"running fleet headline: {args.fleet_headline} aggregates "
-            f"over {max(1, args.fleet_headline // 1000)} shards ..."
-        )
-        return run_fleet_headline(args.fleet_headline)
-    path = Path(args.fleet_output)
-    if not path.exists():
+    """The headline cell, run only when ``--fleet-headline N`` asks."""
+    if args.fleet_headline is None:
         return None
-    try:
-        previous = json.loads(path.read_text())
-    except (OSError, ValueError):
-        return None
-    return previous.get("fleet", {}).get("headline")
+    if args.fleet_headline < 1000:
+        raise SystemExit("--fleet-headline needs at least 1000 aggregates")
+    print(
+        f"running fleet headline: {args.fleet_headline} aggregates "
+        f"over {max(1, args.fleet_headline // 1000)} shards ..."
+    )
+    return run_fleet_headline(args.fleet_headline)
 
 
 def _write_fleet(path: str, section: dict) -> None:
@@ -1160,11 +1123,6 @@ def _print_fleet(section: dict) -> None:
         f"  fleet      digests-match={section['digests_match']} "
         f"efficiency={section['shard_efficiency']:.3f} "
         f"scaled-multiple={section['scaled_us_multiple']:.3f}"
-        + (
-            f" headline-multiple={section['headline_us_multiple']:.3f}"
-            if headline is not None
-            else ""
-        )
     )
 
 

@@ -15,7 +15,7 @@ import heapq
 from typing import Callable
 
 from repro.cc.base import AckSample, CongestionControl
-from repro.net.packet import FlowId, Packet, PacketKind, _packet_ids
+from repro.net.packet import FlowId, Packet, PacketKind
 from repro.net.sink import PacketSink
 from repro.sim.simulator import Simulator
 from repro.sim.timer import Timer
@@ -216,20 +216,15 @@ class TcpSender:
     def receive(self, packet: Packet) -> None:
         """Process an incoming ACK.
 
-        The sender is the ACK's terminal sink, so the packet is recycled
-        into the ACK free list on the way out (even on early exits).
         A corrupted ACK (failed checksum, see :mod:`repro.net.impair`)
-        is dropped — recycled but never processed.
+        is counted and dropped, never processed.
         """
         if not packet.is_ack:
             return
-        try:
-            if packet.corrupt:
-                self.corrupt_acks_dropped += 1
-            elif not self.done:
-                self._process_ack(packet)
-        finally:
-            Packet.recycle_ack(packet)
+        if packet.corrupt:
+            self.corrupt_acks_dropped += 1
+        elif not self.done:
+            self._process_ack(packet)
 
     def receive_batch(self, packets: list[Packet]) -> None:
         """Process a same-instant batch of ACKs.
@@ -238,8 +233,7 @@ class TcpSender:
         attempt) before the next: transmissions, pacing updates and timer
         rearms all consume simulator seqs, so deferring any of them to a
         per-batch pass would change the seq assignment.  The batch only
-        hoists the kind/done checks and recycles the consumed ACKs in
-        one pass.
+        hoists the kind/done checks.
         """
         if not self.done:
             process = self._process_ack
@@ -251,7 +245,6 @@ class TcpSender:
                     process(packet)
                     if self.completed_at is not None:
                         break
-        Packet.recycle_acks(packets)
 
     def _process_ack(self, packet: Packet) -> None:
         """Process one ACK: scoreboard, RTT/RTO, congestion control, loss
@@ -522,8 +515,7 @@ class TcpSender:
                 seq = snd_nxt
                 self.snd_nxt = seq + 1
                 retransmit = False
-            # _transmit inlined, including the Packet.data pool draw
-            # (same stores, same uid draw, no classmethod/kwargs call).
+            # _transmit inlined.
             self.packets_sent += 1
             self._send_info[seq] = (
                 now,
@@ -531,22 +523,8 @@ class TcpSender:
                 self._delivered_time,
                 retransmit,
             )
-            pool = Packet._data_pool
-            if pool:
-                pkt = pool.pop()
-                pkt._in_pool = False
-                pkt.generation += 1
-                pkt.flow = self.flow
-                pkt.seq = seq
-                pkt.size = self._mss
-                pkt.sent_at = now
-                pkt.retransmit = retransmit
-                pkt.ecn_capable = self.ecn
-                pkt.ce = False
-                pkt.corrupt = False
-                pkt.uid = next(_packet_ids)
-            else:
-                pkt = Packet.data(
+            self._egress.receive(
+                Packet.data(
                     self.flow,
                     seq,
                     now,
@@ -554,7 +532,7 @@ class TcpSender:
                     retransmit=retransmit,
                     ecn_capable=self.ecn,
                 )
-            self._egress.receive(pkt)
+            )
             if self._rto_timer._deadline is None:
                 self._restart_rto_timer()
             if self._tlp_timer._deadline is None:
@@ -869,17 +847,13 @@ class TcpReceiver:
     def receive(self, packet: Packet) -> None:
         """Absorb one data packet and return its ACK.
 
-        The receiver is the terminal consumer of data packets (upstream
-        components record scalars only), so the packet goes back to the
-        free list here.  The SACK scan is skipped while no out-of-order
-        ranges exist.
+        The SACK scan is skipped while no out-of-order ranges exist.
         """
         if packet.kind is not PacketKind.DATA:
             return
         if packet.corrupt:
             # Failed checksum: drop without acknowledging.
             self.corrupt_dropped += 1
-            Packet.recycle(packet)
             return
         self.data_packets += 1
         self.data_bytes += packet.size
@@ -896,23 +870,8 @@ class TcpReceiver:
         else:
             self.duplicates += 1
         sack = () if not self._ranges else self._sack_blocks(seq)
-        # Packet.ack pool draw inlined (same stores, same uid draw).
-        ack_pool = Packet._ack_pool
-        if ack_pool:
-            ack = ack_pool.pop()
-            ack._in_pool = False
-            ack.generation += 1
-            ack.flow = packet.flow
-            ack.corrupt = False
-            ack.sent_at = self._sim._now
-            ack.ack_next = self.rcv_nxt
-            ack.echo_ts = packet.sent_at
-            ack.echo_retransmit = packet.retransmit
-            ack.ecn_echo = packet.ce
-            ack.sack = sack
-            ack.uid = next(_packet_ids)
-        else:
-            ack = Packet.ack(
+        self._ack_path.receive(
+            Packet.ack(
                 packet.flow,
                 self.rcv_nxt,
                 self._sim._now,
@@ -921,12 +880,7 @@ class TcpReceiver:
                 sack=sack,
                 ecn_echo=packet.ce,
             )
-        if not packet._in_pool:
-            pool = Packet._data_pool
-            if len(pool) < Packet._DATA_POOL_MAX:
-                packet._in_pool = True
-                pool.append(packet)
-        self._ack_path.receive(ack)
+        )
 
     def _sack_blocks(self, seq: int) -> tuple[tuple[int, int], ...]:
         """Up to three SACK blocks, the one containing the segment that

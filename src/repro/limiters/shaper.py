@@ -229,11 +229,6 @@ class Shaper(RateLimiter):
 
         return commit
 
-    def _drop(self, packet: Packet, queue: int = 0) -> None:
-        # A drop-tail buffer is the terminal consumer of what it drops.
-        super()._drop(packet, queue)
-        Packet.recycle(packet)
-
     def _on_packet(self, packet: Packet) -> None:
         qi = self._classifier.queue_of(packet.flow)
         counts = self.cost.counts

@@ -1,8 +1,8 @@
 """Impairment channels: lossy, bursty, jittery and trace-driven links.
 
 Every element in the reproduction's clean topology is a serializing
-FIFO, so loss recovery (SACK/RACK/TLP/RTO), batched delivery and
-the packet pools had never been exercised under hostile conditions.
+FIFO, so loss recovery (SACK/RACK/TLP/RTO) and batched delivery had
+never been exercised under hostile conditions.
 This module provides composable, ``Pipe``-compatible impairment
 wrappers:
 
@@ -10,9 +10,9 @@ wrappers:
 * :class:`GilbertElliottGate` — two-state bursty loss (good/bad Markov
   chain with per-state loss probabilities).
 * :class:`Duplicator` — forwards a *clone* alongside the original with
-  some probability (never the same object twice: downstream terminal
-  consumers recycle what they absorb, so a shared object would be
-  returned to the free list while still in flight).
+  some probability (never the same object twice: ``ce`` and ``corrupt``
+  are set in flight, and a mark on one copy must not appear on the
+  other).
 * :class:`Corrupter` — marks packets ``corrupt``; a corrupted DATA
   packet is dropped by the receiver (no ACK), a corrupted ACK by the
   sender.
@@ -32,17 +32,12 @@ which the engine guarantees is identical across batch granularities and
 shard counts — so impaired runs are byte-identical across every engine.
 With all impairments disabled no wrapper is constructed and no draw is
 made, so clean runs stay byte-identical to the unimpaired code.
-
-Dropped packets are recycled at the gate (the gate is the terminal
-consumer of a dropped packet); the ``_in_pool`` latch makes a double
-recycle a no-op and the :class:`JitterPipe` generation guard turns a
-recycle-while-in-flight into a :class:`~repro.sim.simulator.SimulationError`
-instead of silent pool corruption.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 from random import Random
 
@@ -50,7 +45,7 @@ from repro.net.link import Link
 from repro.net.packet import Packet, PacketKind
 from repro.net.pipe import Pipe
 from repro.net.sink import PacketSink
-from repro.sim.simulator import SimulationError, Simulator
+from repro.sim.simulator import Simulator
 from repro.units import MSS, mbps
 
 __all__ = [
@@ -187,13 +182,11 @@ class ImpairmentSpec:
 
 
 def _clone(packet: Packet) -> Packet:
-    """A fresh packet carrying the same wire-visible content.
+    """A fresh packet (own uid) carrying the same wire-visible content.
 
-    Never forwards the original object twice: the receiver/sender are
-    terminal consumers that recycle what they absorb, so a shared object
-    would be returned to the free list while its twin is still in
-    flight.  Clones draw through the pooled constructors (fresh uid,
-    bumped generation) like any other packet.
+    The twin must be a second object because ``ce`` and ``corrupt`` are
+    set in flight: a :class:`Corrupter` or an AQM downstream marking one
+    copy must leave the other clean.
     """
     if packet.kind is PacketKind.DATA:
         twin = Packet.data(
@@ -204,7 +197,6 @@ def _clone(packet: Packet) -> Packet:
             retransmit=packet.retransmit,
             ecn_capable=packet.ecn_capable,
         )
-        twin.ce = packet.ce
     else:
         twin = Packet.ack(
             packet.flow,
@@ -215,7 +207,7 @@ def _clone(packet: Packet) -> Packet:
             sack=packet.sack,
             ecn_echo=packet.ecn_echo,
         )
-        twin.ce = packet.ce
+    twin.ce = packet.ce
     twin.corrupt = packet.corrupt
     return twin
 
@@ -247,11 +239,9 @@ class _Gate:
             receive(packet)
 
     def _drop(self, packet: Packet) -> None:
-        """Absorb a dropped packet: count it and return it to its pool
-        (the gate is the terminal consumer of what it drops)."""
+        """Count a dropped packet."""
         self.dropped_packets += 1
         self.dropped_bytes += packet.size
-        Packet.recycle(packet)
 
 
 class LossGate(_Gate):
@@ -339,8 +329,8 @@ class GilbertElliottGate(_Gate):
 class Duplicator(_Gate):
     """Forwards every packet; with probability ``prob`` a clone follows.
 
-    The clone is a *fresh* packet (see :func:`_clone`) so terminal
-    consumers can recycle both copies independently.
+    The clone is a *fresh* packet (see :func:`_clone`), so an in-flight
+    mark on one copy never shows on the other.
     """
 
     __slots__ = ("_prob", "duplicated_packets")
@@ -366,8 +356,8 @@ class Corrupter(_Gate):
 
     Corruption is detected (checksum) at the endpoint: a corrupted DATA
     packet is dropped by the receiver without an ACK, a corrupted ACK is
-    dropped by the sender — both still recycle the packet, and the
-    receiver trace skips corrupted packets so goodput excludes them.
+    dropped by the sender — and the receiver trace skips corrupted
+    packets so goodput excludes them.
     """
 
     __slots__ = ("_prob", "corrupted_packets")
@@ -415,11 +405,7 @@ class JitterPipe:
 
     Deliveries are strictly per packet (the reference granularity for a
     reordering element); downstream components accept singles in every
-    engine.  Each heap entry snapshots the packet's pool ``generation``
-    at arrival and delivery re-checks it, so a packet recycled while in
-    flight (a pool-lifecycle bug upstream) raises
-    :class:`~repro.sim.simulator.SimulationError` instead of delivering
-    a resurrected object.
+    engine.
     """
 
     def __init__(
@@ -453,10 +439,10 @@ class JitterPipe:
         self.forwarded_packets = 0
         self.forwarded_bytes = 0
         self.reordered_packets = 0
-        #: Pending deliveries: (deliver_time, reserved_seq, generation,
-        #: packet).  (time, seq) is globally unique, so the heap never
-        #: compares the trailing fields.
-        self._heap: list[tuple[float, int, int, Packet]] = []
+        #: Pending deliveries: (deliver_time, reserved_seq, packet).
+        #: (time, seq) is globally unique, so the heap never compares
+        #: the packets.
+        self._heap: list[tuple[float, int, Packet]] = []
         self._armed_time = 0.0
         self._armed_seq = -1
         #: Seqs with a wake still in the simulator heap (adopted or
@@ -487,7 +473,7 @@ class JitterPipe:
         sim = self._sim
         time = sim._now + delay
         seq = sim.reserve_seq()
-        heapq.heappush(self._heap, (time, seq, packet.generation, packet))
+        heapq.heappush(self._heap, (time, seq, packet))
         # A fresh arrival's seq exceeds every earlier reservation, so it
         # only preempts the adopted wake when strictly earlier in time.
         if self._armed_seq < 0 or time < self._armed_time:
@@ -518,15 +504,7 @@ class JitterPipe:
         sim_heap = sim._heap
         receive = self._sink.receive
         while True:
-            _time, _seq, generation, packet = heapq.heappop(heap)
-            if packet.generation != generation or packet._in_pool:
-                raise SimulationError(
-                    f"{self.name}: packet uid={packet.uid} was recycled "
-                    "while in flight (generation "
-                    f"{generation} -> {packet.generation}, "
-                    f"in_pool={packet._in_pool})"
-                )
-            receive(packet)
+            receive(heapq.heappop(heap)[2])
             if not heap:
                 return
             head = heap[0]
@@ -584,23 +562,42 @@ class CapacityTrace:
           timestamps are binned into 100 ms intervals and each bin
           becomes a segment at its implied rate, floored at one MTU/s so
           outage bins stay serializable.
+
+        A row that is short, not a finite number, or (single-column) a
+        negative or decreasing timestamp raises :class:`ValueError`
+        naming the file and the 1-based line.
         """
         two_col: list[tuple[float, float]] = []
         stamps: list[float] = []
         columns = 0
         with open(path) as handle:
-            for line in handle:
+            for lineno, line in enumerate(handle, 1):
                 text = line.strip()
                 if not text or text.startswith("#"):
                     continue
                 fields = text.split()
                 if columns == 0:
                     columns = min(len(fields), 2)
-                if columns >= 2:
-                    two_col.append((float(fields[0]), mbps(float(fields[1]))))
-                else:
-                    stamps.append(float(fields[0]))
-        if columns >= 2:
+                try:
+                    values = [float(field) for field in fields[:columns]]
+                except ValueError:
+                    values = []
+                finite = all(map(math.isfinite, values))
+                if len(values) < columns or not finite:
+                    raise ValueError(
+                        f"capacity trace {path!r} line {lineno}: expected "
+                        f"{columns} finite number(s), got {text!r}"
+                    )
+                if columns == 2:
+                    two_col.append((values[0], mbps(values[1])))
+                    continue
+                if values[0] < (stamps[-1] if stamps else 0.0):
+                    raise ValueError(
+                        f"capacity trace {path!r} line {lineno}: timestamp "
+                        f"{text!r} is negative or earlier than the one before"
+                    )
+                stamps.append(values[0])
+        if columns == 2:
             return cls(two_col)
         if not stamps:
             raise ValueError(f"capacity trace {path!r} is empty")

@@ -99,9 +99,6 @@ class Link:
         ):
             self.dropped_packets += 1
             self.dropped_bytes += packet.size
-            # Drop-tail is a terminal consumer: the sender keeps only
-            # scalar bookkeeping, never the packet object.
-            Packet.recycle(packet)
             return
         self._queue.append(packet)
         self._queued_bytes += packet.size

@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import ClassVar
 
 from repro.units import ACK_SIZE, MSS
 
@@ -57,10 +56,32 @@ class FlowId:
 
 _packet_ids = itertools.count()
 
+# An Enum member lookup costs about a third of building a packet (0.11
+# of 0.31 us), so the per-packet code below reads these instead.
+_DATA = PacketKind.DATA
+_ACK = PacketKind.ACK
 
-@dataclass(slots=True)
+#: The fields ``repr`` shows and ``==`` compares, in constructor order:
+#: everything wire-visible plus the uid, not ``corrupt`` (a checksum
+#: verdict, not content).
+_COMPARED = (
+    "flow", "kind", "seq", "size", "sent_at", "ack_next", "echo_ts",
+    "echo_retransmit", "retransmit", "ecn_capable", "ce", "ecn_echo",
+    "sack", "uid",
+)
+
+
 class Packet:
-    """One simulated packet.
+    """One simulated packet: a plain value.
+
+    A packet belongs to nobody: whoever holds a reference may keep it
+    (a trace, a test, a reordering buffer) and the fields it read stay
+    what they were; dropping a packet means forgetting it.  The only
+    in-flight writes are the marks ``ce`` (an AQM) and ``corrupt`` (an
+    impairment gate), which is why
+    :class:`~repro.net.impair.Duplicator` forwards a copy.  This module
+    is the only one that knows a packet's field list: build packets
+    with :meth:`data` and :meth:`ack`.
 
     Attributes
     ----------
@@ -80,6 +101,8 @@ class Packet:
     echo_ts:
         For ACK packets: ``sent_at`` of the data packet that triggered this
         ACK (Karn-friendly RTT sampling uses it only for non-retransmits).
+    echo_retransmit:
+        For ACK packets: ``retransmit`` of the triggering data packet.
     retransmit:
         True if this transmission is a retransmission.
     ecn_capable:
@@ -95,55 +118,58 @@ class Packet:
     corrupt:
         Set by an impairment channel (:mod:`repro.net.impair`) to model
         a failed checksum: a corrupted DATA packet is dropped by the
-        receiver (no ACK), a corrupted ACK by the sender.  Reset on
-        every pooled reissue like the other mid-flight mutations.
+        receiver (no ACK), a corrupted ACK by the sender.  Not part of
+        ``repr``/``==``.
     uid:
-        Globally unique packet id, handy for tracing.  A pooled ACK gets
-        a *fresh* uid on every reissue, so uid semantics are unchanged by
-        pooling.
-    generation:
-        Reissue count for pooled ACK packets (0 for a fresh allocation).
-        Holding a packet across its recycle point is a bug; comparing
-        generations detects the resurrection (exercised under
-        ``--validate`` and by the pool property tests).  Excluded from
-        ``repr``/``eq`` so pooling is invisible to traces and digests.
+        Globally unique packet id, drawn at construction; handy for
+        tracing.
     """
 
-    flow: FlowId
-    kind: PacketKind
-    seq: int
-    size: int
-    sent_at: float
-    ack_next: int = 0
-    echo_ts: float = 0.0
-    echo_retransmit: bool = False
-    retransmit: bool = False
-    ecn_capable: bool = False
-    ce: bool = False
-    ecn_echo: bool = False
-    sack: tuple[tuple[int, int], ...] = ()
-    corrupt: bool = field(default=False, repr=False, compare=False)
-    uid: int = field(default_factory=lambda: next(_packet_ids))
-    generation: int = field(default=0, repr=False, compare=False)
-    _in_pool: bool = field(default=False, repr=False, compare=False)
+    __slots__ = _COMPARED + ("corrupt",)
 
-    #: Free list for ACK packets — the one allocation per data packet the
-    #: receiver cannot avoid.  ACKs terminate synchronously at the sender
-    #: (nothing queues or retains them), so :meth:`recycle_ack` at the
-    #: point of consumption is sound.  Bounded so a pathological burst
-    #: cannot pin memory.
-    _ack_pool: ClassVar[list["Packet"]] = []
-    _ACK_POOL_MAX: ClassVar[int] = 2048
+    def __init__(
+        self,
+        flow: FlowId,
+        kind: PacketKind,
+        seq: int,
+        size: int,
+        sent_at: float,
+        ack_next: int = 0,
+        echo_ts: float = 0.0,
+        echo_retransmit: bool = False,
+        retransmit: bool = False,
+        ecn_capable: bool = False,
+        ce: bool = False,
+        ecn_echo: bool = False,
+        sack: tuple[tuple[int, int], ...] = (),
+        corrupt: bool = False,
+    ) -> None:
+        self.flow = flow
+        self.kind = kind
+        self.seq = seq
+        self.size = size
+        self.sent_at = sent_at
+        self.ack_next = ack_next
+        self.echo_ts = echo_ts
+        self.echo_retransmit = echo_retransmit
+        self.retransmit = retransmit
+        self.ecn_capable = ecn_capable
+        self.ce = ce
+        self.ecn_echo = ecn_echo
+        self.sack = sack
+        self.corrupt = corrupt
+        self.uid = next(_packet_ids)
 
-    #: Free list for DATA packets.  The receiver is the terminal consumer
-    #: of a data packet (downstream components keep only scalar columns),
-    #: so it recycles the ones it absorbs batch-at-a-time.  Drop points
-    #: (impairment gates, the link's drop-tail buffer, the receiver's
-    #: corrupt-packet discard) are terminal consumers too and recycle
-    #: what they drop via :meth:`recycle`, so the pool can fill in any
-    #: engine; pooling stays value-invisible (fresh uid per reissue).
-    _data_pool: ClassVar[list["Packet"]] = []
-    _DATA_POOL_MAX: ClassVar[int] = 4096
+    def __repr__(self) -> str:
+        fields = (f"{name}={getattr(self, name)!r}" for name in _COMPARED)
+        return f"Packet({', '.join(fields)})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(
+            getattr(self, name) == getattr(other, name) for name in _COMPARED
+        )
 
     @classmethod
     def data(
@@ -156,40 +182,11 @@ class Packet:
         retransmit: bool = False,
         ecn_capable: bool = False,
     ) -> "Packet":
-        """Construct a data packet.
-
-        Draws from the DATA free list when possible; a reissued packet is
-        fully re-initialised (fresh uid included) and bumps its
-        ``generation``.
-        """
-        pool = cls._data_pool
-        if pool:
-            # The pool holds only DATA packets, and no component ever
-            # writes the ACK-only fields (ack_next/echo_*/ecn_echo/sack)
-            # of a data packet — those still hold their construction
-            # defaults, so only the data-path fields are re-initialised.
-            # ``ce`` is the one mid-flight mutation (AQM marking).
-            pkt = pool.pop()
-            pkt._in_pool = False
-            pkt.generation += 1
-            pkt.flow = flow
-            pkt.seq = seq
-            pkt.size = size
-            pkt.sent_at = sent_at
-            pkt.retransmit = retransmit
-            pkt.ecn_capable = ecn_capable
-            pkt.ce = False
-            pkt.corrupt = False
-            pkt.uid = next(_packet_ids)
-            return pkt
+        """Construct a data packet."""
+        # Positional (constructor order) because this runs once per packet.
         return cls(
-            flow=flow,
-            kind=PacketKind.DATA,
-            seq=seq,
-            size=size,
-            sent_at=sent_at,
-            retransmit=retransmit,
-            ecn_capable=ecn_capable,
+            flow, _DATA, seq, size, sent_at,
+            0, 0.0, False, retransmit, ecn_capable,
         )
 
     @classmethod
@@ -204,118 +201,19 @@ class Packet:
         sack: tuple[tuple[int, int], ...] = (),
         ecn_echo: bool = False,
     ) -> "Packet":
-        """Construct a pure ACK for ``flow`` (sent receiver → sender).
-
-        Draws from the ACK free list when possible; a reissued packet is
-        fully re-initialised (fresh uid included) and bumps its
-        ``generation``.
-        """
-        pool = cls._ack_pool
-        if pool:
-            # The pool holds only ACK packets, and nothing ever writes a
-            # pure ACK's data-path fields (seq/size/retransmit/
-            # ecn_capable), so those still hold the ACK construction
-            # values and are skipped; ``ce`` is reset defensively (AQMs
-            # mark only ECN-capable data, but the field is mutable
-            # mid-flight by contract).
-            pkt = pool.pop()
-            pkt._in_pool = False
-            pkt.generation += 1
-            pkt.flow = flow
-            pkt.ce = False
-            pkt.corrupt = False
-            pkt.sent_at = sent_at
-            pkt.ack_next = ack_next
-            pkt.echo_ts = echo_ts
-            pkt.echo_retransmit = echo_retransmit
-            pkt.ecn_echo = ecn_echo
-            pkt.sack = sack
-            pkt.uid = next(_packet_ids)
-            return pkt
+        """Construct a pure ACK for ``flow`` (sent receiver → sender)."""
         return cls(
-            flow=flow,
-            kind=PacketKind.ACK,
-            seq=0,
-            size=ACK_SIZE,
-            sent_at=sent_at,
-            ack_next=ack_next,
-            echo_ts=echo_ts,
-            echo_retransmit=echo_retransmit,
-            sack=sack,
-            ecn_echo=ecn_echo,
+            flow, _ACK, 0, ACK_SIZE, sent_at,
+            ack_next, echo_ts, echo_retransmit, False, False, False,
+            ecn_echo, sack,
         )
-
-    @classmethod
-    def recycle(cls, packet: "Packet") -> None:
-        """Return one consumed packet (either kind) to its free list.
-
-        The single-packet form used by drop points — impairment gates,
-        drop-tail buffers, corrupt-packet discards — where the dropper is
-        the packet's terminal consumer.  The ``_in_pool`` latch makes a
-        second recycle a no-op, so a packet can only ever enter its pool
-        once per reissue.
-        """
-        if packet._in_pool:
-            return
-        if packet.kind is PacketKind.ACK:
-            pool = cls._ack_pool
-            limit = cls._ACK_POOL_MAX
-        else:
-            pool = cls._data_pool
-            limit = cls._DATA_POOL_MAX
-        if len(pool) < limit:
-            packet._in_pool = True
-            pool.append(packet)
-
-    @classmethod
-    def recycle_ack(cls, packet: "Packet") -> None:
-        """Return a consumed ACK to the free list.
-
-        Only pure ACKs are pooled; recycling the same packet twice is a
-        no-op (the ``_in_pool`` latch), so sinks may recycle defensively.
-        """
-        if packet.kind is not PacketKind.ACK or packet._in_pool:
-            return
-        pool = cls._ack_pool
-        if len(pool) < cls._ACK_POOL_MAX:
-            packet._in_pool = True
-            pool.append(packet)
-
-    @classmethod
-    def recycle_acks(cls, packets: list["Packet"]) -> None:
-        """Batch form of :meth:`recycle_ack`: return every consumed ACK
-        of a delivered batch to the free list in one pass.  Non-ACKs and
-        already-pooled packets are skipped by the same latch."""
-        pool = cls._ack_pool
-        limit = cls._ACK_POOL_MAX
-        for packet in packets:
-            if packet.kind is PacketKind.ACK and not packet._in_pool:
-                if len(pool) < limit:
-                    packet._in_pool = True
-                    pool.append(packet)
-
-    @classmethod
-    def recycle_data(cls, packets: list["Packet"]) -> None:
-        """Return consumed DATA packets to the free list in one pass.
-
-        Callers must be the terminal consumer (nothing downstream retains
-        a reference); the ``_in_pool`` latch makes double-recycling a
-        no-op, mirroring :meth:`recycle_acks`.
-        """
-        pool = cls._data_pool
-        limit = cls._DATA_POOL_MAX
-        for packet in packets:
-            if packet.kind is PacketKind.DATA and not packet._in_pool:
-                if len(pool) < limit:
-                    packet._in_pool = True
-                    pool.append(packet)
 
     @property
     def is_data(self) -> bool:
         """True for data packets."""
-        return self.kind is PacketKind.DATA
+        return self.kind is _DATA
 
     @property
     def is_ack(self) -> bool:
         """True for pure ACKs."""
-        return self.kind is PacketKind.ACK
+        return self.kind is _ACK

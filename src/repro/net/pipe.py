@@ -104,64 +104,14 @@ class Pipe:
             self._sink.receive(packet)
 
     def receive_batch(self, packets: list[Packet]) -> None:
-        """Accept a same-instant batch in one call.
-
-        Seq reservation is *consecutive*: delivered one at a time, the
-        packets of a batch would arrive back-to-back with no other seq
-        consumer between them (the stages upstream of a pipe reserve no
-        seqs while forwarding), so claiming ``n`` consecutive numbers
-        here assigns each packet the exact seq it would have drawn
-        one-at-a-time.
-        """
-        n = len(packets)
-        if n == 0:
-            return
-        self.forwarded_packets += n
-        size = 0
-        if self._delay > 0:
-            sim = self._sim
-            time = sim._now + self._delay
-            pending = self._pending
-            if pending and time < pending[-1][0]:
-                raise SimulationError(
-                    f"pipe {self.name!r}: non-monotone delivery time "
-                    f"{time!r} after {pending[-1][0]!r} — the coalesced "
-                    "FIFO assumes arrival order == delivery order"
-                )
-            seq = sim._seq
-            sim._seq = seq + n
-            append = pending.append
-            for packet in packets:
-                size += packet.size
-                append((time, seq, packet))
-                seq += 1
-            self.forwarded_bytes += size
-            if not self._armed:
-                self._armed = True
-                # call_at_reserved inlined (identical bookkeeping).
-                head_seq = seq - n
-                pool = sim._handle_pool
-                if pool:
-                    handle = pool.pop()
-                    handle.generation += 1
-                    handle.callback = self.deliver_batch
-                    handle.args = ()
-                else:
-                    handle = EventHandle(0.0, 0, self.deliver_batch, (), sim)
-                    handle.pooled = True
-                handle.time = time
-                handle.seq = head_seq
-                heap = sim._heap
-                heapq.heappush(heap, (time, head_seq, handle))
-                sim._heap_pushes += 1
-                sim._live += 1
-                if len(heap) > sim._peak_heap:
-                    sim._peak_heap = len(heap)
-        else:
-            for packet in packets:
-                size += packet.size
-            self.forwarded_bytes += size
-            self._batch_sink.receive_batch(packets)
+        """Accept a same-instant batch: :meth:`receive` on each packet in
+        order.  Nothing between two packets of a batch consumes a seq
+        (the stages upstream of a pipe reserve none while forwarding),
+        so each draws the seq it would have drawn alone and only the
+        first arms the drain."""
+        receive = self.receive
+        for packet in packets:
+            receive(packet)
 
     def deliver_batch(self) -> None:
         """The drain event: hand guarded same-instant prefixes of the

@@ -76,10 +76,6 @@ class NullSink:
         for packet in packets:
             total += packet.size
         self.bytes += total
-        # Terminal sink: consumed pure ACKs go back to the free list
-        # batch-at-a-time (pooling is value-invisible — uids are always
-        # fresh — so this cannot perturb outcomes).
-        Packet.recycle_acks(packets)
 
 
 class CallbackSink:

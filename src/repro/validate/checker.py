@@ -59,12 +59,7 @@ Enforced invariants (paper anchors in parentheses):
 * event-engine accounting: raw heap length equals live events plus the
   cancelled backlog, all engine counters non-negative, and the
   backlog / heap high-water marks never below their current values
-  (``Simulator(validate=checker)`` self-registers the simulator);
-* packet free lists (at finalize): pools within their size bounds, no
-  object pooled twice, every pooled packet's ``_in_pool`` latch set and
-  its kind matching its pool — the invariant the impairment drop points
-  (gates, drop-tail buffers, corrupt discards) must preserve while
-  recycling at arbitrary interleavings.
+  (``Simulator(validate=checker)`` self-registers the simulator).
 """
 
 from __future__ import annotations
@@ -323,44 +318,6 @@ class InvariantChecker:
                 f"trace {getattr(trace, 'name', '?')!r}: no records at end "
                 "of run (empty receiver trace)",
             )
-        self._check_packet_pools()
-
-    def _check_packet_pools(self) -> None:
-        """Free-list integrity: every drop point that recycles must leave
-        the pools bounded, duplicate-free and correctly latched."""
-        from repro.net.packet import Packet, PacketKind
-
-        for label, pool, limit, kind in (
-            ("ack", Packet._ack_pool, Packet._ACK_POOL_MAX, PacketKind.ACK),
-            ("data", Packet._data_pool, Packet._DATA_POOL_MAX,
-             PacketKind.DATA),
-        ):
-            self._ensure(
-                len(pool) <= limit,
-                f"packet pool {label}: {len(pool)} entries exceed the "
-                f"{limit} bound",
-            )
-            self._ensure(
-                len({id(p) for p in pool}) == len(pool),
-                f"packet pool {label}: duplicate object pooled "
-                "(double recycle slipped past the latch)",
-            )
-            for packet in pool:
-                if not packet._in_pool:
-                    self._fail(
-                        f"packet pool {label}: pooled packet "
-                        f"uid={packet.uid} has _in_pool unset"
-                    )
-                    break
-                if packet.kind is not kind:
-                    self._fail(
-                        f"packet pool {label}: pooled packet "
-                        f"uid={packet.uid} has kind {packet.kind}"
-                    )
-                    break
-            else:
-                self.checks += 2
-
 
     # ------------------------------------------------------------------
     # Limiter checks

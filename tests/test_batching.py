@@ -121,43 +121,3 @@ def test_unbounded_batch_drains_same_instant_prefix_in_one_call():
         pipe.receive(Packet.data(FLOW, seq=i, sent_at=0.0))
     sim.run()
     assert batches == [list(range(10))]
-
-
-class TestDataPool:
-    """DATA-packet free list: recycling and reissue invariants."""
-
-    def setup_method(self) -> None:
-        Packet._data_pool.clear()
-
-    def teardown_method(self) -> None:
-        Packet._data_pool.clear()
-
-    def test_recycle_data_pools_only_data_and_latches(self):
-        data = Packet.data(FLOW, seq=1, sent_at=0.5)
-        ack = Packet.ack(FLOW, 2, 0.6, echo_ts=0.5, echo_retransmit=False)
-        Packet.recycle_data([data, ack, data])
-        assert Packet._data_pool == [data]
-        assert data._in_pool and not ack._in_pool
-
-    def test_reissue_reinitializes_data_fields_and_bumps_generation(self):
-        data = Packet.data(
-            FLOW, seq=7, sent_at=0.5, retransmit=True, ecn_capable=True
-        )
-        data.ce = True  # mid-flight AQM mark must not survive reissue
-        old_uid, old_gen = data.uid, data.generation
-        Packet.recycle_data([data])
-        fresh = Packet.data(FlowId(1, 2), seq=9, sent_at=1.25)
-        assert fresh is data
-        assert fresh.generation == old_gen + 1
-        assert fresh.uid != old_uid
-        assert (fresh.flow, fresh.seq, fresh.sent_at) == (FlowId(1, 2), 9, 1.25)
-        assert not (fresh.retransmit or fresh.ecn_capable or fresh.ce)
-        assert not fresh._in_pool
-
-    def test_pool_is_bounded(self):
-        packets = [
-            Packet.data(FLOW, seq=i, sent_at=0.0)
-            for i in range(Packet._DATA_POOL_MAX + 10)
-        ]
-        Packet.recycle_data(packets)
-        assert len(Packet._data_pool) == Packet._DATA_POOL_MAX

@@ -10,8 +10,9 @@ The module-level properties pin the contract the tentpole rests on:
   and fleet shard counts (same-seed, same-draw-order determinism);
 * a disabled :class:`ImpairmentSpec` is indistinguishable from no spec;
 * the coalesced FIFOs refuse non-monotone delivery times instead of
-  silently reordering, and the jitter pipe refuses to deliver a packet
-  that was recycled under it.
+  silently reordering;
+* a dropped, duplicated or delayed packet stays the value it was (no
+  component reissues or rewrites a packet somebody else may hold).
 
 Pinned fuzz regressions at the bottom re-run real minimized ``--case``
 lines from the impaired differential-fuzzer campaign.
@@ -137,19 +138,17 @@ class TestGates:
         assert gate.forwarded_packets == len(sink.packets)
         assert gate.dropped_packets + gate.forwarded_packets == n
 
-    def test_dropped_packets_are_recycled_once(self):
+    def test_dropped_packet_is_counted_and_left_alone(self):
         sink = Collector()
         gate = LossGate(1.0, sink, Random(1))
-        Packet._data_pool.clear()
-        packet = Packet(flow=FLOW, kind=make_data().kind, seq=0,
-                        size=MSS, sent_at=0.0)
+        packet = make_data(4)
+        before = repr(packet)
         gate.receive(packet)
-        assert packet._in_pool
-        assert Packet._data_pool.count(packet) == 1
-        # A second recycle (defensive downstream path) must be a no-op.
-        Packet.recycle(packet)
-        assert Packet._data_pool.count(packet) == 1
-        Packet._data_pool.clear()
+        assert (gate.dropped_packets, gate.dropped_bytes) == (1, MSS)
+        assert sink.packets == []
+        # Dropping is forgetting: later traffic cannot rewrite it.
+        later = make_data(5)
+        assert later is not packet and repr(packet) == before
 
     @settings(deadline=None, max_examples=15)
     @given(
@@ -201,15 +200,14 @@ class TestGates:
         assert packet.corrupt
         assert gate.corrupted_packets == 1
 
-    def test_corrupt_flag_reset_on_pooled_reissue(self):
-        Packet._data_pool.clear()
-        packet = make_data(1)
-        packet.corrupt = True
-        Packet.recycle(packet)
-        reissued = Packet.data(FLOW, 2, 1.0)
-        assert reissued is packet
-        assert not reissued.corrupt
-        Packet._data_pool.clear()
+    def test_corrupting_one_twin_leaves_the_other_clean(self):
+        sink = Collector()
+        Duplicator(1.0, sink, Random(3)).receive(make_data(5))
+        original, clone = sink.packets
+        # What a Corrupter / an AQM downstream does to one copy.
+        clone.corrupt = True
+        original.ce = True
+        assert not original.corrupt and not clone.ce
 
     def test_batch_entry_loops_per_packet(self):
         sink = Collector()
@@ -273,19 +271,6 @@ class TestJitterPipe:
         sim.run()
         assert [p.seq for p in sink.packets] == list(range(10))
 
-    def test_generation_guard_catches_recycled_in_flight(self):
-        sim = Simulator()
-        sink = Collector()
-        pipe = JitterPipe(sim, 0.01, sink, jitter=0.001, rng=Random(2))
-        packet = make_data(0)
-        pipe.receive(packet)
-        # Simulate the pool-lifecycle bug: something recycles the packet
-        # while the pipe still holds it.
-        Packet.recycle(packet)
-        with pytest.raises(SimulationError, match="recycled"):
-            sim.run()
-        Packet._data_pool.clear()
-
     def test_in_flight_counter(self):
         sim = Simulator()
         pipe = JitterPipe(sim, 0.01, Collector(), jitter=0.002, rng=Random(3))
@@ -337,20 +322,16 @@ class TestMonotonicityGuards:
         with pytest.raises(SimulationError, match="non-monotone"):
             sim.run()
 
-    def test_link_drop_recycles(self):
-        Packet._data_pool.clear()
+    def test_link_drop_tail_counts_and_forwards_the_rest(self):
         sim = Simulator()
-        link = Link(sim, rate=1e3, delay=0.0, sink=Collector(),
-                    buffer_bytes=0.0)
+        sink = Collector()
+        link = Link(sim, rate=1e3, delay=0.0, sink=sink, buffer_bytes=0.0)
         first = make_data(0)
         link.receive(first)  # goes into service
-        dropped = make_data(1)
-        link.receive(dropped)  # buffer of 0 bytes: dropped
-        assert link.dropped_packets == 1
-        assert dropped._in_pool
-        assert dropped in Packet._data_pool
+        link.receive(make_data(1))  # buffer of 0 bytes: dropped
+        assert (link.dropped_packets, link.dropped_bytes) == (1, MSS)
         sim.run()
-        Packet._data_pool.clear()
+        assert sink.packets == [first]
 
 
 # ---------------------------------------------------------------------------
@@ -400,6 +381,25 @@ class TestCapacityTrace:
         path.write_text("# nothing\n")
         with pytest.raises(ValueError):
             CapacityTrace.from_file(str(path))
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("0.1 5\n0.2\n", 2),  # short row in a two-column file
+            ("-150\n100\n250\n", 1),  # negative Mahimahi stamp
+            ("# ms\n500\n100\n", 3),  # stamps out of order
+            ("10\nnan\n", 2),  # not a finite number
+        ],
+        ids=["short-row", "negative-stamp", "unsorted-stamps", "nan"],
+    )
+    def test_from_file_malformed_row_names_file_and_line(
+        self, tmp_path, text, line
+    ):
+        path = tmp_path / "bad.trace"
+        path.write_text(text)
+        with pytest.raises(ValueError) as caught:
+            CapacityTrace.from_file(str(path))
+        assert f"{str(path)!r} line {line}:" in str(caught.value)
 
     def test_trace_link_throughput_tracks_trace(self):
         sim = Simulator()
@@ -513,8 +513,7 @@ class TestEquivalence:
             ge=(0.01, 0.3, 0.0, 0.5),
         )
         # validate=True attaches the invariant checker (fail-fast);
-        # completing without raising is the assertion — including the
-        # finalize-time packet-pool integrity check.
+        # completing without raising is the assertion.
         simulate_aggregate(
             AggregateConfig(**_BASE, impair=spec, validate=True)
         )

@@ -3,7 +3,11 @@
 from hypothesis import given, strategies as st
 
 from repro.net.packet import FlowId, Packet, PacketKind
-from repro.units import ACK_SIZE, MSS
+from repro.net.sink import CallbackSink, TeeSink
+from repro.runner.aggregate import AggregateConfig, build_scenario
+from repro.sim.simulator import Simulator
+from repro.units import ACK_SIZE, MSS, mbps
+from repro.workload.spec import FlowSpec
 
 
 def test_data_packet_defaults():
@@ -52,90 +56,93 @@ def test_kind_enum():
     assert PacketKind.ACK.value == "ack"
 
 
-class TestAckPool:
-    def setup_method(self):
-        Packet._ack_pool.clear()
+class TestPacketIsAValue:
+    """A packet is a plain object: built once, never reissued, owned by
+    whoever holds it."""
 
-    def test_recycled_ack_is_reissued(self):
+    def test_fresh_packet_is_never_corrupt_or_ce(self):
         flow = FlowId(0, 0)
-        ack = Packet.ack(flow, 1, 0.0, echo_ts=0.0, echo_retransmit=False)
-        Packet.recycle_ack(ack)
-        reissued = Packet.ack(flow, 2, 1.0, echo_ts=0.5, echo_retransmit=True)
-        assert reissued is ack
+        marked = Packet.data(flow, 1, 0.0, ecn_capable=True)
+        marked.ce = True
+        marked.corrupt = True
+        del marked
+        for fresh in (
+            Packet.data(flow, 2, 1.0, ecn_capable=True),
+            Packet.ack(flow, 3, 1.0, echo_ts=0.5, echo_retransmit=False),
+        ):
+            assert fresh.ce is False and fresh.corrupt is False
 
-    def test_reissue_resets_every_field_and_bumps_generation(self):
-        flow = FlowId(0, 0)
-        ack = Packet.ack(flow, 9, 0.0, echo_ts=0.1, echo_retransmit=True,
-                         sack=((2, 4),))
-        ack.ce = True
-        ack.ecn_echo = True
-        gen, uid = ack.generation, ack.uid
-        Packet.recycle_ack(ack)
-        fresh = Packet.ack(FlowId(1, 1), 3, 2.0, echo_ts=1.5,
-                           echo_retransmit=False)
-        assert fresh is ack
-        assert fresh.generation == gen + 1
-        assert fresh.uid != uid
-        assert fresh.flow == FlowId(1, 1)
-        assert fresh.ack_next == 3
-        assert fresh.sent_at == 2.0
-        assert fresh.echo_ts == 1.5
-        assert fresh.echo_retransmit is False
-        assert fresh.sack == ()
-        assert fresh.ce is False and fresh.ecn_echo is False
+    def test_repr_and_eq_cover_the_wire_fields_and_uid_only(self):
+        flow = FlowId(1, 2)
+        ack = Packet.ack(flow, 7, 2.0, echo_ts=1.5, echo_retransmit=True,
+                         sack=((9, 11),), ecn_echo=True)
+        assert repr(ack) == (
+            "Packet(flow=FlowId(aggregate=1, slot=2, incarnation=0), "
+            "kind=<PacketKind.ACK: 'ack'>, seq=0, size=40, sent_at=2.0, "
+            "ack_next=7, echo_ts=1.5, echo_retransmit=True, "
+            "retransmit=False, ecn_capable=False, ce=False, ecn_echo=True, "
+            f"sack=((9, 11),), uid={ack.uid})"
+        )
+        twin = Packet.ack(flow, 7, 2.0, echo_ts=1.5, echo_retransmit=True,
+                          sack=((9, 11),), ecn_echo=True)
+        assert twin != ack  # own uid
+        twin.uid = ack.uid
+        assert twin == ack
+        twin.corrupt = True  # a checksum verdict, not content
+        assert twin == ack
+        twin.ce = True
+        assert twin != ack
+        assert ack != "not a packet"
 
-    def test_double_recycle_never_duplicates_pool_entry(self):
-        # A consumed packet must not be resurrectable twice: the second
-        # recycle is a no-op, so two subsequent acks are distinct objects.
-        flow = FlowId(0, 0)
-        ack = Packet.ack(flow, 1, 0.0, echo_ts=0.0, echo_retransmit=False)
-        Packet.recycle_ack(ack)
-        Packet.recycle_ack(ack)
-        a = Packet.ack(flow, 2, 1.0, echo_ts=0.0, echo_retransmit=False)
-        b = Packet.ack(flow, 3, 2.0, echo_ts=0.0, echo_retransmit=False)
-        assert a is not b
-
-    def test_data_packets_never_pooled(self):
-        pkt = Packet.data(FlowId(0, 0), 1, 0.0)
-        Packet.recycle_ack(pkt)
-        assert Packet._ack_pool == []
-
-    def test_pool_is_bounded(self):
-        flow = FlowId(0, 0)
-        acks = [Packet.ack(flow, i, 0.0, echo_ts=0.0, echo_retransmit=False)
-                for i in range(Packet._ACK_POOL_MAX + 50)]
-        for ack in acks:
-            Packet.recycle_ack(ack)
-        assert len(Packet._ack_pool) == Packet._ACK_POOL_MAX
-
-    def test_pool_fields_do_not_leak_into_eq_or_repr(self):
-        flow = FlowId(0, 0)
-        a = Packet.ack(flow, 1, 0.0, echo_ts=0.0, echo_retransmit=False)
-        Packet.recycle_ack(a)
-        b = Packet.ack(flow, 1, 0.0, echo_ts=0.0, echo_retransmit=False)
-        assert "generation" not in repr(b) and "_in_pool" not in repr(b)
+    def test_class_holds_no_mutable_state(self):
+        shared = {
+            name: value
+            for klass in Packet.__mro__[:-1]
+            for name, value in vars(klass).items()
+            if isinstance(value, (list, dict, set))
+        }
+        assert shared == {}
+        assert not hasattr(Packet.data(FlowId(0, 0), 0, 0.0), "__dict__")
 
     @given(st.lists(st.booleans(), min_size=1, max_size=60))
-    def test_reissue_never_resurrects_live_ack(self, recycle_script):
-        """Property: across an arbitrary alloc/recycle interleaving, a
-        reissued object is never one the caller still holds live, and
-        every reissue bumps the recycled object's generation."""
-        Packet._ack_pool.clear()
+    def test_dropping_a_packet_never_disturbs_a_kept_one(self, keep_script):
+        """Property: across an arbitrary build/forget interleaving, every
+        packet still held is its own object with the values it was built
+        with."""
         flow = FlowId(0, 0)
-        live: dict[int, tuple[Packet, int]] = {}
-        for i, do_recycle in enumerate(recycle_script):
+        kept: list[tuple[Packet, int, int]] = []
+        for i, keep in enumerate(keep_script):
             ack = Packet.ack(flow, i, float(i), echo_ts=0.0,
                              echo_retransmit=False)
-            # Reissue must never hand back an object still held live.
-            assert id(ack) not in live
-            if do_recycle:
-                expected_gen = ack.generation + 1
-                Packet.recycle_ack(ack)
-                live.pop(id(ack), None)
-                # Next alloc reuses it (LIFO pool) with a bumped generation.
-                again = Packet.ack(flow, i, float(i), echo_ts=0.0,
-                                   echo_retransmit=False)
-                assert again is ack and again.generation == expected_gen
-                live[id(again)] = (again, again.generation)
-            else:
-                live[id(ack)] = (ack, ack.generation)
+            if keep:
+                kept.append((ack, i, ack.uid))
+        assert len({id(ack) for ack, _, _ in kept}) == len(kept)
+        for ack, i, uid in kept:
+            assert (ack.ack_next, ack.sent_at, ack.uid) == (i, float(i), uid)
+
+    def test_packets_kept_by_a_sink_keep_their_values(self):
+        """A sink may hold every packet it sees past delivery: at the
+        horizon of a saturated bcpqp aggregate (drops, retransmissions,
+        thousands of later packets) each one still reads what it read on
+        arrival."""
+        config = AggregateConfig(
+            scheme="bcpqp",
+            specs=tuple(FlowSpec(slot=i, rtt=0.02) for i in range(4)),
+            rate=mbps(10.0), max_rtt=0.02, horizon=1.5, warmup=0.5, seed=5,
+        )
+        sim = Simulator()
+        limiter, scenario = build_scenario(config, sim)
+        kept: list[tuple[Packet, tuple]] = []
+
+        def keep(packet: Packet) -> None:
+            kept.append((packet, (packet.flow, packet.seq, packet.sent_at,
+                                  packet.retransmit)))
+
+        limiter.connect(TeeSink(CallbackSink(keep), scenario.trace))
+        scenario.run()
+        assert len(kept) > 1000 and any(snap[3] for _, snap in kept)
+        assert len({id(packet) for packet, _ in kept}) == len(kept)
+        for packet, snap in kept:
+            assert packet.is_data
+            assert (packet.flow, packet.seq, packet.sent_at,
+                    packet.retransmit) == snap

@@ -12,7 +12,9 @@ O(log N).  Two guards:
 
 The event-engine overhaul rides the same marker: its gates (heap
 pushes/packet, events/packet, peak heap vs the pinned pre-overhaul
-engine) are deterministic counters and run exactly.
+engine) are deterministic counters and run exactly.  The fleet gate is
+exercised on a synthetic section (digest equality and same-run shard
+efficiency only; no committed wall clock is read).
 
 Marked ``scaling`` so wall-clock-sensitive environments can deselect
 them with ``-m "not scaling"``.
@@ -165,3 +167,32 @@ class TestEventloopSmoke:
             **eventloop["schemes"]["bcpqp"], "us_per_packet": 1e9,
         }}}
         assert report.check_eventloop(slow) == []
+
+
+class TestFleetGate:
+    """``check_fleet`` gates what this run measured and nothing else: no
+    headline cell is needed and none is compared."""
+
+    SECTION = {
+        "cells": {
+            "baseline": {"digest": "a" * 64, "us_per_packet": 30.0},
+            "invariance": {"digest": "a" * 64, "us_per_packet": 31.0},
+            "scaled": {"digest": "b" * 64, "us_per_packet": 33.0},
+        },
+        "digests_match": True,
+        "shard_efficiency": 0.909,
+    }
+
+    def test_passes_without_a_headline_cell(self):
+        assert report.check_fleet(self.SECTION, min_efficiency=0.7) == []
+
+    def test_a_slow_headline_cell_is_not_gated(self):
+        section = {**self.SECTION, "headline": {"us_per_packet": 1e9}}
+        assert report.check_fleet(section, min_efficiency=0.7) == []
+
+    def test_flags_digest_mismatch_and_low_efficiency(self):
+        broken = {**self.SECTION, "digests_match": False,
+                  "shard_efficiency": 0.5}
+        failures = report.check_fleet(broken, min_efficiency=0.7)
+        assert len(failures) == 2
+        assert "invariance" in failures[0] and "efficiency" in failures[1]

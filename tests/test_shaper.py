@@ -6,7 +6,7 @@ from repro.churn import PolicyUpdate
 from repro.classify.classifier import SlotClassifier
 from repro.limiters.shaper import Shaper
 from repro.net.packet import FlowId, Packet
-from repro.net.sink import NullSink
+from repro.net.sink import CallbackSink, NullSink
 from repro.policy.tree import Policy
 from repro.sim.simulator import Simulator
 
@@ -204,30 +204,25 @@ class TestRunningState:
         assert sink.count == 11 and shaper.stats.per_queue_drops[2] == 4
         conserved(shaper)
 
-    def test_drop_tail_returns_what_it_drops_to_the_pool(self):
+    def test_overflow_trim_and_removed_queue_drop_the_tail(self):
         # Arrival overflow, churn tail-trims and removed-queue drops each
-        # recycle the dropped packet exactly once; stored and forwarded
-        # packets are not the shaper's to recycle.
+        # take the newest packets of a queue; what was stored ahead of
+        # them is still forwarded, unchanged.
         sim = Simulator()
-        shaper = make(sim, rate=15_000.0, n=2, queue_bytes=3000.0)
+        served: list[Packet] = []
+        shaper = make(sim, rate=15_000.0, n=2, queue_bytes=3000.0,
+                      sink=CallbackSink(served.append))
         packets = [pkt(slot, i) for slot in (0, 1) for i in range(4)]
-        Packet._data_pool.clear()
         for packet in packets:
             shaper.receive(packet)
         # Queue 0: one in service, two stored, one overflowed; queue 1:
         # two stored, two overflowed.
-        overflowed = [packets[3], packets[6], packets[7]]
-        assert [p for p in packets if p._in_pool] == overflowed
+        assert shaper.stats.per_queue_drops == {0: 1, 1: 2}
         shaper.apply_update(PolicyUpdate(capacities=1500.0))
-        trimmed = [packets[2], packets[5]]
-        assert [p for p in packets if p._in_pool] == sorted(
-            overflowed + trimmed, key=packets.index
-        )
+        assert shaper.stats.per_queue_drops == {0: 2, 1: 3}
         shaper.apply_update(
             PolicyUpdate(policy=Policy.fair(1), capacities=1500.0)
         )
-        assert packets[4]._in_pool  # queue 1 removed with one packet left
-        assert len(Packet._data_pool) == shaper.stats.dropped_packets == 6
-        assert len({id(p) for p in Packet._data_pool}) == 6
-        assert not packets[0]._in_pool and not packets[1]._in_pool
-        Packet._data_pool.clear()
+        assert shaper.stats.dropped_packets == 6  # queue 1 removed, one left
+        sim.run()
+        assert [id(p) for p in served] == [id(packets[0]), id(packets[1])]
