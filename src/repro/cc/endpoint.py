@@ -10,8 +10,8 @@ backoff, and pacing for rate-based controllers (BBR).
 
 from __future__ import annotations
 
-import bisect
 import heapq
+from bisect import bisect_left, bisect_right
 from typing import Callable
 
 from repro.cc.base import AckSample, CongestionControl
@@ -108,10 +108,22 @@ class TcpSender:
 
         # SACK scoreboard.
         self._sacked: set[int] = set()
+        # The same seqs as maximal [start, end) runs, sorted, disjoint and
+        # non-adjacent, in two parallel int lists so the lookup is a plain
+        # C bisect.  Every seq of a run at or above snd_una is in _sacked
+        # and vice versa, so _apply_sack walks only the part of a block
+        # no earlier block covered; _advance_una drops the runs that end
+        # at or below snd_una (a run straddling it is left unclipped).
+        self._sack_starts: list[int] = []
+        self._sack_ends: list[int] = []
         self._fack = 0  # highest SACKed seq + 1
         self._lost_set: set[int] = set()
         self._lost_heap: list[int] = []
-        self._retx_out: dict[int, float] = {}  # seq -> retransmit time
+        # seq -> retransmit time.  Iteration order is retransmit-time
+        # order: lost and retx are disjoint, so _try_send always writes a
+        # new key, and _on_tlp pops its probe before re-inserting it; the
+        # stale sweep in _detect_losses stops at the first fresh entry.
+        self._retx_out: dict[int, float] = {}
         self._loss_scan_ptr = 0  # seqs below this were loss-checked
 
         # RTO state (RFC 6298), optionally seeded by the handshake sample.
@@ -426,10 +438,16 @@ class TcpSender:
                         if seq in lost:
                             continue
                         info = get_info(seq)
-                        if info is not None and info[0] + reo < rack_time:
+                        if info is None:
+                            continue
+                        if info[0] + reo < rack_time:
                             lost.add(seq)
                             heapq.heappush(self._lost_heap, seq)
                             new_loss = True
+                        elif not info[3]:
+                            # See _detect_losses: nothing above a fresh
+                            # original can be overdue.
+                            break
                 if new_loss and not self._in_recovery:
                     self._enter_recovery(now)
         else:
@@ -561,13 +579,27 @@ class TcpSender:
         self.snd_una = ack
         if ack > self._loss_scan_ptr:
             self._loss_scan_ptr = ack
+        ends = self._sack_ends
+        if ends and ends[0] <= ack:
+            k = bisect_right(ends, ack)
+            del ends[:k]
+            del self._sack_starts[:k]
         # Drop stale heap heads lazily.
         heap = self._lost_heap
         while heap and heap[0] < ack:
             heapq.heappop(heap)
 
     def _apply_sack(self, ranges: tuple[tuple[int, int], ...]) -> int:
-        """Merge SACK ranges into the scoreboard; return newly SACKed count."""
+        """Merge SACK ranges into the scoreboard; return newly SACKed count.
+
+        Costs O(blocks + newly SACKed), not O(block lengths): the receiver
+        re-reports a block on every ACK until the hole below it fills, and
+        the runs in ``_sack_starts`` / ``_sack_ends`` say which part of it
+        is news.  Only the gaps between runs are walked, and above
+        ``snd_una`` a seq is in a gap exactly when it is not in
+        ``_sacked``, so any blocks at all — stale, overlapping, reaching
+        below ``snd_una`` — are merged as the seq-by-seq walk merged them.
+        """
         newly = 0
         sacked = self._sacked
         lost = self._lost_set
@@ -576,30 +608,55 @@ class TcpSender:
         rack_time = self._rack_time
         una = self.snd_una
         fack = self._fack
+        starts = self._sack_starts
+        ends = self._sack_ends
         for start, end in ranges:
-            if start < una:
-                start = una
-            for seq in range(start, end):
-                if seq not in sacked:
-                    sacked.add(seq)
-                    lost.discard(seq)
-                    retx.pop(seq, None)
-                    info = get_info(seq)
-                    if info is not None and info[0] > rack_time:
-                        rack_time = info[0]
-                    newly += 1
             if end > fack:
                 fack = end
+            if start < una:
+                start = una
+            if start >= end:
+                continue
+            # First run reaching up to ``start``; the runs from there
+            # while they begin at or below ``end`` overlap or abut the block.
+            i = k = bisect_left(ends, start)
+            n = len(ends)
+            if i < n and starts[i] <= start and end <= ends[i]:
+                continue
+            cur = start
+            while cur < end:
+                if k < n and starts[k] <= end:
+                    gap_end = starts[k]
+                    resume = ends[k]
+                    k += 1
+                else:
+                    gap_end = resume = end
+                if gap_end > cur:
+                    newly += gap_end - cur
+                    for seq in range(cur, gap_end):
+                        sacked.add(seq)
+                        lost.discard(seq)
+                        retx.pop(seq, None)
+                        info = get_info(seq)
+                        if info is not None and info[0] > rack_time:
+                            rack_time = info[0]
+                cur = resume
+            # One run replaces the k - i it swallowed (an insert when none).
+            if k > i and starts[i] < start:
+                start = starts[i]
+            starts[i:k] = (start,)
+            ends[i:k] = (cur,)
         self._rack_time = rack_time
         self._fack = fack
         return newly
 
     def _detect_losses(self, now: float) -> None:
-        """Mark holes with >= DupThresh SACKed packets above them as lost,
-        and re-mark stale retransmissions (RACK-style: a retransmit still
-        unacknowledged after ~1.5 smoothed RTTs was lost again — Linux's
-        RACK-TLP behaviour, without which a dropped retransmission stalls
-        the flow until an RTO)."""
+        """Mark un-SACKed holes at least DupThresh below the highest SACKed
+        seq as lost (FACK-style: ``_fack - _DUP_THRESH``, whatever lies in
+        between), and re-mark stale retransmissions (RACK-style: a
+        retransmit still unacknowledged after ~1.5 smoothed RTTs was lost
+        again — Linux's RACK-TLP behaviour, without which a dropped
+        retransmission stalls the flow until an RTO)."""
         sacked = self._sacked
         lost = self._lost_set
         retx = self._retx_out
@@ -623,14 +680,14 @@ class TcpSender:
         srtt = self._srtt
         if retx and srtt is not None:
             reo_window = 1.5 * srtt + 4.0 * self._rttvar
-            stale = None
+            # Oldest first (see _retx_out): the first fresh entry ends it.
+            stale = []
             for seq, sent in retx.items():
                 if now - sent > reo_window:
-                    if stale is None:
-                        stale = [seq]
-                    else:
-                        stale.append(seq)
-            if stale is not None:
+                    stale.append(seq)
+                else:
+                    break
+            if stale:
                 for seq in stale:
                     del retx[seq]
                     lost.add(seq)
@@ -642,7 +699,10 @@ class TcpSender:
         # is lost even when fewer than DupThresh packets follow it (the
         # small-cwnd regime where dup-ACK detection cannot fire and Linux
         # relies on RACK-TLP).  DupThresh handles the large-window case,
-        # so scanning a few head sequences suffices.
+        # so scanning a few head sequences suffices.  Originals leave in
+        # seq order at non-decreasing times and a retransmission is never
+        # earlier than its original, so once a seq whose latest
+        # transmission is an original is not overdue, nothing above it is.
         rack_time = self._rack_time
         if srtt is not None and rack_time > 0:
             reo = 0.25 * srtt + 4.0 * self._rttvar
@@ -655,10 +715,14 @@ class TcpSender:
                 if seq in sacked or seq in lost or seq in retx:
                     continue
                 info = get_info(seq)
-                if info is not None and info[0] + reo < rack_time:
+                if info is None:
+                    continue
+                if info[0] + reo < rack_time:
                     lost.add(seq)
                     heappush(lost_heap, seq)
                     new_loss = True
+                elif not info[3]:
+                    break
 
         if new_loss and not self._in_recovery:
             self._enter_recovery(now)
@@ -766,6 +830,8 @@ class TcpSender:
             return
         self.tlp_probes += 1
         self._lost_set.discard(probe)
+        # Re-insert, not overwrite: _retx_out iterates in time order.
+        self._retx_out.pop(probe, None)
         self._retx_out[probe] = self._sim.now
         self._transmit(probe, retransmit=True)
         # Give the probe a full RTO to report back before the backstop
@@ -811,6 +877,8 @@ class TcpSender:
         self._pacing_timer.cancel()
         self._send_info.clear()
         self._sacked.clear()
+        self._sack_starts.clear()
+        self._sack_ends.clear()
         self._lost_set.clear()
         self._lost_heap.clear()
         self._retx_out.clear()
@@ -889,25 +957,25 @@ class TcpReceiver:
         ranges = self._ranges
         if not ranges:
             return ()
-        triggering = None
-        for r in ranges:
-            if r[0] <= seq < r[1]:
-                triggering = r
-                break
-        blocks: list[tuple[int, int]] = []
-        if triggering is not None:
-            blocks.append((triggering[0], triggering[1]))
-        for r in ranges:
-            if len(blocks) >= self.MAX_SACK_RANGES:
-                break
+        # [seq + 1] sorts after every [start, end] with start <= seq and
+        # before the rest, so this is the last range starting at or below
+        # seq: the only one that can hold it.
+        i = bisect_left(ranges, [seq + 1]) - 1
+        lowest = ranges[: self.MAX_SACK_RANGES]
+        if i < 0 or ranges[i][1] <= seq:
+            return tuple([(r[0], r[1]) for r in lowest])
+        triggering = ranges[i]
+        blocks = [(triggering[0], triggering[1])]
+        for r in lowest:
             if r is not triggering:
                 blocks.append((r[0], r[1]))
-        return tuple(blocks)
+        return tuple(blocks[: self.MAX_SACK_RANGES])
 
     def _insert(self, seq: int) -> None:
         """Insert ``seq`` into the disjoint range list, merging neighbours."""
         ranges = self._ranges
-        i = bisect.bisect_right(ranges, seq, key=lambda r: r[0])
+        # Number of ranges starting at or below seq (see _sack_blocks).
+        i = bisect_left(ranges, [seq + 1])
         # Check the range before (could contain or abut seq).
         if i > 0:
             prev = ranges[i - 1]

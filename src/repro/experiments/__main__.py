@@ -195,11 +195,15 @@ def main(argv: list[str] | None = None) -> None:
             stats = pstats.Stats(profiler).sort_stats("cumulative")
             stats.print_stats(30)
             # The packet path in one table: the link/pipe drain, every
-            # component's receive entry, and the sender's ACK/send bodies.
+            # component's receive entry, the sender's ACK/send bodies and
+            # the recovery steps they call, so loss recovery is billed by
+            # name instead of inside _process_ack's cumulative time.
             print("cProfile: packet-path entry points")
             stats.print_stats(
                 r"deliver_batch|drain_coalesced|\(receive(_batch)?\)"
                 r"|_process_ack|_try_send"
+                r"|_apply_sack|_advance_una|_detect_losses"
+                r"|_sack_blocks|\(_insert\)"
             )
     print("=" * 72)
     print(f"All experiments completed in {time.time() - grand_start:.1f} s.")

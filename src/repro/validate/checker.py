@@ -53,6 +53,12 @@ Enforced invariants (paper anchors in parentheses):
   thresholds / tumbling windows);
 * TCP senders: ``snd_una <= snd_nxt``, non-negative scoreboard pipe,
   cwnd and ssthresh >= 1 MSS, RTO clamped to ``[_MIN_RTO, _MAX_RTO]``;
+* TCP scoreboard (what the O(new information) recovery steps lean on):
+  ``_sacked``, ``_lost_set`` and ``_retx_out`` pairwise disjoint and
+  inside ``[snd_una, snd_nxt)``, ``_fack <= snd_nxt``, ``_retx_out``
+  times non-decreasing in iteration order, every ``_lost_set`` member
+  on ``_lost_heap``, and the SACK runs sorted, non-adjacent, all ending
+  above ``snd_una`` and covering exactly ``_sacked`` from ``snd_una`` up;
 * middlebox dispatch conservation (assumes limiters receive traffic
   only through their middlebox);
 * modeled op counts (§6.2 cost model) never negative;
@@ -726,6 +732,7 @@ class InvariantChecker:
             f"sacked={len(sender._sacked)}, lost={len(sender._lost_set)}, "
             f"retx={len(sender._retx_out)})",
         )
+        self._check_scoreboard(sender, name)
         cc = sender.cc
         self._ensure(
             cc.cwnd >= 1.0 - _EPS,
@@ -751,6 +758,71 @@ class InvariantChecker:
                 sender._rttvar >= 0.0,
                 f"{name}: negative rttvar {sender._rttvar!r}",
             )
+
+    def _check_scoreboard(self, sender: Any, name: str) -> None:
+        """What the sender's recovery steps assume instead of re-deriving
+        on every ACK (DESIGN.md, "TCP endpoint: recovery cost")."""
+        una = sender.snd_una
+        nxt = sender.snd_nxt
+        sacked = sender._sacked
+        lost = sender._lost_set
+        retx = sender._retx_out
+
+        def ensure(ok: bool, describe: Any) -> None:
+            # The details are formatted on failure only: sorting a window's
+            # worth of seqs per ACK would dominate a validated run.
+            self.checks += 1
+            if not ok:
+                self._fail(f"{name}: {describe()}")
+
+        ensure(
+            sacked.isdisjoint(lost)
+            and sacked.isdisjoint(retx)
+            and lost.isdisjoint(retx),
+            lambda: "scoreboard sets overlap (sacked&lost="
+            f"{sorted(sacked & lost)}, sacked&retx="
+            f"{sorted(sacked & retx.keys())}, lost&retx="
+            f"{sorted(lost & retx.keys())})",
+        )
+        for label, seqs in (("sacked", sacked), ("lost", lost), ("retx", retx)):
+            ensure(
+                not seqs or (una <= min(seqs) and max(seqs) < nxt),
+                lambda: f"{label} seqs outside [snd_una={una}, "
+                f"snd_nxt={nxt}): {sorted(seqs)}",
+            )
+        ensure(
+            sender._fack <= nxt,
+            lambda: f"fack {sender._fack} above snd_nxt={nxt}",
+        )
+        times = list(retx.values())
+        ensure(
+            all(a <= b for a, b in zip(times, times[1:])),
+            lambda: f"_retx_out not in retransmit-time order: {retx!r}",
+        )
+        ensure(
+            lost.issubset(sender._lost_heap),
+            lambda: "lost seqs missing from the retransmit heap: "
+            f"{sorted(lost.difference(sender._lost_heap))}",
+        )
+        starts = sender._sack_starts
+        ends = sender._sack_ends
+        ensure(
+            len(starts) == len(ends)
+            and all(s < e for s, e in zip(starts, ends))
+            and all(e < s for e, s in zip(ends, starts[1:]))
+            and (not ends or ends[0] > una),
+            lambda: "SACK runs not sorted, non-adjacent and above "
+            f"snd_una={una}: {list(zip(starts, ends))}",
+        )
+        covered: set[int] = set()
+        for start, end in zip(starts, ends):
+            covered.update(range(max(start, una), end))
+        ensure(
+            covered == sacked,
+            lambda: f"SACK runs and _sacked disagree from snd_una={una}: "
+            f"runs only {sorted(covered - sacked)}, "
+            f"set only {sorted(sacked - covered)}",
+        )
 
     # ------------------------------------------------------------------
     # Middlebox checks
