@@ -1,10 +1,11 @@
 """Figure 5: CPU cycles spent per packet by each scheme (§6.2).
 
 The paper measures DPDK cycles; we report the operation-level cost model
-(see :mod:`repro.limiters.costs`) accumulated over a §6.1-style run, and
-the reproduction's benchmark suite cross-checks the ranking with real
-wall-clock microbenchmarks of each limiter's hot path
-(``benchmarks/bench_fig5_efficiency.py``).
+(see :mod:`repro.limiters.costs`) accumulated over a §6.1-style run.
+Python host cost is not a stand-in for it: the shaper's deque operations
+run in C while the phantom drain arithmetic runs in bytecode, whereas on
+the paper's DPDK middlebox the shaper's costs are DRAM round-trips and
+timer interrupts.
 
 Expected shape: shaper >> fairpolicer > bcpqp ~ pqp > policer, with the
 shaper 5-7x BC-PQP and BC-PQP within ~2x of the plain policer.

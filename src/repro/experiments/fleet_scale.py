@@ -123,8 +123,7 @@ def _report(result: FleetResult) -> None:
 
 
 def as_json(result: FleetResult) -> dict:
-    """JSON-ready fleet summary (what ``--json`` and the benchmark
-    harness emit)."""
+    """JSON-ready fleet summary (what ``--json`` emits)."""
     m = result.metrics
     return {
         "aggregates": m.aggregates,

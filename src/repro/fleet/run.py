@@ -1,7 +1,7 @@
 """Fleet driver: fan shards over workers, merge their summaries.
 
-:func:`run_fleet` is the one-call entry the experiments CLI, the
-benchmarks and the fuzzer's shard tier share: build the shard configs,
+:func:`run_fleet` is the one-call entry the experiments CLI and the
+fuzzer's shard tier share: build the shard configs,
 run them through the sweep runner (serial, plain pool, or the supervised
 pool for crash isolation / journaled resume), and merge the columnar
 summaries into one :class:`~repro.metrics.merge.FleetMetrics`.
@@ -52,9 +52,8 @@ class FleetResult:
     def us_per_packet(self) -> float:
         """Summed shard run time over limiter-arrived packets, in us.
 
-        The fleet-scale analogue of the scaling benchmark's
-        seconds/packet: what one enforced packet costs in CPU time,
-        regardless of how many workers the shards were spread over.
+        What one enforced packet costs in CPU time, regardless of how
+        many workers the shards were spread over.
         """
         arrived = self.metrics.arrived_packets
         if arrived == 0:

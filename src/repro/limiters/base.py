@@ -97,7 +97,6 @@ class RateLimiter:
         if commit is None:
             return
         commit()
-        self._sim.reconfigurations += 1
 
     def _stage_update(self, update: PolicyUpdate) -> Callable[[], None] | None:
         """Validate ``update``; return the commit thunk (``None`` = no-op).

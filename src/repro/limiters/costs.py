@@ -16,9 +16,6 @@ emerges from each limiter's operation mix rather than being asserted:
   on dequeue (DRAM class once the working set outgrows the LLC — the
   pointer-chasing cost §2.1 describes), and pays for a dequeue timer event.
 
-Real wall-clock microbenchmarks of the same hot paths (pytest-benchmark,
-``benchmarks/bench_fig5_efficiency.py``) cross-check the modeled ranking.
-
 The modeled counts are pinned to the *paper's* per-packet operations, not
 to the simulator's Python work.  Charges are driven by mechanism-level
 quantities (``drain_recomputes`` = fluid linear pieces / phantom DRR

@@ -6,7 +6,7 @@ from repro.metrics.merge import (
     ShardSummary,
     merge_shard_summaries,
 )
-from repro.metrics.series import TimeSeries, WindowedRate
+from repro.metrics.series import TimeSeries
 from repro.metrics.stats import cdf_points, mean, percentile
 from repro.metrics.throughput import (
     aggregate_throughput_series,
@@ -21,7 +21,6 @@ __all__ = [
     "FleetMetrics",
     "ShardSummary",
     "TimeSeries",
-    "WindowedRate",
     "aggregate_throughput_series",
     "bin_layout",
     "burst_factor",

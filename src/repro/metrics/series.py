@@ -44,44 +44,3 @@ class TimeSeries:
             return 0.0
         return sum(self.values) / len(self.values)
 
-
-class WindowedRate:
-    """Online accumulator binning byte arrivals into fixed windows.
-
-    Emits a rate sample (bytes/sec) per elapsed window; used when traces
-    would be too large to keep (long workload runs).
-    """
-
-    def __init__(self, window: float, start: float = 0.0) -> None:
-        if window <= 0:
-            raise ValueError(f"window must be positive, got {window!r}")
-        self._window = window
-        self._start = start
-        self._current_bin = 0
-        self._acc = 0.0
-        self.series = TimeSeries()
-
-    @property
-    def window(self) -> float:
-        """Window length in seconds."""
-        return self._window
-
-    def record(self, time: float, nbytes: float) -> None:
-        """Account ``nbytes`` arriving at ``time`` (non-decreasing)."""
-        bin_index = int((time - self._start) / self._window)
-        while bin_index > self._current_bin:
-            self._flush_bin()
-        self._acc += nbytes
-
-    def finish(self, end_time: float) -> "TimeSeries":
-        """Flush bins up to ``end_time`` and return the rate series."""
-        final_bin = int((end_time - self._start) / self._window)
-        while self._current_bin < final_bin:
-            self._flush_bin()
-        return self.series
-
-    def _flush_bin(self) -> None:
-        t = self._start + self._current_bin * self._window
-        self.series.append(t, self._acc / self._window)
-        self._acc = 0.0
-        self._current_bin += 1

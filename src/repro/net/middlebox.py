@@ -12,15 +12,15 @@ class Middlebox:
 
     Mirrors the paper's DPDK middlebox: each arriving packet is matched to
     its aggregate (e.g. subscriber) and handed to that aggregate's limiter.
-    Packets of unknown aggregates are forwarded unmodified (the testbed
-    only polices configured subscribers).
+    A packet of an aggregate no limiter was registered for goes nowhere:
+    it is counted in ``unmatched_packets`` and dropped (the testbed only
+    carries configured subscribers).
     """
 
     def __init__(self, sim: Simulator, *, name: str = "middlebox") -> None:
         self._sim = sim
         self.name = name
         self._limiters: dict[int, RateLimiter] = {}
-        self._default = None
         self.unmatched_packets = 0
         validator = getattr(sim, "validator", None)
         if validator is not None:

@@ -159,7 +159,7 @@ class SweepError(RuntimeError):
 
 
 #: Process-wide fault accounting, accumulated across every supervised
-#: sweep in this session (surfaced by ``benchmarks/report.py``).
+#: sweep in this session (surfaced by ``python -m repro.experiments``).
 _SESSION = SweepStats()
 
 

@@ -43,8 +43,8 @@ class Simulator:
     *live* events, :attr:`cancelled_backlog` /
     :attr:`cancelled_backlog_hwm` track lazily-deleted tuples still
     sinking through the heap, and :attr:`heap_pushes` /
-    :attr:`peak_heap_size` feed the event-engine benchmark section
-    (``BENCH_eventloop.json``).
+    :attr:`peak_heap_size` are what the event-engine gates compare with
+    the old engine's (``tests/test_scaling_smoke.py``).
 
     Example
     -------
@@ -103,11 +103,6 @@ class Simulator:
         # soft-timer wakes).  Exactly one heap entry references a pooled
         # handle at any time, so recycling at pop is sound.
         self._handle_pool: list[EventHandle] = []
-        #: Committed live-reconfiguration count (policy-churn telemetry,
-        #: maintained by ``RateLimiter.apply_update``): how many non-noop
-        #: updates every limiter on this simulator has committed.  Feeds
-        #: the churn benchmark's plan-changes-applied/sec floor.
-        self.reconfigurations = 0
         #: Optional :class:`repro.validate.InvariantChecker`.  Components
         #: (limiters, senders, middleboxes) self-register with it at
         #: construction; when ``None`` (the default) nothing is wrapped

@@ -14,16 +14,13 @@ one NewReno flow under i.i.d. loss is held to the Mathis curve.
 """
 
 import heapq
-import inspect
 import math
-import sys
 from collections import Counter
 from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cc import endpoint
 from repro.cc.base import AckSample, CongestionControl
 from repro.cc.bbr import Bbr
 from repro.cc.endpoint import FlowDemux, TcpReceiver, TcpSender
@@ -34,6 +31,8 @@ from repro.net.pipe import Pipe
 from repro.net.sink import CallbackSink
 from repro.sim.simulator import Simulator
 from repro.validate import InvariantChecker, InvariantViolation
+
+from tests._steps import counting
 
 FLOW = FlowId(0, 0)
 
@@ -830,36 +829,12 @@ class TestReceiverOracle:
 
 
 def _steps_per_entry(cls, entry, run):
-    """Python ``line`` events executed inside ``cls``'s source (lambdas and
-    comprehensions included) while ``run()`` runs, per call of ``entry``."""
-    source, first = inspect.getsourcelines(cls)
-    span = range(first, first + len(source))
-    entry_code = entry.__code__
-    lines = entries = 0
-
-    def count(frame, event, arg):
-        nonlocal lines
-        if event == "line":
-            lines += 1
-        return count
-
-    def tracer(frame, event, arg):
-        nonlocal entries
-        code = frame.f_code
-        if code.co_filename != endpoint.__file__:
-            return None
-        if code is entry_code:
-            entries += 1
-        return count if code.co_firstlineno in span else None
-
-    previous = sys.gettrace()
-    sys.settrace(tracer)
-    try:
+    """Lines executed inside ``cls``'s source while ``run()`` runs, per
+    call of ``entry``."""
+    with counting(inside=cls, entry=entry) as steps:
         run()
-    finally:
-        sys.settrace(previous)
-    assert entries >= 100
-    return lines / entries
+    assert steps.entries >= 100
+    return steps.lines / steps.entries
 
 
 #: Past the first flight: its ACKs echo a zero timestamp, and without an

@@ -1,7 +1,7 @@
 """Smoke tests for the experiment harness: every figure module runs at a
 tiny scale and produces structurally sane results.  (The figure *shapes*
-are asserted by the benchmark suite; these tests catch harness breakage
-quickly.)"""
+are asserted in ``test_figure_shapes.py``; these tests catch harness
+breakage quickly.)"""
 
 import pytest
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from repro.metrics.fairness import jain_index, weighted_jain_index
-from repro.metrics.series import TimeSeries, WindowedRate
+from repro.metrics.series import TimeSeries
 from repro.metrics.stats import cdf_points, mean, percentile, summarize
 from repro.metrics.throughput import (
     aggregate_throughput_series,
@@ -148,20 +148,6 @@ class TestTimeSeries:
         ts = TimeSeries()
         assert ts.max() == 0.0
         assert ts.mean() == 0.0
-
-
-class TestWindowedRate:
-    def test_bins_bytes_into_rates(self):
-        wr = WindowedRate(1.0)
-        wr.record(0.2, 500)
-        wr.record(0.7, 500)
-        wr.record(1.5, 2000)
-        series = wr.finish(3.0)
-        assert series.values == [1000.0, 2000.0, 0.0]
-
-    def test_invalid_window(self):
-        with pytest.raises(ValueError):
-            WindowedRate(0.0)
 
 
 def rec(t, slot=0, size=1500, incarnation=0):

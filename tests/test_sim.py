@@ -140,6 +140,7 @@ class TestCancellation:
         handle.cancel()
         sim.run()
         assert fired == []
+        assert sim.events_processed == 0
 
     def test_cancel_via_simulator_none_safe(self):
         sim = Simulator()
