@@ -53,7 +53,7 @@ class UpdateRejected(ChurnError):
     """A :class:`PolicyUpdate` failed validation.
 
     Raised *before* any mutation: the limiter's state — counters, lazy
-    drain clocks, memo caches, everything — is byte-identical to before
+    drain clocks, everything — is byte-identical to before
     the ``apply_update`` call, so reject-then-retry equals retry alone.
     """
 

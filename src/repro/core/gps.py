@@ -1,11 +1,15 @@
 """Virtual-time GPS service process for phantom queues.
 
-The reference fluid drain (``service="fluid-ref"``) advances the phantom
-counters piecewise: recompute every queue's share, scan every queue for
-the piece boundary, subtract every queue's drain — O(N) Python work per
-arrival even when the occupied set never changes.  This module is the
-replacement (``service="fluid"``): the classic WFQ/GPS *virtual time*
-construction, applied per policy-tree node.
+Read as its definition, the fluid drain advances the phantom counters
+piecewise: recompute every queue's share, scan every queue for the piece
+boundary, subtract every queue's drain — O(N) Python work per arrival
+even when the occupied set never changes.  That loop is kept as the
+fuzzer's oracle (``service="fluid-ref"``,
+:mod:`repro.validate.reference`); this module is what production runs
+(``service="fluid"``): the classic WFQ/GPS *virtual time* construction,
+applied per policy-tree node.  :class:`VirtualTimeGps`'s public methods
+are also the engine interface :class:`repro.core.phantom.PhantomQueueSet`
+drives, which the other two engines implement.
 
 Core idea
 ---------

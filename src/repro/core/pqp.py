@@ -36,11 +36,12 @@ class PQP(RateLimiter):
         queue or a per-queue list.  §3.5: must be at least the Reno
         requirement ``BDP^2/18 x MSS`` for correct steady-state rates.
     service:
-        Phantom service discipline: ``"fluid"`` (GPS idealization via the
-        virtual-time engine, the default), ``"fluid-ref"`` (the reference
-        piecewise loop, byte-equivalent up to float rounding) or
-        ``"quantum"`` (batched DRR dequeues, the paper's literal
-        mechanism) — see :class:`~repro.core.phantom.PhantomQueueSet`.
+        Phantom drain engine: ``"fluid"`` (GPS idealization via the
+        virtual-time engine, the default), ``"quantum"`` (batched DRR
+        dequeues, the paper's literal mechanism) or ``"fluid-ref"`` (the
+        reference piecewise loop from :mod:`repro.validate.reference`,
+        decision-equivalent to ``fluid``) — see
+        :class:`~repro.core.phantom.PhantomQueueSet`.
     ecn_mark_fraction:
         Optional AQM extension (§3.3 permits arrival-time AQM on phantom
         queues): ECN-capable packets accepted while the queue occupancy

@@ -3,19 +3,16 @@
 Figure grids are expressed as lists of picklable
 :class:`~repro.runner.AggregateConfig` cells and submitted through
 :func:`run_aggregates`, which fans out over the process-pool sweep runner
-(``jobs > 1``) or falls back to bit-for-bit serial execution.  The
-original in-process :func:`run_aggregate` entry point is kept for tests,
-examples and one-off cells that want the live limiter/scenario objects.
+(``jobs > 1``) or falls back to bit-for-bit serial execution.  A single
+cell is :func:`~repro.runner.simulate_aggregate` on one config.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Sequence, TypeVar
 
-from repro.limiters.base import RateLimiter
-from repro.policy.tree import Policy
 from repro.runner import (
     MEASUREMENT_WINDOW,
     AggregateConfig,
@@ -25,13 +22,9 @@ from repro.runner import (
     run_tasks,
     simulate_aggregate,
 )
-from repro.runner.aggregate import build_scenario, measure
 from repro.runner.journal import grid_hash
 from repro.runner.pool import _task_name
-from repro.scenario import AggregateScenario, BottleneckSpec
-from repro.sim.simulator import Simulator
 from repro.units import to_mbps
-from repro.workload.spec import FlowSpec
 
 C = TypeVar("C")
 R = TypeVar("R")
@@ -40,12 +33,10 @@ __all__ = [
     "MEASUREMENT_WINDOW",
     "AggregateConfig",
     "AggregateOutcome",
-    "AggregateResult",
     "ExecutionOptions",
     "ResultCache",
     "fmt_mbps",
     "print_table",
-    "run_aggregate",
     "run_aggregates",
     "run_cells",
     "set_execution",
@@ -148,54 +139,6 @@ def run_cells(
         task_timeout=options.task_timeout,
         journal=journal,
         fail_fast=options.fail_fast,
-    )
-
-
-@dataclass
-class AggregateResult(AggregateOutcome):
-    """An :class:`~repro.runner.AggregateOutcome` that also exposes the live
-    limiter and scenario (serial in-process runs only)."""
-
-    limiter: RateLimiter = field(default=None, repr=False)  # type: ignore[assignment]
-    scenario: AggregateScenario = field(default=None, repr=False)  # type: ignore[assignment]
-
-
-def run_aggregate(
-    scheme: str,
-    specs: Sequence[FlowSpec],
-    *,
-    rate: float,
-    max_rtt: float,
-    horizon: float,
-    warmup: float,
-    seed: int = 1,
-    bottleneck: BottleneckSpec | None = None,
-    weights: list[float] | None = None,
-    policy: Policy | None = None,
-    queue_bytes: float | None = None,
-    batch: int | None = None,
-) -> AggregateResult:
-    """Simulate one aggregate under ``scheme`` and measure it (in-process)."""
-    config = AggregateConfig(
-        scheme=scheme,
-        specs=tuple(specs),
-        rate=rate,
-        max_rtt=max_rtt,
-        horizon=horizon,
-        warmup=warmup,
-        seed=seed,
-        bottleneck=bottleneck,
-        weights=tuple(weights) if weights else None,
-        policy=policy,
-        queue_bytes=queue_bytes,
-        batch=batch,
-    )
-    sim = Simulator(batch_limit=config.batch)
-    limiter, scenario = build_scenario(config, sim)
-    scenario.run()
-    outcome = measure(config, limiter, scenario)
-    return AggregateResult(
-        **outcome.__dict__, limiter=limiter, scenario=scenario
     )
 
 

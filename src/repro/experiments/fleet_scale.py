@@ -27,6 +27,7 @@ from repro.experiments import common
 from repro.experiments.common import ResultCache, print_table
 from repro.fleet import FleetResult, FleetSpec, run_fleet
 from repro.runner.journal import SweepJournal, grid_hash
+from repro.schemes import SCHEMES
 
 __all__ = ["Config", "main", "run"]
 
@@ -170,7 +171,7 @@ def _cli(argv: list[str] | None = None) -> None:
     )
     parser.add_argument("--aggregates", "-n", type=int, default=2000)
     parser.add_argument("--shards", "-k", type=int, default=4)
-    parser.add_argument("--scheme", default="bcpqp")
+    parser.add_argument("--scheme", default="bcpqp", choices=SCHEMES)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--horizon", type=float, default=1.2)
     parser.add_argument("--warmup", type=float, default=0.2)

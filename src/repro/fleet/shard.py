@@ -43,9 +43,8 @@ _OPS = tuple(Op)
 def _interned_policy(plan: AggregatePlan, cache: dict) -> Policy:
     """One compiled policy tree per distinct plan shape.
 
-    Safe to share: the tree is immutable after compilation and its share
-    memo is a pure function of (active set, rate), so co-hosted limiters
-    reading through one instance stay byte-identical to private copies.
+    Safe to share: the tree is immutable, so co-hosted limiters reading
+    through one instance stay byte-identical to private copies.
     """
     key = plan.policy_key()
     policy = cache.get(key)

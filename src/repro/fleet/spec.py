@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from repro.churn import ChurnPlan, draw_plan
 from repro.net.impair import ImpairmentSpec
 from repro.runner.cache import fleet_fingerprint
+from repro.schemes import check_scheme
 from repro.sim.rng import RngFactory
 from repro.units import mbps
 from repro.workload.spec import FlowSpec
@@ -93,6 +94,7 @@ class FleetSpec:
     churn_actions: int = 0
 
     def __post_init__(self) -> None:
+        check_scheme(self.scheme, self.phantom_service)
         if self.aggregates < 1:
             raise ValueError("aggregates must be >= 1")
         if self.churn_actions < 0:
@@ -137,8 +139,7 @@ class AggregatePlan:
 
     def policy_key(self) -> tuple:
         """Interning key: plans with equal keys share one compiled
-        :class:`~repro.policy.tree.Policy` (the tree is immutable and its
-        share memo is a pure function of (active set, rate))."""
+        :class:`~repro.policy.tree.Policy` (the tree is immutable)."""
         return (self.policy_kind, self.num_flows, self.weights)
 
 

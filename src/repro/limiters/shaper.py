@@ -184,8 +184,6 @@ class Shaper(RateLimiter):
             if capacity is not None:
                 self._capacity = capacity
             if policy is not None:
-                if policy is self._policy:
-                    policy.invalidate()
                 self._policy = policy
                 # Migrate backlogs by index; removed queues drop whole.
                 for qi in range(n_new, n_cur):

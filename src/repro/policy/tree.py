@@ -59,7 +59,7 @@ class _CompiledNode:
 
 
 class Policy:
-    """A validated policy tree over queues ``0..num_queues-1``.
+    """A validated, immutable policy tree over queues ``0..num_queues-1``.
 
     Semantics at every internal node, mirroring how a policy-rich shaper
     serves real queues (§3.2):
@@ -76,12 +76,6 @@ class Policy:
     and exactly the ``r*_i`` estimate BC-PQP's burst control needs.
     """
 
-    #: Share vectors are memoized per (active-set bitmask, rate); the memo
-    #: is cleared once it holds this many floats, so the entry cap shrinks
-    #: as the vectors grow (256 entries at N=256, 6 at N=10^4) and an
-    #: interned policy never pins more than ~0.5 MB of share vectors.
-    _SHARE_CACHE_FLOATS = 1 << 16
-
     def __init__(self, root: Node) -> None:
         self._root = self._compile(root)
         queues = sorted(self._root.leaves)
@@ -91,12 +85,6 @@ class Policy:
                 f"got {queues}"
             )
         self._num_queues = len(queues)
-        #: Tree-version counter baked into every memo-cache key: bumped by
-        #: :meth:`invalidate`, so share vectors computed against an old
-        #: tree can never be served after an edit, even if a stale entry
-        #: somehow survived the accompanying cache clear.
-        self._version = 0
-        self._share_cache: dict[tuple[int, int, float], tuple[float, ...]] = {}
 
     @classmethod
     def _compile(cls, node: Node) -> _CompiledNode:
@@ -114,49 +102,10 @@ class Policy:
             node=node, leaves=tuple(leaves), leaf_mask=mask, children=children
         )
 
-    def __getstate__(self) -> dict:
-        # The memo cache is derived state; keep pickles (sweep-runner
-        # configs cross process boundaries) small and deterministic.
-        state = dict(self.__dict__)
-        state["_share_cache"] = {}
-        return state
-
     @property
     def root(self) -> Node:
         """The root node of the (immutable) tree."""
         return self._root.node
-
-    @property
-    def version(self) -> int:
-        """Tree-version counter; bumped by every :meth:`invalidate`."""
-        return self._version
-
-    def invalidate(self, root: Node | None = None) -> None:
-        """Drop all memoized share state (optionally rebinding the tree).
-
-        Every mutation of the tree — live policy churn replacing nodes,
-        weights or priorities — must go through here: the version counter
-        is part of every ``_share_cache`` key, so a share vector computed
-        against the old tree can never be served again.
-
-        With ``root`` given, the policy is atomically rebound to the new
-        tree (validated first; on rejection the policy is untouched).
-        Policies interned across limiters (``fleet/shard.py``) must never
-        be edited in place — churn swaps whole :class:`Policy` objects
-        there.
-        """
-        if root is not None:
-            compiled = self._compile(root)
-            queues = sorted(compiled.leaves)
-            if queues != list(range(len(queues))):
-                raise ValueError(
-                    "policy leaves must cover queue indices 0..N-1 exactly "
-                    f"once, got {queues}"
-                )
-            self._root = compiled
-            self._num_queues = len(queues)
-        self._version += 1
-        self._share_cache.clear()
 
     @property
     def num_queues(self) -> int:
@@ -196,19 +145,20 @@ class Policy:
         conservation); inactive queues get 0.  If nothing is active, all
         rates are 0.
 
-        Results are memoized per ``(mask, rate)``: the tree is only walked
-        when the occupied set actually changes, which is what keeps the
-        phantom drain's share lookups O(1) between active-set transitions.
+        The tree is walked on every call: this is the written
+        specification of the shares (the production engine answers
+        ``r*_i`` itself, :meth:`repro.core.gps.VirtualTimeGps.rate_of`),
+        read only by the two O(N) reference disciplines and the checker.
         """
-        return list(self._rates_for(self._active_mask(active), rate))
+        return self._rates_for(self._active_mask(active), rate)
 
     def fluid_rate_of(
         self, queue: int, active: Sequence[bool] | int, rate: float
     ) -> float:
-        """Single-queue GPS rate — same memoized vector, no list built.
+        """Single-queue GPS rate: entry ``queue`` of :meth:`fluid_rates`.
 
-        The ``fluid-ref``/``quantum`` disciplines read BC-PQP's ``r*_i``
-        here; ``fluid`` reads it off the virtual-time engine
+        The ``quantum`` and ``fluid-ref`` disciplines read BC-PQP's
+        ``r*_i`` here; ``fluid`` reads it off the virtual-time engine
         (:meth:`repro.core.gps.VirtualTimeGps.rate_of`), for which this
         is the independent oracle.
         """
@@ -216,20 +166,12 @@ class Policy:
             raise ValueError(f"queue {queue} out of range 0..{self._num_queues - 1}")
         return self._rates_for(self._active_mask(active), rate)[queue]
 
-    def _rates_for(self, mask: int, rate: float) -> tuple[float, ...]:
-        """Memoized rate vector for an active-set bitmask."""
-        key = (self._version, mask, rate)
-        cached = self._share_cache.get(key)
-        if cached is not None:
-            return cached
+    def _rates_for(self, mask: int, rate: float) -> list[float]:
+        """Rate vector for an active-set bitmask: one walk of the tree."""
         rates = [0.0] * self._num_queues
         if rate > 0 and mask:
             self._assign(self._root, rate, mask, rates)
-        if len(self._share_cache) * self._num_queues >= self._SHARE_CACHE_FLOATS:
-            self._share_cache.clear()
-        result = tuple(rates)
-        self._share_cache[key] = result
-        return result
+        return rates
 
     def _assign(
         self,

@@ -24,7 +24,7 @@ from repro.metrics.throughput import (
 from repro.policy.tree import Policy
 from repro.runner.cache import scheme_fingerprint
 from repro.scenario import AggregateScenario, BottleneckSpec, FlowRecord
-from repro.schemes import make_limiter
+from repro.schemes import check_scheme, make_limiter
 from repro.sim.simulator import Simulator
 from repro.workload.spec import FlowSpec
 
@@ -53,8 +53,8 @@ class AggregateConfig:
     policy: Policy | None = None
     queue_bytes: float | None = None
     window: float = MEASUREMENT_WINDOW
-    #: Phantom service discipline for pqp/bcpqp ("fluid", "fluid-ref",
-    #: "quantum"); ignored by other schemes.
+    #: Phantom drain engine for pqp/bcpqp (``PhantomQueueSet.SERVICES``);
+    #: ignored by other schemes.
     phantom_service: str = "fluid"
     #: Attach the runtime invariant checker to the run.  Outcomes are
     #: byte-identical either way (the checker is a pure observer), but
@@ -80,6 +80,7 @@ class AggregateConfig:
     churn: ChurnPlan | None = None
 
     def __post_init__(self) -> None:
+        check_scheme(self.scheme, self.phantom_service)
         # Tolerate list inputs (call sites build grids with lists) while
         # keeping the stored config hashable/immutable.
         if not isinstance(self.specs, tuple):
@@ -100,8 +101,7 @@ class AggregateConfig:
 class AggregateOutcome:
     """Everything measured from one aggregate under one scheme.
 
-    Unlike the in-process :class:`~repro.experiments.common.AggregateResult`
-    it does not hold the limiter or scenario objects, so it pickles cleanly;
+    It does not hold the limiter or scenario objects, so it pickles cleanly;
     the few cross-object measurements figures need (flow completion records,
     secondary-bottleneck drops) are extracted eagerly.
     """

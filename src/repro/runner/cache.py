@@ -57,6 +57,15 @@ _SHARED_SOURCES: tuple[str, ...] = (
     "runner/aggregate.py",
 )
 
+#: The phantom set and every drain engine ``phantom_service`` can select.
+_PHANTOM_SOURCES: tuple[str, ...] = (
+    "core/phantom.py",
+    "core/gps.py",
+    "core/quantum.py",
+    "validate/reference.py",
+    "core/sizing.py",
+)
+
 #: Additional per-scheme sources (relative to the ``repro`` package root).
 _SCHEME_SOURCES: dict[str, tuple[str, ...]] = {
     "shaper": ("limiters/shaper.py",),
@@ -64,14 +73,8 @@ _SCHEME_SOURCES: dict[str, tuple[str, ...]] = {
     "policer": ("limiters/token_bucket.py",),
     "policer+": ("limiters/token_bucket.py",),
     "fairpolicer": ("limiters/fair_policer.py",),
-    "pqp": ("core/pqp.py", "core/phantom.py", "core/gps.py", "core/sizing.py"),
-    "bcpqp": (
-        "core/bcpqp.py",
-        "core/pqp.py",
-        "core/phantom.py",
-        "core/gps.py",
-        "core/sizing.py",
-    ),
+    "pqp": ("core/pqp.py",) + _PHANTOM_SOURCES,
+    "bcpqp": ("core/bcpqp.py", "core/pqp.py") + _PHANTOM_SOURCES,
 }
 
 

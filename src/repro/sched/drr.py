@@ -38,7 +38,8 @@ proportional to the number of queues:
     ``deactivate`` therefore only parks the child on its parent's
     ``idled`` list.
 
-* :class:`ActiveSetDrr` — the phantom ``quantum`` drain's scheduler.  It
+* :class:`ActiveSetDrr` — the phantom ``quantum`` drain's scheduler
+  (:class:`repro.core.quantum.QuantumDrain`).  It
   zeroes deficits eagerly and keeps winner lists in swap-pop order (same
   members, different rotation), and the loosely pinned ``quantum`` drain
   outcomes depend on exactly that order — which is why the two classes
@@ -49,7 +50,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from operator import attrgetter
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from repro.policy.tree import Leaf, Node, Policy
 from repro.units import MSS
@@ -348,18 +349,6 @@ class ActiveSetDrr:
     def any_active(self) -> bool:
         """Whether any queue is currently occupied, O(1)."""
         return self._root.active
-
-    def reseed(self, occupied: Iterable[int]) -> None:
-        """Activate ``occupied`` queues on a freshly built scheduler.
-
-        Live policy churn rebuilds the scheduler against the new tree
-        and reseeds it with the surviving occupancy — active entries for
-        removed queues (and any stale deficit/cursor state) are pruned
-        by construction, since none of the old scheduler's state is
-        carried over.
-        """
-        for queue in occupied:
-            self.activate(queue)
 
     def activate(self, queue: int) -> None:
         """Report that ``queue`` went from empty to occupied."""

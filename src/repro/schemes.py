@@ -20,6 +20,7 @@ from repro.classify.classifier import (
     SlotClassifier,
 )
 from repro.core.bcpqp import BCPQP
+from repro.core.phantom import PhantomQueueSet
 from repro.core.pqp import PQP
 from repro.core.sizing import (
     bcpqp_default_buffer,
@@ -45,6 +46,24 @@ SCHEMES = (
     "pqp",
     "bcpqp",
 )
+
+
+def check_scheme(scheme: str, phantom_service: str) -> None:
+    """Reject a ``scheme`` / ``phantom_service`` pair no limiter exists
+    for, naming the field, the value and the legal set.
+
+    The config dataclasses call this at construction, so a misspelt cell
+    fails where it is written - before any plan, recorder or worker
+    process is built - rather than from :func:`make_limiter` inside one.
+    """
+    if scheme not in SCHEMES:
+        raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
+    if phantom_service not in PhantomQueueSet.SERVICES:
+        raise ValueError(
+            f"phantom_service must be one of {PhantomQueueSet.SERVICES}, "
+            f"got {phantom_service!r}"
+        )
+
 
 #: Minimum practical bucket/queue so tiny BDPs still pass single packets.
 _MIN_BUCKET = 2 * MSS
@@ -72,12 +91,12 @@ def make_limiter(
     ``policy`` defaults to per-flow fairness over ``num_queues`` (or
     weighted fairness when ``weights`` is given).  ``queue_bytes``
     overrides the paper's default sizing when provided.
-    ``phantom_service`` selects the pqp/bcpqp drain discipline
-    (``"fluid"``, ``"fluid-ref"`` or ``"quantum"``); other schemes
+    ``phantom_service`` selects the pqp/bcpqp drain engine (one of
+    :attr:`PhantomQueueSet.SERVICES
+    <repro.core.phantom.PhantomQueueSet.SERVICES>`); other schemes
     ignore it.
     """
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
+    check_scheme(scheme, phantom_service)
     if rate <= 0:
         raise ValueError(f"rate must be positive, got {rate!r}")
     if max_rtt <= 0:

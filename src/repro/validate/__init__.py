@@ -10,7 +10,9 @@ literally zero per-packet overhead.
 ``python -m repro.validate --fuzz N --seed S`` runs the cross-engine
 differential fuzzer: seeded random scenarios executed under the phantom
 schemes x {fluid, fluid-ref, quantum} service disciplines, diffing drop
-decisions, drained bytes, magic fills/reclaims and goodput.
+decisions, drained bytes, magic fills/reclaims and goodput.  The
+``fluid-ref`` engine it holds production to lives here too
+(:mod:`repro.validate.reference`), loaded only when a run asks for it.
 """
 
 from repro.validate.checker import InvariantChecker, InvariantViolation

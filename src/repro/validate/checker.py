@@ -39,8 +39,7 @@ Enforced invariants (paper anchors in parentheses):
   capacities immediately after a commit (the seam check runs inside the
   wrapped ``reconfigure``), GPS virtual-time baselines are re-seeded
   across engine rebuilds, no phantom event ever targets a queue outside
-  the current queue count (removed-queue events never fire), the
-  policy's share cache holds no key from a stale tree version, and
+  the current queue count (removed-queue events never fire), and
   BC-PQP's window arrays are re-sized and freshly started at the seam;
 * ``drained_bytes`` / ``drain_recomputes`` monotone non-decreasing and
   GPS virtual times monotone per (node, priority) group (§3.2 fluid
@@ -603,19 +602,6 @@ class InvariantChecker:
         state["prev_epoch"] = queues.epoch
         state["prev_recomputes"] = queues.drain_recomputes
 
-        # No stale-mask cache hits: every memo key must carry the live
-        # tree version (``Policy.invalidate`` bumps it and clears the
-        # cache; a key from an older version means some path computed
-        # shares against a replaced tree).
-        policy = queues.policy
-        version = policy.version
-        stale = [k for k in policy._share_cache if k[0] != version]
-        self._ensure(
-            not stale,
-            f"{name}: stale policy memo keys {stale[:4]!r} survive at "
-            f"tree version {version} (cache not invalidated)",
-        )
-
         if engine_shares:
             # Work conservation over the engine-read shares, and the
             # touched queue's read against the independent oracle.
@@ -629,7 +615,7 @@ class InvariantChecker:
             if packet is not None:
                 qi = limiter._classifier.queue_of(packet.flow)
                 engine = queues.fluid_rate_of(qi)
-                oracle = policy.fluid_rate_of(qi, mask, queues.rate)
+                oracle = queues.policy.fluid_rate_of(qi, mask, queues.rate)
                 self._ensure(
                     engine == oracle,
                     f"{name}: queue {qi} engine rate {engine!r} != policy "

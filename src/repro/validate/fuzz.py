@@ -9,8 +9,9 @@ fluid-ref, quantum}), plus one rotating baseline scheme, all with the
 Two comparison tiers:
 
 * **strict** — ``fluid`` vs ``fluid-ref`` are the same GPS process
-  computed two ways (the optimized virtual-time engine vs the reference
-  piecewise loop), so every *decision* must agree exactly: forwarded /
+  computed two ways (the virtual-time engine production runs vs the
+  piecewise loop in :mod:`repro.validate.reference`, which shares no
+  code with it), so every *decision* must agree exactly: forwarded /
   dropped packet and byte counts, per-queue drop maps, magic fills and
   reclaims, goodput.  Only ``drained_bytes`` (a pure float accumulator)
   gets a rounding tolerance.

@@ -13,9 +13,7 @@ rests on:
   the run that never saw the invalid update;
 * byte conservation holds across every epoch seam (the invariant
   checker runs in fail-fast mode under drawn churn plans: phantom
-  ledgers, occupancy clamps, window migration, stale-memo checks);
-* :meth:`Policy.invalidate` bumps the tree version baked into the share
-  memo keys, so a stale active-set mask can never survive a tree edit.
+  ledgers, occupancy clamps, window migration).
 """
 
 from __future__ import annotations
@@ -37,7 +35,7 @@ from repro.churn import (
 from repro.core.phantom import PhantomQueueSet
 from repro.net.packet import FlowId, Packet
 from repro.net.sink import NullSink
-from repro.policy.tree import ClassNode, Leaf, Policy
+from repro.policy.tree import Policy
 from repro.runner.aggregate import AggregateConfig, simulate_aggregate
 from repro.schemes import make_limiter
 from repro.sim.simulator import Simulator
@@ -155,7 +153,6 @@ def test_rejected_update_leaves_state_untouched():
         queues.epoch,
         queues.evicted_bytes,
         [queues.peek_length(q) for q in range(queues.num_queues)],
-        queues.policy.version,
         queues.rate,
     )
     with pytest.raises(UpdateRejected, match="update rejected"):
@@ -164,7 +161,6 @@ def test_rejected_update_leaves_state_untouched():
         queues.epoch,
         queues.evicted_bytes,
         [queues.peek_length(q) for q in range(queues.num_queues)],
-        queues.policy.version,
         queues.rate,
     )
     assert before == after
@@ -212,8 +208,8 @@ def test_shrink_evicts_and_bumps_epoch():
 def test_conservation_across_seams(scheme, seed, actions):
     """Drawn churn plans under the fail-fast invariant checker: every
     epoch seam re-verifies the byte ledger (in - reclaims - drained -
-    evicted = total), occupancy clamps, window migration and memo-cache
-    freshness.  Any violation raises inside the run."""
+    evicted = total), occupancy clamps and window migration.  Any
+    violation raises inside the run."""
     plan = draw_plan(
         Random(seed),
         num_queues=2,
@@ -224,37 +220,6 @@ def test_conservation_across_seams(scheme, seed, actions):
     config = dataclasses.replace(_config(scheme, churn=plan), validate=True)
     outcome = simulate_aggregate(config)
     assert outcome.updates_applied + outcome.updates_rejected == actions
-
-
-# ---------------------------------------------------------------------------
-# Policy.invalidate: stale masks cannot survive a tree edit
-# ---------------------------------------------------------------------------
-
-
-def test_invalidate_busts_share_memo():
-    policy = Policy.weighted([1.0, 3.0])
-    assert policy.fluid_rates([True, True], 100.0) == [25.0, 75.0]
-    version = policy.version
-
-    policy.invalidate(Policy.weighted([3.0, 1.0]).root)
-
-    assert policy.version == version + 1
-    # The same active-set mask now resolves against the new tree — a
-    # stale cached share vector would have returned [25.0, 75.0].
-    assert policy.fluid_rates([True, True], 100.0) == [75.0, 25.0]
-    assert all(key[0] == policy.version for key in policy._share_cache)
-
-
-def test_invalidate_rejects_bad_tree_atomically():
-    policy = Policy.weighted([1.0, 3.0])
-    version = policy.version
-    # Leaves must cover 0..N-1 exactly once; a tree skipping queue 1
-    # (two leaves for queues 0 and 2) must be rejected atomically.
-    bad = ClassNode(children=(Leaf(queue=0), Leaf(queue=2)))
-    with pytest.raises(ValueError):
-        policy.invalidate(bad)
-    assert policy.version == version
-    assert policy.fluid_rates([True, True], 100.0) == [25.0, 75.0]
 
 
 # ---------------------------------------------------------------------------

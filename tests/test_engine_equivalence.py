@@ -28,7 +28,6 @@ from random import Random
 import pytest
 
 from repro.churn import draw_plan
-from repro.experiments import common
 from repro.net.impair import ImpairmentSpec
 from repro.runner import AggregateConfig, simulate_aggregate
 from repro.units import mbps, ms
@@ -61,14 +60,18 @@ def _specs(ccs):
     ]
 
 
+def _pinned_cell(scheme, ccs, batch=None):
+    return simulate_aggregate(AggregateConfig(
+        scheme=scheme, specs=tuple(_specs(ccs)), rate=mbps(5),
+        max_rtt=ms(80), horizon=6.0, warmup=1.0, batch=batch,
+    ))
+
+
 @pytest.mark.parametrize(
     "scheme,ccs", sorted(PINNED), ids=lambda v: v if isinstance(v, str) else "+".join(v)
 )
 def test_outcomes_identical_to_pre_overhaul_engine(scheme, ccs):
-    specs = _specs(ccs)
-    result = common.run_aggregate(
-        scheme, specs, rate=mbps(5), max_rtt=ms(80), horizon=6.0, warmup=1.0
-    )
+    result = _pinned_cell(scheme, ccs)
     expected = PINNED[(scheme, ccs)]
     got = (
         result.mean_normalized_throughput,
@@ -88,15 +91,9 @@ def test_batched_engine_matches_unbatched(scheme, ccs):
     """Granularity invariance of the one engine: every outcome metric
     must be bit-for-bit equal between singleton batches (``batch=1``)
     and unbounded ones, across all five schemes."""
-    specs = _specs(ccs)
-    results = [
-        common.run_aggregate(
-            scheme, specs, rate=mbps(5), max_rtt=ms(80), horizon=6.0,
-            warmup=1.0, batch=batch,
-        )
-        for batch in (1, None)
-    ]
-    unbatched, batched = results
+    unbatched, batched = (
+        _pinned_cell(scheme, ccs, batch=batch) for batch in (1, None)
+    )
     assert (
         unbatched.mean_normalized_throughput,
         unbatched.peak_normalized_throughput,

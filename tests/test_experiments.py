@@ -18,6 +18,7 @@ from repro.experiments import (
     fig7_applications,
     fig9_video_timeseries,
 )
+from repro.runner import AggregateConfig, simulate_aggregate
 from repro.units import mbps, ms
 from repro.workload.aggregates import Section61Config
 from repro.workload.spec import FlowSpec
@@ -25,14 +26,14 @@ from repro.workload.spec import FlowSpec
 
 class TestCommonHarness:
     def test_run_aggregate_measures_everything(self):
-        result = common.run_aggregate(
-            "bcpqp",
-            [FlowSpec(slot=0, cc="reno", rtt=ms(20))],
+        result = simulate_aggregate(AggregateConfig(
+            scheme="bcpqp",
+            specs=(FlowSpec(slot=0, cc="reno", rtt=ms(20)),),
             rate=mbps(10),
             max_rtt=ms(50),
             horizon=5.0,
             warmup=1.0,
-        )
+        ))
         assert result.scheme == "bcpqp"
         assert 0.5 < result.mean_normalized_throughput < 1.3
         assert result.peak_normalized_throughput >= \

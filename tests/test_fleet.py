@@ -107,6 +107,17 @@ class TestFleetSpecValidation:
         with pytest.raises(ValueError):
             FleetSpec(aggregates=1, warmup=0.2, horizon=0.3, window=0.25)
 
+    @pytest.mark.parametrize(
+        "field,value", [("scheme", "nosuch"), ("phantom_service", "fluid_ref")]
+    )
+    def test_rejects_unknown_scheme_or_service(self, field, value):
+        # Before any plan, recorder, Middlebox or worker process exists.
+        with pytest.raises(ValueError) as excinfo:
+            FleetSpec(aggregates=2, **{field: value})
+        message = str(excinfo.value)
+        assert field in message and repr(value) in message
+        assert "bcpqp" in message or "fluid-ref" in message
+
     def test_shard_config_validates_eagerly(self):
         with pytest.raises(ValueError):
             ShardConfig(spec=FleetSpec(aggregates=2), shards=3, index=2)

@@ -136,6 +136,23 @@ class TestMagic:
         assert q.reclaim_magic(0) == pytest.approx(3000.0)
         assert q.length(0) == 0.0
 
+    @pytest.mark.parametrize("service", PhantomQueueSet.SERVICES)
+    def test_watermark_is_the_low_water_mark_on_every_engine(self, service):
+        # The watermark is clamped when the length is next *read*, not as
+        # the queue drains.  Nothing reads it between the drain to 1500
+        # and the offer that stacks real bytes on top, so the offer's own
+        # read has to clamp it - or the reclaim would take real bytes.
+        q = PhantomQueueSet(Policy.fair(1), 1500.0, [6000.0], service=service)
+        assert q.offer(0, 1500.0) >= 0.0
+        assert q.fill_with_magic(0) == 4500.0
+        q.advance(3.0)                        # 4500 drained, 1500 left
+        assert q.offer(0, 3000.0) >= 0.0      # real bytes on top
+        assert q.raw_magic(0) == 1500.0
+        q.advance(4.0)                        # 1500 more drained
+        assert q.reclaim_magic(0) == 1500.0
+        assert q.length(0) == 1500.0
+        assert q.magic_bytes(0) == 0.0
+
     def test_reclaim_without_magic_is_zero(self):
         q = make(n=1)
         q.try_enqueue(0, 500)

@@ -13,7 +13,7 @@ model charges the paper's per-packet operations, not the Python work the
 optimized engine skips.
 
 ``fluid`` also reads BC-PQP's ``r*_i`` off the engine instead of the
-``Policy`` memo: ``TestEngineShares`` pins that read bit-equal (``==``)
+``Policy`` tree walk: ``TestEngineShares`` pins that read bit-equal (``==``)
 to the ``Policy`` oracle, pins the incrementally kept slopes and the
 served list to from-scratch recomputes, and guards that a fluid run
 never reaches ``Policy._rates_for``.  ``TestServedList`` pins what the
@@ -32,11 +32,14 @@ from repro.core.bcpqp import BCPQP
 from repro.core.gps import _HEAP_SLACK, VirtualTimeGps
 from repro.core.phantom import PhantomQueueSet
 from repro.core.pqp import PQP
+from repro.core.quantum import QuantumDrain
 from repro.net.packet import FlowId, Packet
 from repro.net.sink import NullSink
 from repro.policy.tree import ClassNode, Leaf, Policy
 from repro.sim.simulator import Simulator
 from repro.units import MSS
+from repro.validate.checker import _EPS, _REL
+from repro.validate.reference import ReferenceFluid
 
 #: The policy shapes the paper's scenarios exercise (flat fair, weighted,
 #: strict priority, two-level hierarchy).
@@ -81,6 +84,86 @@ def _replay(policy, ops, service, *, rate=4000.0, cap=15_000.0):
     lengths = [q.length(i) for i in range(n)]
     magic = [q.magic_bytes(i) for i in range(n)]
     return decisions, (q.drained_bytes, q.total_length(), lengths, magic)
+
+
+# op kinds: 0 = offer (bounded), 1 = add, 2 = remove, 3 = set_rate
+_ENGINE_OPS = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=3),       # kind
+        st.integers(min_value=0, max_value=9),       # queue (mod n)
+        st.floats(min_value=1.0, max_value=6000.0),  # size / new rate
+        st.floats(min_value=0.0, max_value=0.4),     # dt before op
+    ),
+    min_size=1,
+    max_size=60,
+)
+
+
+class TestEngineContract:
+    """What ``PhantomQueueSet`` relies on from whichever drain engine
+    ``service`` selected, checked on each engine alone (no oracle)."""
+
+    @pytest.mark.parametrize(
+        "engine_class", [VirtualTimeGps, QuantumDrain, ReferenceFluid],
+        ids=lambda c: c.__name__,
+    )
+    @pytest.mark.parametrize("policy", POLICIES, ids=lambda p: repr(p)[:40])
+    @settings(deadline=None, max_examples=20)
+    @given(ops=_ENGINE_OPS)
+    def test_reads_stay_coherent(self, engine_class, policy, ops):
+        n = policy.num_queues
+        rate = 4000.0
+        # Twins driven and read identically; only ``probed`` is peeked.
+        probed = engine_class(policy, rate, start_time=0.0)
+        plain = engine_class(policy, rate, start_time=0.0)
+        now = 0.0
+        pieces = 0
+        added = 0.0
+        drained = 0.0
+        for kind, queue, size, dt in ops:
+            queue %= n
+            now += dt
+            pieces += probed.advance(now)
+            plain.advance(now)
+            if kind == 0:
+                before = probed.length(queue)
+                settled, share = probed.offer(queue, size, 15_000.0)
+                assert plain.offer(queue, size, 15_000.0) == (settled, share)
+                assert settled == before
+                if share >= 0.0:
+                    added += size
+                    assert share == probed.rate_of(queue)
+                else:
+                    assert probed.length(queue) == before
+            elif kind == 1:
+                probed.add(queue, size)
+                plain.add(queue, size)
+                added += size
+            elif kind == 2:
+                probed.remove(queue, size)
+                plain.remove(queue, size)
+            else:
+                rate = size
+                probed.set_rate(rate)
+                plain.set_rate(rate)
+            # A peek is a pure read: it agrees with the settling read
+            # that follows and leaves the twin's trajectory bit-equal.
+            peeked = [probed.peek_length(i) for i in range(n)]
+            lengths = [probed.length(i) for i in range(n)]
+            assert peeked == lengths
+            assert [plain.length(i) for i in range(n)] == lengths
+            mask = probed.active_mask
+            for i, length in enumerate(lengths):
+                assert bool(mask >> i & 1) == (length > 1e-6)
+            tolerance = _EPS * (pieces + 10) + _REL * added
+            assert abs(probed.total() - sum(lengths)) <= tolerance
+            assert probed.drained_bytes >= drained
+            drained = probed.drained_bytes
+            if mask:
+                shares = sum(probed.rate_of(i) for i in range(n))
+                assert abs(shares - rate) <= _REL * rate
+        assert plain.total() == probed.total()
+        assert plain.drained_bytes == probed.drained_bytes
 
 
 class TestFluidMatchesReference:
@@ -455,8 +538,8 @@ class TestEngineShares:
         assert self._bcpqp_run("fluid", monkeypatch) == 0
 
     def test_guard_counts_the_memo_path(self, monkeypatch):
-        # The same run on an eager discipline does go through the memo,
-        # so a zero above means "not reached", not "not counted".
+        # The same run on an eager discipline does go through the tree
+        # walk, so a zero above means "not reached", not "not counted".
         assert self._bcpqp_run("quantum", monkeypatch) > 0
 
 
@@ -539,7 +622,7 @@ class TestServedList:
         q = PhantomQueueSet(policy, 1000.0, [30_000.0, 6000.0, 6000.0])
         q.offer(0, 20_000.0)   # the higher priority is busy until t = 20
         q.offer(1, 1500.0)     # keeps the starved class occupied
-        heap = q._gps._leaves[2].group.heap
+        heap = q._engine._leaves[2].group.heap
         now = 0.0
         for cycle in range(10_000):
             now += 0.001

@@ -68,10 +68,6 @@ class TestQuantumService:
         with pytest.raises(ValueError):
             make("turbo")
 
-    def test_invalid_quantum_rejected(self):
-        with pytest.raises(ValueError):
-            PhantomQueueSet(Policy.fair(1), 1.0, [1.0], quantum=0)
-
 
 class TestFluidQuantumEquivalence:
     @settings(deadline=None, max_examples=30)

@@ -1,8 +1,11 @@
 """Tests for policy trees and fluid (GPS) rate shares."""
 
-import pytest
-from hypothesis import given, strategies as st
+import math
 
+import pytest
+from hypothesis import example, given, strategies as st
+
+from repro.core.gps import VirtualTimeGps
 from repro.policy.tree import ClassNode, Leaf, Policy
 
 
@@ -165,3 +168,100 @@ class TestFluidInvariants:
     def test_fair_shares_equal(self, n, rate):
         rates = Policy.fair(n).fluid_rates([True] * n, rate)
         assert all(r == pytest.approx(rates[0]) for r in rates)
+
+
+# ---------------------------------------------------------------------------
+# An independent statement of the shares (paper section 3.2)
+# ---------------------------------------------------------------------------
+
+
+def _as_tuples(node):
+    """The tree as plain ``(weight, priority, children | queue)`` tuples:
+    all the reference below gets to see of ``repro.policy``."""
+    if isinstance(node, Leaf):
+        return (node.weight, node.priority, node.queue)
+    return (node.weight, node.priority, [_as_tuples(c) for c in node.children])
+
+
+def _queues_under(node):
+    queues, stack = set(), [node]
+    while stack:
+        _weight, _priority, below = stack.pop()
+        if isinstance(below, list):
+            stack.extend(below)
+        else:
+            queues.add(below)
+    return queues
+
+
+def water_fill(tree, backlogged, rate):
+    """Section 3.2 read literally, one tree level per pass.
+
+    The whole rate enters at the root.  At a class, only the children
+    with a backlogged queue somewhere beneath them compete; those at the
+    smallest priority value take everything, in proportion to their
+    weights; a queue keeps what reaches it.  Returns ``{queue: rate}``
+    for the queues that get any.
+    """
+    served = {}
+    level = [(tree, rate)]
+    while level:
+        below_level = []
+        for (_weight, _priority, below), share in level:
+            if not isinstance(below, list):
+                served[below] = share
+                continue
+            competing = [c for c in below if _queues_under(c) & backlogged]
+            if not competing:
+                continue
+            first = min(priority for _w, priority, _b in competing)
+            winners = [c for c in competing if c[1] == first]
+            weight = math.fsum(w for w, _p, _b in winners)
+            below_level += [(c, share * c[0] / weight) for c in winners]
+        level = below_level
+    return served
+
+
+def _all_weights(tree):
+    weight, _priority, below = tree
+    yield weight
+    if isinstance(below, list):
+        for child in below:
+            yield from _all_weights(child)
+
+
+class TestAgainstWaterFilling:
+    """``Policy.fluid_rates`` is the one written specification of the
+    shares inside ``src/``; this holds it, and the production engine's
+    ``rate_of``, to a second one that shares no code with either."""
+
+    @example(
+        (Policy.nested([[1, 2], [3], [1, 1]], [2, 1, 4], [0, 1, 0]),
+         [True, False, True, False, True]),
+        1000.0,
+    )
+    @given(policy_and_activity(), st.floats(min_value=1.0, max_value=1e6))
+    def test_shares_match_the_paper(self, pa, rate):
+        policy, active = pa
+        tree = _as_tuples(policy.root)
+        backlogged = {q for q, flag in enumerate(active) if flag}
+        reference = water_fill(tree, backlogged, rate)
+        expected = [reference.get(q, 0.0) for q in range(policy.num_queues)]
+        assert set(reference) <= backlogged   # some may be starved
+
+        engine = VirtualTimeGps(policy, rate, start_time=0.0)
+        for queue in sorted(backlogged):
+            engine.add(queue, 1000.0)
+        readings = (
+            policy.fluid_rates(active, rate),
+            [policy.fluid_rate_of(q, active, rate) for q in range(len(active))],
+            [engine.rate_of(q) for q in range(len(active))],
+        )
+        # Integer-valued weights sum without rounding in any order, so
+        # nothing but the shared arithmetic is left to differ.
+        if all(float(w).is_integer() for w in _all_weights(tree)):
+            for got in readings:
+                assert got == expected
+        else:
+            for got in readings:
+                assert got == pytest.approx(expected, rel=1e-12, abs=0.0)

@@ -1,5 +1,7 @@
 """Tests for the sweep runner: pool fan-out, determinism, result cache."""
 
+import sys
+
 import pytest
 
 from repro.experiments import fig4_rate_enforcement
@@ -47,6 +49,13 @@ def _tiny_fig4_grid():
 
 def _square(x):
     return x * x
+
+
+def _simulate_listing_validate(config):
+    """Spawn-worker body: the outcome, plus whatever of ``repro.validate``
+    the fresh interpreter ended up importing to produce it."""
+    outcome = simulate_aggregate(config)
+    return outcome, [m for m in sys.modules if m.startswith("repro.validate")]
 
 
 def _outcome_key(outcome):
@@ -173,11 +182,14 @@ class TestDeterminism:
         grid = _tiny_fig4_grid()
         serial = run_tasks(simulate_aggregate, grid)
         spawned = run_tasks(
-            simulate_aggregate, grid, jobs=2, start_method="spawn"
+            _simulate_listing_validate, grid, jobs=2, start_method="spawn"
         )
         assert len(spawned) == len(serial)
-        for s, p in zip(serial, spawned):
+        for s, (p, validate_modules) in zip(serial, spawned):
             assert _outcome_key(s) == _outcome_key(p)
+            # A default run loads neither the checker nor the reference
+            # drain (``service="fluid-ref"`` imports it on demand).
+            assert validate_modules == []
 
 
 class TestResultCache:
@@ -250,13 +262,17 @@ class TestResultCache:
     @pytest.mark.parametrize("scheme", ["pqp", "bcpqp"])
     def test_phantom_fingerprints_cover_drain_sources(self, scheme):
         # A drain rewrite must provably invalidate cached PQP/BC-PQP sweep
-        # cells: the phantom counter module, the policer hot path, and the
-        # virtual-time engine all have to be in the hashed source set.
+        # cells: the phantom counter module, the policer hot path, and all
+        # three drain engines have to be in the hashed source set.
         from repro.runner.cache import _SCHEME_SOURCES
 
         sources = _SCHEME_SOURCES[scheme]
-        for required in ("core/phantom.py", "core/pqp.py", "core/gps.py"):
-            assert required in sources, f"{scheme} fingerprint misses {required}"
+        required = (
+            "core/phantom.py", "core/pqp.py", "core/gps.py",
+            "core/quantum.py", "validate/reference.py",
+        )
+        for rel in required:
+            assert rel in sources, f"{scheme} fingerprint misses {rel}"
 
     @pytest.mark.parametrize("rel", ["core/phantom.py", "core/pqp.py"])
     def test_fingerprint_tracks_source_bytes(self, tmp_path, rel):
@@ -290,6 +306,27 @@ class TestResultCache:
 
 
 class TestConfigRepr:
+    @pytest.mark.parametrize(
+        "field,value", [("scheme", "bcpqpp"), ("phantom_service", "fluid_ref")]
+    )
+    def test_unknown_scheme_or_service_rejected_at_construction(
+        self, field, value
+    ):
+        # A misspelt cell must fail where it is written, naming the field,
+        # the value and the legal set - not later inside a worker, where
+        # the supervisor would retry it like a transient fault.
+        from dataclasses import replace
+
+        from repro.core.phantom import PhantomQueueSet
+        from repro.schemes import SCHEMES
+
+        legal = SCHEMES if field == "scheme" else PhantomQueueSet.SERVICES
+        with pytest.raises(ValueError) as excinfo:
+            replace(_tiny_config(), **{field: value})
+        message = str(excinfo.value)
+        assert field in message and repr(value) in message
+        assert str(legal) in message
+
     def test_repr_has_no_memory_addresses(self):
         # The cache key hashes repr(config); an object default-repr like
         # <Policy at 0x7f...> would silently break cross-run caching.

@@ -88,11 +88,9 @@ class TestViolationDetection:
         limiter = _pqp(sim)
         limiter.connect(NullSink())
         limiter.receive(data_packet())
-        # Corrupt the phantom counter past its capacity (bypassing
-        # try_enqueue's bound check, fluid-ref engine for direct access).
-        limiter.queues._gps = None
-        limiter.queues._length = [limiter.queues.capacity(0) * 2, 0.0]
-        limiter.queues._total = limiter.queues._length[0]
+        # Corrupt the phantom counter past its capacity: the engine's
+        # own add() has no bound, unlike the set's offer().
+        limiter.queues._engine.add(0, limiter.queues.capacity(0) * 2)
         with pytest.raises(InvariantViolation):
             limiter.receive(data_packet())
 
