@@ -38,6 +38,7 @@ from repro.classify.classifier import (
     HashClassifier,
     SlotClassifier,
 )
+from repro.policy.tree import Policy
 from repro.sim.timer import Timer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (limiters import us)
@@ -214,6 +215,50 @@ def reclassify(classifier: FlowClassifier, num_queues: int) -> FlowClassifier | 
     if classifier.num_queues == num_queues:
         return classifier
     return None
+
+
+def stage_rate_and_policy(
+    update: PolicyUpdate, limiter: str
+) -> tuple[float | None, Policy | None]:
+    """Validate the ``rate`` / ``policy`` / ``weights`` / ``priorities``
+    fields of ``update`` and build its candidate :class:`Policy`.
+
+    The part of staging every policy-aware limiter shares.  Pure: returns
+    ``(rate, policy)`` (each ``None`` = unchanged) or raises
+    :class:`UpdateRejected` on behalf of ``limiter``.
+    """
+    rate = update.rate
+    if rate is not None and not rate > 0:
+        raise UpdateRejected(limiter, f"rate must be positive, got {rate!r}")
+    policy = update.policy
+    if policy is not None and not isinstance(policy, Policy):
+        raise UpdateRejected(
+            limiter, f"policy must be a Policy, got {type(policy).__name__}"
+        )
+    weights = update.weights
+    priorities = update.priorities
+    if weights is None and priorities is None:
+        return rate, policy
+    if policy is not None:
+        raise UpdateRejected(
+            limiter, "policy and weights/priorities are mutually exclusive"
+        )
+    if None not in (weights, priorities) and len(weights) != len(priorities):
+        raise UpdateRejected(
+            limiter,
+            f"weights cover {len(weights)} queues but priorities "
+            f"cover {len(priorities)}",
+        )
+    try:
+        if priorities is None:
+            policy = Policy.weighted(weights)
+        else:
+            policy = Policy.prioritized(
+                priorities, list(weights) if weights else None
+            )
+    except ValueError as exc:
+        raise UpdateRejected(limiter, str(exc))
+    return rate, policy
 
 
 class ChurnDriver:

@@ -10,7 +10,12 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.churn import PolicyUpdate, UpdateRejected, reclassify
+from repro.churn import (
+    PolicyUpdate,
+    UpdateRejected,
+    reclassify,
+    stage_rate_and_policy,
+)
 from repro.classify.classifier import FlowClassifier
 from repro.core.phantom import PhantomQueueSet
 from repro.limiters.base import RateLimiter
@@ -106,40 +111,7 @@ class PQP(RateLimiter):
         def reject(reason: str) -> None:
             raise UpdateRejected(self.name, reason)
 
-        rate = update.rate
-        if rate is not None and not rate > 0:
-            reject(f"rate must be positive, got {rate!r}")
-        policy = update.policy
-        if policy is not None and not isinstance(policy, Policy):
-            reject(f"policy must be a Policy, got {type(policy).__name__}")
-        if policy is not None and (
-            update.weights is not None or update.priorities is not None
-        ):
-            reject("policy and weights/priorities are mutually exclusive")
-        if policy is None and (
-            update.weights is not None or update.priorities is not None
-        ):
-            weights = update.weights
-            priorities = update.priorities
-            if (
-                weights is not None
-                and priorities is not None
-                and len(weights) != len(priorities)
-            ):
-                reject(
-                    f"weights cover {len(weights)} queues but priorities "
-                    f"cover {len(priorities)}"
-                )
-            try:
-                if priorities is not None:
-                    policy = Policy.prioritized(
-                        priorities, list(weights) if weights else None
-                    )
-                else:
-                    assert weights is not None
-                    policy = Policy.weighted(weights)
-            except ValueError as exc:
-                reject(str(exc))
+        rate, policy = stage_rate_and_policy(update, self.name)
 
         n_cur = self.num_queues
         n_new = policy.num_queues if policy is not None else n_cur

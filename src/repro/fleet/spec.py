@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.churn import ChurnPlan, draw_plan
+from repro.metrics.throughput import check_interval
 from repro.net.impair import ImpairmentSpec
 from repro.runner.cache import fleet_fingerprint
 from repro.schemes import check_scheme
@@ -101,14 +102,17 @@ class FleetSpec:
             raise ValueError("churn_actions must be >= 0")
         if self.max_flows < 1:
             raise ValueError("max_flows must be >= 1")
-        if self.warmup < 0 or self.horizon <= self.warmup:
-            raise ValueError("need 0 <= warmup < horizon")
+        check_interval(self.horizon, self.warmup, self.window)
+        if self.warmup < 0:
+            raise ValueError(f"warmup must be >= 0, got {self.warmup!r}")
         if self.horizon - self.warmup < self.window:
             raise ValueError("measurement extent shorter than one window")
         for name in ("rates_mbps", "ccs", "rtt_range"):
             value = getattr(self, name)
             if not isinstance(value, tuple):
                 object.__setattr__(self, name, tuple(value))
+            if not value:
+                raise ValueError(f"{name} must not be empty, got {value!r}")
 
     @property
     def span(self) -> float:

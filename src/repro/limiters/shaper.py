@@ -17,7 +17,12 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable
 
-from repro.churn import PolicyUpdate, UpdateRejected, reclassify
+from repro.churn import (
+    PolicyUpdate,
+    UpdateRejected,
+    reclassify,
+    stage_rate_and_policy,
+)
 from repro.classify.classifier import FlowClassifier
 from repro.limiters.base import RateLimiter
 from repro.limiters.costs import Op
@@ -125,40 +130,7 @@ class Shaper(RateLimiter):
         def reject(reason: str) -> None:
             raise UpdateRejected(self.name, reason)
 
-        rate = update.rate
-        if rate is not None and not rate > 0:
-            reject(f"rate must be positive, got {rate!r}")
-        policy = update.policy
-        if policy is not None and not isinstance(policy, Policy):
-            reject(f"policy must be a Policy, got {type(policy).__name__}")
-        if policy is not None and (
-            update.weights is not None or update.priorities is not None
-        ):
-            reject("policy and weights/priorities are mutually exclusive")
-        if policy is None and (
-            update.weights is not None or update.priorities is not None
-        ):
-            weights = update.weights
-            priorities = update.priorities
-            if (
-                weights is not None
-                and priorities is not None
-                and len(weights) != len(priorities)
-            ):
-                reject(
-                    f"weights cover {len(weights)} queues but priorities "
-                    f"cover {len(priorities)}"
-                )
-            try:
-                if priorities is not None:
-                    policy = Policy.prioritized(
-                        priorities, list(weights) if weights else None
-                    )
-                else:
-                    assert weights is not None
-                    policy = Policy.weighted(weights)
-            except ValueError as exc:
-                reject(str(exc))
+        rate, policy = stage_rate_and_policy(update, self.name)
         capacity: float | None = None
         caps = update.capacities
         if caps is not None:
@@ -280,9 +252,7 @@ class Shaper(RateLimiter):
         # per-packet costs of a shaper.
         counts[_PKT_FETCH] += 1
         counts[_TIMER] += 1
-        # Fire-and-forget: dequeue completions are never cancelled, so
-        # they ride the simulator's pooled-handle path.
-        self._sim.call_after(size / self._rate, self._emit, packet)
+        self._sim.schedule(size / self._rate, self._emit, packet)
 
     def _emit(self, packet: Packet) -> None:
         self._forward(packet)

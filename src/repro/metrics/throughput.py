@@ -60,6 +60,27 @@ def _validate(window: float, start: float, end: float) -> tuple[int, float]:
     return whole + 1, (end - start) - whole * window
 
 
+def check_interval(horizon: float, warmup: float, window: float) -> None:
+    """Reject a run whose measurement interval ``[warmup, horizon)`` or
+    bin width cannot be measured, naming the field and the value.
+
+    The config dataclasses call this at construction: :func:`_validate`
+    only sees these numbers after the whole simulation has been paid
+    for, and a NaN horizon never ends it (``time > nan`` is false).
+    """
+    for name, value in (
+        ("horizon", horizon), ("warmup", warmup), ("window", window)
+    ):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+    if window <= 0:
+        raise ValueError(f"window must be positive, got {window!r}")
+    if warmup >= horizon:
+        raise ValueError(
+            f"warmup must be before horizon={horizon!r}, got {warmup!r}"
+        )
+
+
 def bin_layout(window: float, start: float, end: float) -> tuple[int, float]:
     """Public bin layout for ``[start, end)``: ``(nbins, last_width)``.
 

@@ -22,12 +22,12 @@ delivering is equivalent because every event pushed during delivery of
 a batch member carries ``time >= now`` and a seq **greater** than every
 seq reserved before it — so a push can never slip in front of a
 same-instant pending member, and the prefix guard's outcome is invariant
-under the deliveries it elides.  Cancellations never remove heap tuples
-(lazy deletion), so the guard's comparison target is stable too.  Inline
-clock advancement fires the exact event the run loop would have popped
-next, at the same ``(time, seq)``, with the same clock value — only the
-heap round-trip (push, sift, pop, handle recycle) is skipped, none of
-which is observable to components.  The batch cap therefore changes
+under the deliveries it elides.  Nothing removes a heap tuple but the
+run loop popping it (there is no cancellation at this level), so the
+guard's comparison target is stable too.  Inline clock advancement fires
+the exact event the run loop would have popped next, at the same
+``(time, seq)``, with the same clock value — only the heap round-trip
+(push, sift, pop) is skipped, none of which is observable to components.  The batch cap therefore changes
 bookkeeping granularity only: every ``batch_limit`` yields the same
 simulation (pinned by ``tests/test_engine_equivalence.py`` and
 ``tests/test_batching.py``).
@@ -39,7 +39,7 @@ import heapq
 from typing import Any, Callable
 
 from repro.net.packet import Packet
-from repro.sim.simulator import EventHandle, Simulator
+from repro.sim.simulator import Simulator
 
 
 def drain_coalesced(
@@ -58,7 +58,6 @@ def drain_coalesced(
     """
     heap = sim._heap
     cap = sim._batch_cap
-    heappop = heapq.heappop
     heappush = heapq.heappush
     while True:
         head = pending.popleft()
@@ -91,8 +90,8 @@ def drain_coalesced(
         s1 = nxt[1]
         now = sim._now
         if t1 <= now:
-            # Same instant: conservative guard — a cancelled heap top
-            # falls back to the re-arm path.
+            # Same instant: continue inline while our head still precedes
+            # the heap top.
             if not heap:
                 continue
             top = heap[0]
@@ -102,12 +101,8 @@ def drain_coalesced(
         else:
             bound = sim._advance_bound
             if bound is not None and t1 <= bound:
-                # Strictly later instant: discard cancelled tops exactly
-                # like the run loop would, then check whether our head is
-                # the globally next live event.  If so, fire it inline.
-                while heap and heap[0][2].cancelled:
-                    heappop(heap)
-                    sim._cancelled_backlog -= 1
+                # Strictly later instant: if our head is the globally
+                # next event, fire it inline.
                 if not heap:
                     sim._now = t1
                     sim._inline_advances += 1
@@ -118,22 +113,10 @@ def drain_coalesced(
                     sim._now = t1
                     sim._inline_advances += 1
                     continue
-        # call_at_reserved(t1, s1, rearm), inlined: pooled-handle draw,
-        # push, and counter updates — identical bookkeeping, no call.
-        pool = sim._handle_pool
-        if pool:
-            handle = pool.pop()
-            handle.generation += 1
-            handle.callback = rearm
-            handle.args = ()
-        else:
-            handle = EventHandle(0.0, 0, rearm, (), sim)
-            handle.pooled = True
-        handle.time = t1
-        handle.seq = s1
-        heappush(heap, (t1, s1, handle))
+        # call_at_reserved(t1, s1, rearm), inlined: identical
+        # bookkeeping, no call.
+        heappush(heap, (t1, s1, rearm, ()))
         sim._heap_pushes += 1
-        sim._live += 1
         if len(heap) > sim._peak_heap:
             sim._peak_heap = len(heap)
         return False

@@ -687,7 +687,7 @@ class TraceLink(Link):
     def _transmit(self, packet: Packet) -> None:
         self._busy = True
         tx_time = self._trace.tx_time(self._sim.now, packet.size)
-        self._sim.call_after(tx_time, self._on_tx_done, packet)
+        self._sim.schedule(tx_time, self._on_tx_done, packet)
 
 
 def build_data_path(

@@ -79,7 +79,7 @@ class Link:
     def receive_batch(self, packets: list[Packet]) -> None:
         """Accept a same-instant batch.
 
-        Serialization start (``call_after``) consumes a seq per packet,
+        Serialization start (``schedule``) consumes a seq per packet,
         so the enqueue side must run strictly per-packet to keep the
         seq assignment independent of batch granularity — a link batches
         on the *delivery* side only (:meth:`deliver_batch`).
@@ -106,9 +106,7 @@ class Link:
     def _transmit(self, packet: Packet) -> None:
         self._busy = True
         tx_time = packet.size / self._rate
-        # Serialization completions are strictly sequential and never
-        # cancelled, so they ride the pooled fire-and-forget path.
-        self._sim.call_after(tx_time, self._on_tx_done, packet)
+        self._sim.schedule(tx_time, self._on_tx_done, packet)
 
     def _on_tx_done(self, packet: Packet) -> None:
         self.forwarded_packets += 1

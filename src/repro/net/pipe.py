@@ -24,7 +24,7 @@ from collections import deque
 from repro.net.fastpath import drain_coalesced
 from repro.net.packet import Packet
 from repro.net.sink import PacketSink, batch_capable
-from repro.sim.simulator import EventHandle, SimulationError, Simulator
+from repro.sim.simulator import SimulationError, Simulator
 
 import heapq
 
@@ -83,21 +83,9 @@ class Pipe:
             if not self._armed:
                 self._armed = True
                 # call_at_reserved inlined (identical bookkeeping).
-                pool = sim._handle_pool
-                if pool:
-                    handle = pool.pop()
-                    handle.generation += 1
-                    handle.callback = self.deliver_batch
-                    handle.args = ()
-                else:
-                    handle = EventHandle(0.0, 0, self.deliver_batch, (), sim)
-                    handle.pooled = True
-                handle.time = time
-                handle.seq = seq
                 heap = sim._heap
-                heapq.heappush(heap, (time, seq, handle))
+                heapq.heappush(heap, (time, seq, self.deliver_batch, ()))
                 sim._heap_pushes += 1
-                sim._live += 1
                 if len(heap) > sim._peak_heap:
                     sim._peak_heap = len(heap)
         else:

@@ -19,6 +19,7 @@ from repro.net.impair import ImpairmentSpec
 from repro.metrics.series import TimeSeries
 from repro.metrics.throughput import (
     aggregate_throughput_series,
+    check_interval,
     per_slot_throughput_series,
 )
 from repro.policy.tree import Policy
@@ -81,10 +82,13 @@ class AggregateConfig:
 
     def __post_init__(self) -> None:
         check_scheme(self.scheme, self.phantom_service)
+        check_interval(self.horizon, self.warmup, self.window)
         # Tolerate list inputs (call sites build grids with lists) while
         # keeping the stored config hashable/immutable.
         if not isinstance(self.specs, tuple):
             object.__setattr__(self, "specs", tuple(self.specs))
+        if not self.specs:
+            raise ValueError("specs must name at least one flow, got ()")
         if self.weights is not None and not isinstance(self.weights, tuple):
             object.__setattr__(self, "weights", tuple(self.weights))
 

@@ -1,19 +1,19 @@
 """Discrete-event simulation engine.
 
 The engine is deliberately tiny: a binary-heap event queue with a stable
-tie-break, a monotonically advancing clock, and cancellable timers.  All
+tie-break and a monotonically advancing clock.  A pending event is the
+heap tuple ``(time, seq, callback, args)``; once pushed it fires.  All
 higher layers (links, TCP endpoints, rate limiters) are plain callback-driven
 objects that hold a reference to the :class:`~repro.sim.simulator.Simulator`.
 
-Hot-path machinery lives in two layers on top of the heap: soft-reschedule
-:class:`~repro.sim.timer.Timer` objects (deadline updates without heap
-traffic) and the fire-and-forget ``call_after``/``call_at`` pooled-handle
-path (zero allocations per per-packet event).
+Cancellation lives one layer up, in exactly one place:
+:class:`~repro.sim.timer.Timer` keeps its deadline in plain attributes,
+so rescheduling and cancelling cost no heap traffic and the heap itself
+never holds a dead entry it has to know about.
 """
 
-from repro.sim.events import EventHandle
 from repro.sim.rng import RngFactory
 from repro.sim.simulator import SimulationError, Simulator
 from repro.sim.timer import Timer
 
-__all__ = ["EventHandle", "RngFactory", "SimulationError", "Simulator", "Timer"]
+__all__ = ["RngFactory", "SimulationError", "Simulator", "Timer"]

@@ -5,8 +5,6 @@ from __future__ import annotations
 import heapq
 from typing import Any, Callable
 
-from repro.sim.events import EventHandle, _noop
-
 _INF = float("inf")
 
 
@@ -21,37 +19,32 @@ class Simulator:
     makes runs bit-for-bit reproducible.  Time is a float in seconds and
     only moves forward.
 
-    The pending-event heap stores ``(time, seq, handle)`` tuples so heap
-    sift comparisons run on C-level float/int pairs instead of calling
-    :meth:`EventHandle.__lt__` — the single hottest comparison in a
-    saturated run.  ``seq`` is unique, so the handle itself is never
-    compared.
+    A pending event is the heap tuple ``(time, seq, callback, args)`` and
+    nothing else: :meth:`run` pops it and calls ``callback(*args)``.
+    Every push consumes (or uses a reserved) ``seq``, so ``(time, seq)``
+    is unique and heap sift comparisons run on C-level float/int pairs —
+    the callback itself is never compared.
 
-    Two scheduling tiers keep the hot path allocation-free:
+    :meth:`schedule` / :meth:`schedule_at` are the relative / absolute
+    entry points; they return ``None`` and a pushed event always fires.
+    Nothing can reach into the heap to cancel it: the one cancellable,
+    reschedulable thing is :class:`repro.sim.timer.Timer`, which cancels
+    by clearing a deadline and lets its wake surface as a no-op.
+    :meth:`reserve_seq` / :meth:`call_at_reserved` let coalesced FIFO
+    components and timers fire at a heap position claimed earlier.
 
-    * :meth:`schedule` / :meth:`schedule_at` return a fresh cancellable
-      :class:`EventHandle` the caller may retain — the general-purpose
-      path.
-    * :meth:`call_after` / :meth:`call_at` are **fire-and-forget**: they
-      return nothing, cannot be cancelled, and draw their handles from a
-      free-list pool that recycles each handle the moment its event has
-      fired (per-packet link/pipe events use this path).  Reissued
-      handles bump :attr:`EventHandle.generation` so a stale reference
-      is detectable.
-
-    Engine telemetry (all O(1) to maintain): :attr:`pending` counts only
-    *live* events, :attr:`cancelled_backlog` /
-    :attr:`cancelled_backlog_hwm` track lazily-deleted tuples still
-    sinking through the heap, and :attr:`heap_pushes` /
-    :attr:`peak_heap_size` are what the event-engine gates compare with
+    Engine telemetry (all O(1) to maintain): :attr:`pending`,
+    :attr:`events_processed`, :attr:`inline_advances`,
+    :attr:`batched_deliveries`, and :attr:`heap_pushes` /
+    :attr:`peak_heap_size`, which the event-engine gates compare with
     the old engine's (``tests/test_scaling_smoke.py``).
 
     Example
     -------
     >>> sim = Simulator()
     >>> fired = []
-    >>> _ = sim.schedule(1.0, fired.append, "a")
-    >>> _ = sim.schedule(0.5, fired.append, "b")
+    >>> sim.schedule(1.0, fired.append, "a")
+    >>> sim.schedule(0.5, fired.append, "b")
     >>> sim.run()
     >>> fired
     ['b', 'a']
@@ -65,7 +58,7 @@ class Simulator:
         batch_limit: int | None = None,
     ) -> None:
         self._now = float(start_time)
-        self._heap: list[tuple[float, int, EventHandle]] = []
+        self._heap: list[tuple[float, int, Callable[..., None], tuple]] = []
         self._seq = 0
         self._events_processed = 0
         self._running = False
@@ -93,16 +86,8 @@ class Simulator:
         self._advance_bound: float | None = None
         self._inline_advances = 0
         self._batched_deliveries = 0
-        # Live/cancelled accounting (see the class docstring).
-        self._live = 0
-        self._cancelled_backlog = 0
-        self._cancelled_hwm = 0
         self._heap_pushes = 0
         self._peak_heap = 0
-        # Free list for fire-and-forget handles (call_after/call_at and
-        # soft-timer wakes).  Exactly one heap entry references a pooled
-        # handle at any time, so recycling at pop is sound.
-        self._handle_pool: list[EventHandle] = []
         #: Optional :class:`repro.validate.InvariantChecker`.  Components
         #: (limiters, senders, middleboxes) self-register with it at
         #: construction; when ``None`` (the default) nothing is wrapped
@@ -126,26 +111,13 @@ class Simulator:
 
     @property
     def pending(self) -> int:
-        """Number of *live* events awaiting their turn (cancelled tuples
-        still sinking through the heap are excluded; see
-        :attr:`cancelled_backlog`)."""
-        return self._live
-
-    @property
-    def heap_size(self) -> int:
-        """Raw heap length, live plus cancelled-but-undiscarded tuples."""
+        """Number of events awaiting their turn (the heap length: every
+        pushed event fires)."""
         return len(self._heap)
 
-    @property
-    def cancelled_backlog(self) -> int:
-        """Cancelled events still occupying heap slots (lazy deletion)."""
-        return self._cancelled_backlog
-
-    @property
-    def cancelled_backlog_hwm(self) -> int:
-        """High-water mark of :attr:`cancelled_backlog` over the run —
-        how badly cancel-churn ever bloated the heap."""
-        return self._cancelled_hwm
+    # Read by the frozen benchmarks/suite/workloads.py:115 and nothing
+    # else; nothing cancels a heap entry, so the backlog is always 0.
+    cancelled_backlog_hwm = property(lambda self: 0)
 
     @property
     def heap_pushes(self) -> int:
@@ -158,14 +130,9 @@ class Simulator:
         return self._peak_heap
 
     @property
-    def handle_pool_size(self) -> int:
-        """Free-list depth of recycled fire-and-forget handles."""
-        return len(self._handle_pool)
-
-    @property
     def inline_advances(self) -> int:
         """Clock advances performed inline by link/pipe drains — each one
-        replaced a heap push + pop + handle recycle."""
+        replaced a heap push + pop."""
         return self._inline_advances
 
     @property
@@ -174,37 +141,25 @@ class Simulator:
         >= 2); singleton batches are not counted."""
         return self._batched_deliveries
 
-    def _note_cancelled(self) -> None:
-        """Bookkeeping hook called by :meth:`EventHandle.cancel`."""
-        self._live -= 1
-        backlog = self._cancelled_backlog + 1
-        self._cancelled_backlog = backlog
-        if backlog > self._cancelled_hwm:
-            self._cancelled_hwm = backlog
-
     def schedule(
         self, delay: float, callback: Callable[..., None], *args: Any
-    ) -> EventHandle:
+    ) -> None:
         """Schedule ``callback(*args)`` to fire ``delay`` seconds from now."""
         if not 0.0 <= delay < _INF:
             raise SimulationError(
                 f"invalid delay {delay!r}: must be finite and non-negative"
             )
-        time = self._now + delay
         seq = self._seq
         self._seq = seq + 1
-        handle = EventHandle(time, seq, callback, args, self)
         heap = self._heap
-        heapq.heappush(heap, (time, seq, handle))
+        heapq.heappush(heap, (self._now + delay, seq, callback, args))
         self._heap_pushes += 1
-        self._live += 1
         if len(heap) > self._peak_heap:
             self._peak_heap = len(heap)
-        return handle
 
     def schedule_at(
         self, time: float, callback: Callable[..., None], *args: Any
-    ) -> EventHandle:
+    ) -> None:
         """Schedule ``callback(*args)`` at absolute simulation ``time``."""
         if not self._now <= time < _INF:
             raise SimulationError(
@@ -213,72 +168,15 @@ class Simulator:
             )
         seq = self._seq
         self._seq = seq + 1
-        handle = EventHandle(time, seq, callback, args, self)
         heap = self._heap
-        heapq.heappush(heap, (time, seq, handle))
+        heapq.heappush(heap, (time, seq, callback, args))
         self._heap_pushes += 1
-        self._live += 1
-        if len(heap) > self._peak_heap:
-            self._peak_heap = len(heap)
-        return handle
-
-    def _alloc_pooled(
-        self, callback: Callable[..., None], args: tuple[Any, ...]
-    ) -> EventHandle:
-        pool = self._handle_pool
-        if pool:
-            handle = pool.pop()
-            handle.generation += 1
-            handle.callback = callback
-            handle.args = args
-            return handle
-        handle = EventHandle(0.0, 0, callback, args, self)
-        handle.pooled = True
-        return handle
-
-    def call_after(
-        self, delay: float, callback: Callable[..., None], *args: Any
-    ) -> None:
-        """Fire-and-forget :meth:`schedule`: no handle is returned, the
-        event cannot be cancelled, and its (pooled) handle is recycled
-        the moment it fires.  The per-packet scheduling path."""
-        if not 0.0 <= delay < _INF:
-            raise SimulationError(
-                f"invalid delay {delay!r}: must be finite and non-negative"
-            )
-        time = self._now + delay
-        seq = self._seq
-        self._seq = seq + 1
-        handle = self._alloc_pooled(callback, args)
-        handle.time = time
-        handle.seq = seq
-        heap = self._heap
-        heapq.heappush(heap, (time, seq, handle))
-        self._heap_pushes += 1
-        self._live += 1
         if len(heap) > self._peak_heap:
             self._peak_heap = len(heap)
 
-    def call_at(
-        self, time: float, callback: Callable[..., None], *args: Any
-    ) -> None:
-        """Fire-and-forget :meth:`schedule_at` (see :meth:`call_after`)."""
-        if not self._now <= time < _INF:
-            raise SimulationError(
-                f"cannot schedule at t={time!r}, now is t={self._now!r} "
-                "(time must be finite and not in the past)"
-            )
-        seq = self._seq
-        self._seq = seq + 1
-        handle = self._alloc_pooled(callback, args)
-        handle.time = time
-        handle.seq = seq
-        heap = self._heap
-        heapq.heappush(heap, (time, seq, handle))
-        self._heap_pushes += 1
-        self._live += 1
-        if len(heap) > self._peak_heap:
-            self._peak_heap = len(heap)
+    # Called by the frozen benchmarks/suite/workloads.py:353,361 and by
+    # nothing under src/.
+    call_at = schedule_at
 
     def reserve_seq(self) -> int:
         """Claim the next insertion-sequence number without scheduling.
@@ -298,63 +196,14 @@ class Simulator:
     def call_at_reserved(
         self, time: float, seq: int, callback: Callable[..., None], *args: Any
     ) -> None:
-        """Fire-and-forget schedule at ``time`` with a previously
-        :meth:`reserve_seq`-claimed sequence number.  The caller must use
-        each reserved seq at most once (uniqueness keeps heap ordering
-        total)."""
-        handle = self._alloc_pooled(callback, args)
-        handle.time = time
-        handle.seq = seq
+        """Schedule at ``time`` with a previously :meth:`reserve_seq`-claimed
+        sequence number.  The caller must use each reserved seq at most
+        once (uniqueness keeps heap ordering total)."""
         heap = self._heap
-        heapq.heappush(heap, (time, seq, handle))
+        heapq.heappush(heap, (time, seq, callback, args))
         self._heap_pushes += 1
-        self._live += 1
         if len(heap) > self._peak_heap:
             self._peak_heap = len(heap)
-
-    def cancel(self, handle: EventHandle | None) -> None:
-        """Cancel a pending event; cancelling ``None`` or twice is a no-op."""
-        if handle is not None:
-            handle.cancel()
-
-    def peek_time(self) -> float | None:
-        """Time of the next live event, or ``None`` if the heap is drained."""
-        heap = self._heap
-        while heap and heap[0][2].cancelled:
-            heapq.heappop(heap)
-            self._cancelled_backlog -= 1
-        if not heap:
-            return None
-        return heap[0][0]
-
-    def _fire(self, event: EventHandle) -> None:
-        """Invoke ``event`` and recycle its handle if pooled."""
-        event.callback(*event.args)
-        if event.pooled:
-            event.callback = _noop
-            event.args = ()
-            self._handle_pool.append(event)
-        else:
-            # Mark consumed: a late cancel() on a fired handle must not
-            # perturb the live/cancelled counters (and dropping the back
-            # reference breaks the sim <-> handle cycle).
-            event.owner = None
-
-    def step(self) -> bool:
-        """Fire the next live event.  Returns ``False`` when none remain."""
-        heap = self._heap
-        pop = heapq.heappop
-        while heap:
-            time, _seq, event = pop(heap)
-            if event.cancelled:
-                self._cancelled_backlog -= 1
-                continue
-            self._now = time
-            self._events_processed += 1
-            self._live -= 1
-            self._fire(event)
-            return True
-        return False
 
     def run(self, until: float | None = None, max_events: int | None = None) -> None:
         """Run events until the heap drains, ``until`` is reached, or
@@ -373,9 +222,19 @@ class Simulator:
           still pending.  The ``max_events`` budget is checked before the
           heap, so ``max_events=0`` fires nothing and never touches the
           clock, even with ``until`` set.
+
+        ``until`` must be finite (``None`` means "until drained"): a NaN
+        bound compares false against every event time and would never
+        stop a self-sustaining chain, so it raises
+        :class:`SimulationError` like a non-finite delay does.
         """
         if self._running:
             raise SimulationError("run() re-entered from within an event")
+        if until is not None and not -_INF < until < _INF:
+            raise SimulationError(
+                f"invalid until {until!r}: must be finite (None runs until "
+                "the heap drains)"
+            )
         self._running = True
         # Batched drains may advance the clock inline, but only while an
         # un-budgeted run() is driving the loop: under ``max_events`` the
@@ -383,35 +242,23 @@ class Simulator:
         # inline advancement would change where the budget lands.
         if max_events is None:
             self._advance_bound = _INF if until is None else until
-        # Local-variable hot loop: one pass per event, no peek_time/step
-        # double scan of the heap head and no per-event method dispatch.
+        # Local-variable hot loop: no per-event method dispatch.
         heap = self._heap
-        pool = self._handle_pool
         pop = heapq.heappop
         fired = 0
         try:
             while True:
                 if max_events is not None and fired >= max_events:
                     return
-                while heap and heap[0][2].cancelled:
-                    pop(heap)
-                    self._cancelled_backlog -= 1
                 if not heap:
                     break
                 next_time = heap[0][0]
                 if until is not None and next_time > until:
                     break
-                _time, _seq, event = pop(heap)
+                _time, _seq, callback, args = pop(heap)
                 self._now = next_time
                 self._events_processed += 1
-                self._live -= 1
-                event.callback(*event.args)
-                if event.pooled:
-                    event.callback = _noop
-                    event.args = ()
-                    pool.append(event)
-                else:
-                    event.owner = None
+                callback(*args)
                 fired += 1
             if until is not None and until > self._now:
                 self._now = until

@@ -1,21 +1,24 @@
-"""Soft-reschedule timers: deadline updates without heap traffic.
+"""Soft-reschedule timers: the one way to cancel or move a deadline.
 
-Retransmission machinery reschedules its timers on *every* ACK — under
-the old engine each reschedule was a cancel (leaving a dead tuple to
-sink through the heap) plus a fresh O(log H) push.  A :class:`Timer`
-instead keeps the deadline in plain attributes: rescheduling **later**
-just overwrites a float and an int, and the already-armed wake re-arms
-itself lazily when it fires early.  Heap traffic drops from one push per
-ACK to one push per fire epoch (plus one per earlier-deadline move), and
-the cancelled-tuple bloat disappears entirely.
+A heap event is a plain ``(time, seq, callback, args)`` tuple that fires
+once pushed; the simulator has no cancel.  Everything that needs to take
+a deadline back — RTO / TLP / pacing, the BC-PQP sweep, the churn driver
+— holds a :class:`Timer`, which keeps the deadline in plain attributes:
+rescheduling **later** just overwrites a float and an int, cancelling
+clears the float, and the already-armed wake re-arms itself (or returns
+at once) when it surfaces.  Retransmission machinery reschedules on
+*every* ACK, so this is one push per fire epoch (plus one per
+earlier-deadline move) instead of one per ACK, and the heap never holds
+an entry the engine has to recognise as dead.
 
-Byte-identity with the cancel+push engine is exact, not statistical:
-every reschedule *reserves* a global insertion seq — the very seq the
-old engine would have consumed by scheduling — and the callback always
+Byte-identity with a cancel+push engine is exact, not statistical:
+every reschedule *reserves* a global insertion seq — the very seq
+cancel+push would have consumed by scheduling — and the callback always
 executes at heap position ``(deadline, deadline_seq)``.  A wake that
 surfaces early or superseded either re-arms at that exact position or is
 discarded, so even same-instant ties (common: RTO/TLP deadlines clamp to
-constants like ``0.9 * MIN_RTO``) fire in the old engine's order.
+constants like ``0.9 * MIN_RTO``) fire in cancel+push order
+(``tests/test_timer.py`` drives both against one script).
 """
 
 from __future__ import annotations
@@ -28,7 +31,8 @@ _INF = float("inf")
 
 
 class Timer:
-    """A cancellable, reschedulable one-shot timer.
+    """A cancellable, reschedulable one-shot timer — the only cancellable
+    object in :mod:`repro.sim`.
 
     State machine:
 
@@ -38,8 +42,8 @@ class Timer:
       otherwise the wake is left in place and re-armed lazily when it
       fires — the per-ACK fast path, zero heap ops.
     * ``cancel()`` clears the deadline.  The outstanding wake (if any)
-      stays in the heap and is discarded when it surfaces — O(1), no
-      heap traffic, no cancelled-tuple accounting.
+      stays in the heap and returns at once when it surfaces — O(1), no
+      heap traffic.
     * A surfacing wake acts only if it is the *armed* one (seq match);
       it then fires the callback iff it sits exactly at
       ``(deadline, deadline_seq)``, else re-arms there.  The timer
@@ -93,7 +97,7 @@ class Timer:
 
     def _set_deadline(self, time: float) -> None:
         sim = self._sim
-        # Reserve the seq the old cancel+push engine would have consumed
+        # Reserve the seq a cancel+push engine would have consumed
         # here — this pins tie-instant ordering bit-for-bit.
         seq = sim._seq
         sim._seq = seq + 1
@@ -126,7 +130,7 @@ class Timer:
         if deadline_seq != wake_seq:
             # Soft-rescheduled since this wake was pushed: re-arm at the
             # exact (time, seq) that reschedule reserved, so the callback
-            # fires precisely where the old engine would have fired it.
+            # fires precisely where cancel+push would have fired it.
             self._armed_time = deadline
             self._armed_seq = deadline_seq
             self._sim.call_at_reserved(

@@ -118,6 +118,25 @@ class TestFleetSpecValidation:
         assert field in message and repr(value) in message
         assert "bcpqp" in message or "fluid-ref" in message
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("horizon", float("nan")),
+            ("warmup", float("nan")),
+            ("window", float("inf")),
+            ("window", 0.0),
+            # An empty choice set used to be an IndexError from random.py
+            # inside a shard worker, retried like a transient fault.
+            ("rates_mbps", ()),
+            ("ccs", ()),
+        ],
+    )
+    def test_rejects_non_finite_interval_and_empty_choices(self, field, value):
+        with pytest.raises(ValueError) as excinfo:
+            FleetSpec(aggregates=2, **{field: value})
+        message = str(excinfo.value)
+        assert field in message and repr(value) in message
+
     def test_shard_config_validates_eagerly(self):
         with pytest.raises(ValueError):
             ShardConfig(spec=FleetSpec(aggregates=2), shards=3, index=2)

@@ -327,6 +327,30 @@ class TestConfigRepr:
         assert field in message and repr(value) in message
         assert str(legal) in message
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            # NaN first: `time > nan` is never true, so before the guard
+            # a NaN horizon ran the event loop for ever.
+            ("horizon", float("nan")),
+            ("horizon", float("inf")),
+            ("warmup", float("nan")),
+            ("window", float("nan")),
+            ("window", 0.0),
+            ("warmup", 2.0),  # == horizon: nothing left to measure
+            ("specs", ()),
+        ],
+    )
+    def test_unmeasurable_cell_rejected_at_construction(self, field, value):
+        # Each of these used to surface only after the whole simulation
+        # had run (or never), from `measure` or a bare `max()`.
+        from dataclasses import replace
+
+        with pytest.raises(ValueError) as excinfo:
+            replace(_tiny_config(), **{field: value})
+        message = str(excinfo.value)
+        assert field in message and repr(value) in message
+
     def test_repr_has_no_memory_addresses(self):
         # The cache key hashes repr(config); an object default-repr like
         # <Policy at 0x7f...> would silently break cross-run caching.

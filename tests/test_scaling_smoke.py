@@ -45,6 +45,7 @@ from repro.runner.aggregate import (
 )
 from repro.schemes import make_limiter
 from repro.sim.simulator import Simulator
+from repro.sim.timer import Timer
 from repro.units import MSS, gbps, mbps, ms
 from repro.workload.spec import FlowSpec
 
@@ -438,6 +439,30 @@ def _eventloop_failures(scheme: str, cell: dict) -> list[str]:
     return failures
 
 
+def _chain_lines(kind: str, events: int) -> int:
+    """Lines under ``src/repro/sim/`` for a chain of ``events`` events,
+    each armed from the callback of the one before it (heap depth 1):
+    push, pop and dispatch, with nothing of the packet path in between."""
+    sim = Simulator()
+    left = events
+
+    def tick() -> None:
+        nonlocal left
+        left -= 1
+        if left:
+            rearm()
+
+    if kind == "schedule":
+        rearm = functools.partial(sim.schedule, 1e-3, tick)
+    else:
+        rearm = functools.partial(Timer(sim, tick).schedule_after, 1e-3)
+    with counting(under=os.path.join(_SRC, "sim") + os.sep) as steps:
+        rearm()
+        sim.run()
+    assert sim.events_processed == events
+    return steps.lines
+
+
 @pytest.fixture(scope="module")
 def eventloop():
     return {scheme: _eventloop_cell(scheme) for scheme in PRE_PR_EVENTLOOP}
@@ -456,6 +481,20 @@ class TestEventloopSmoke:
             eventloop[scheme]["arrived_packets"]
             == PRE_PR_EVENTLOOP[scheme]["arrived_packets"]
         )
+
+    @pytest.mark.parametrize("kind,limit", [("schedule", 20), ("timer", 37)])
+    def test_lines_per_event(self, kind, limit):
+        # The counters above gate how many events a packet costs; this
+        # gates what one event costs.  An event is a heap tuple, so a
+        # fired `schedule` is 17 lines and a `Timer` tick 35; with a
+        # handle object per event, a free list and a cancelled-entry scan
+        # at the top of the run loop they read 33 and 52 (EXPERIMENTS.md).
+        small, big = _chain_lines(kind, 1_000), _chain_lines(kind, 10_000)
+        per_event = _show(f"eventloop {kind} chain events=10000",
+                          lines=round(big / 10_000, 4))["lines"]
+        assert per_event <= limit
+        # Every event costs the same: the count is k * events + c.
+        assert (big - small) / 9_000 == round(per_event)
 
     def test_check_flags_regressions(self):
         # A cell that regressed back to pre-overhaul costs.

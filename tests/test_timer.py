@@ -195,20 +195,24 @@ class TestTieOrdering:
             sim.run()
             return fired
 
-        # Reference: plain cancel+push via schedule_at handles.
+        # Reference: plain cancel+push.  A heap event cannot be cancelled,
+        # so each push carries a token and fires only while it is still
+        # its timer's live one — one seq per push, exactly what a
+        # cancellable handle per push consumed.
         ref_sim = Simulator()
         ref_fired = []
-        handles = {}
+        live = {}
+
+        def ref_fire(tid, token):
+            if live.get(tid) is token:
+                ref_fired.append(tid)
 
         def ref_schedule(tid):
-            if tid in handles:
-                handles[tid].cancel()
-            handles[tid] = ref_sim.schedule_at(100.0, ref_fired.append, tid)
+            live[tid] = token = object()
+            ref_sim.schedule_at(100.0, ref_fire, tid, token)
 
         def ref_cancel(tid):
-            if tid in handles:
-                handles[tid].cancel()
-                del handles[tid]
+            live.pop(tid, None)
 
         drive(ref_schedule, ref_cancel, ref_sim, ref_fired)
 
