@@ -2,6 +2,7 @@
 """Step counts of the TCP endpoint's four per-ACK recovery loops.
 
     python benchmarks/recovery_steps.py [WORKLOAD ...] [--seed 1] [--seconds 8]
+                                         [--try-send]
 
 Runs the suite's closed-loop cells (``sat_shaper``, ``lossy_churn``,
 ``sat_bcpqp`` by default; same inputs as ``suite/run.py --seed N
@@ -14,6 +15,14 @@ the same file counts the tree it is copied into (DESIGN.md, "TCP endpoint:
 recovery cost", was filled in by running it on this commit and its parent).
 The counts repeat exactly; the run is several times slower than an
 unprobed one and its timings mean nothing.
+
+``--try-send`` counts something else with the same method: every entry
+of ``TcpSender._try_send`` by caller (``ack`` = the tail of
+``_process_ack``, ``pacing`` = the pacing ``Timer``, ``rto``, ``start``),
+by how many packets it sent, and by the check that ended it (``idle``,
+``no_data``, ``cwnd``, ``budget``, ``pacing`` — read off the sender's
+state on return, which is what the last check saw), plus the entries an
+"already waiting for the pacing timer" early return would skip.
 """
 
 from __future__ import annotations
@@ -178,18 +187,78 @@ def install() -> None:
     _scoped(TcpReceiver, "receive", "data", before=data_before)
 
 
+def install_try_send() -> None:
+    """Count ``_try_send`` entries by caller, packets sent and exit."""
+    try_send = TcpSender._try_send
+    arm_timer = TcpSender._arm_pacing_timer
+    armed: list[bool] = [False]
+
+    def exit_of(self) -> str:
+        if self.completed_at is not None or not self.started:
+            return "idle"
+        total = self._total
+        if not self._lost_heap and not (total is None or self.snd_nxt < total):
+            return "no_data"
+        pipe = ((self.snd_nxt - self.snd_una) - len(self._sacked)
+                - len(self._lost_set) + len(self._retx_out))
+        if max(pipe, 0) + 1 > self.cc.cwnd:
+            return "cwnd"
+        if self._in_recovery and self._recovery_budget < 1.0:
+            return "budget"
+        assert armed[0], "no exit check explains this return"
+        return "pacing"
+
+    def counted(self):
+        caller = _where[-1] if _where else "pacing"
+        waiting = (
+            self.started and self.completed_at is None
+            and self._pacing_timer.active
+            and self._sim.now < self._next_send_time - 1e-12
+        )
+        sent = self.packets_sent
+        armed[0] = False
+        try_send(self)
+        sent = self.packets_sent - sent
+        exit_ = exit_of(self)
+        COUNTS["try_send.entries"] += 1
+        COUNTS[f"try_send.by_caller.{caller}"] += 1
+        COUNTS[f"try_send.sent_{'2+' if sent > 1 else sent}"] += 1
+        COUNTS["try_send.packets"] += sent
+        COUNTS[f"try_send.exit.{exit_}.sent_{'some' if sent else 'none'}"] += 1
+        if waiting:
+            assert sent == 0
+            COUNTS["try_send.entered_while_waiting_for_pacing"] += 1
+
+    def arm(self):
+        armed[0] = True
+        arm_timer(self)
+
+    TcpSender._try_send = counted
+    TcpSender._arm_pacing_timer = arm
+    _scoped(TcpSender, "_process_ack", "ack",
+            before=lambda self, packet: COUNTS.update(acks=1))
+    _scoped(TcpSender, "_on_rto", "rto")
+    _scoped(TcpSender, "_start", "start")
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("workloads", nargs="*",
                         default=["sat_shaper", "lossy_churn", "sat_bcpqp"])
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--seconds", type=float, default=8.0)
+    parser.add_argument("--try-send", action="store_true",
+                        help="count _try_send entries by caller and exit "
+                             "instead of the recovery loops")
     args = parser.parse_args()
 
     import estimate
     import repeat
 
-    install()
+    if args.try_send:
+        install_try_send()
+    else:
+        install()
     scale = args.seconds / estimate.MANIFEST["run_seconds"]
     for name in args.workloads:
         COUNTS.clear()

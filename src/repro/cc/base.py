@@ -105,11 +105,6 @@ class CongestionControl(ABC):
         del now
         return None
 
-    @property
-    def in_slow_start(self) -> bool:
-        """True while cwnd is below ssthresh."""
-        return self.cwnd < self.ssthresh
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(cwnd={self.cwnd:.2f})"
 

@@ -194,13 +194,13 @@ def main(argv: list[str] | None = None) -> None:
             print("cProfile: top 30 functions by cumulative time")
             stats = pstats.Stats(profiler).sort_stats("cumulative")
             stats.print_stats(30)
-            # The packet path in one table: the link/pipe drain, every
-            # component's receive entry, the sender's ACK/send bodies and
-            # the recovery steps they call, so loss recovery is billed by
-            # name instead of inside _process_ack's cumulative time.
+            # The packet path in one table: every component's receive
+            # entry, the sender's ACK/send bodies and the recovery steps
+            # they call, so loss recovery is billed by name instead of
+            # inside _process_ack's cumulative time.
             print("cProfile: packet-path entry points")
             stats.print_stats(
-                r"deliver_batch|drain_coalesced|\(receive(_batch)?\)"
+                r"\(receive(_batch)?\)"
                 r"|_process_ack|_try_send"
                 r"|_apply_sack|_advance_una|_detect_losses"
                 r"|_sack_blocks|\(_insert\)"

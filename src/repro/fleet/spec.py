@@ -78,8 +78,6 @@ class FleetSpec:
     max_start: float = 0.1
     #: Phantom service discipline for pqp/bcpqp; ignored otherwise.
     phantom_service: str = "fluid"
-    #: Delivery batch cap (``None`` = unbounded, ``1`` = singletons).
-    batch: int | None = None
     #: Attach the runtime invariant checker inside every shard.
     validate: bool = False
     #: Optional per-flow impairment channels.  Each flow's impairment

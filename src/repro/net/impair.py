@@ -1,10 +1,8 @@
 """Impairment channels: lossy, bursty, jittery and trace-driven links.
 
 Every element in the reproduction's clean topology is a serializing
-FIFO, so loss recovery (SACK/RACK/TLP/RTO) and batched delivery had
-never been exercised under hostile conditions.
-This module provides composable, ``Pipe``-compatible impairment
-wrappers:
+FIFO; these composable, ``Pipe``-compatible wrappers put loss recovery
+(SACK/RACK/TLP/RTO) under hostile conditions:
 
 * :class:`LossGate` — i.i.d. random loss.
 * :class:`GilbertElliottGate` — two-state bursty loss (good/bad Markov
@@ -18,25 +16,21 @@ wrappers:
   sender.
 * :class:`JitterPipe` — a delay element whose per-packet delay is drawn
   at arrival (uniform jitter plus an exponential extra-delay tail for
-  reordering).  Variable delay breaks the coalesced ``Pipe``'s
-  arrival-order == delivery-order assumption, so delivery here is
-  backed by an internal heap with correct per-arrival sequence
-  reservation (see the class docstring).
+  reordering); each packet is its own simulator event.
 * :class:`TraceLink` — a Mahimahi-style variable-rate bottleneck whose
   service rate follows a looping :class:`CapacityTrace`.
 
 Determinism: every random decision draws from a caller-supplied
 ``random.Random`` seeded from the simulator's root seed (per flow, in
 the scenario layer), and draws happen per packet in arrival order —
-which the engine guarantees is identical across batch granularities and
-shard counts — so impaired runs are byte-identical across every engine.
+which is the same however a fleet is sharded — so impaired runs are
+byte-identical across shard counts and phantom engines.
 With all impairments disabled no wrapper is constructed and no draw is
 made, so clean runs stay byte-identical to the unimpaired code.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
 from random import Random
@@ -215,9 +209,9 @@ def _clone(packet: Packet) -> Packet:
 class _Gate:
     """Shared shape of the per-packet impairment gates.
 
-    Gates forward strictly per packet (``receive_batch`` loops) so the
-    per-packet RNG draw order — and therefore every downstream seq
-    reservation — is identical across batch granularities.
+    Gates forward strictly per packet (``receive_batch`` loops), so the
+    RNG draws — and therefore every downstream seq — follow arrival
+    order.
     """
 
     __slots__ = ("_sink", "_rng", "forwarded_packets", "dropped_packets",
@@ -378,34 +372,13 @@ class Corrupter(_Gate):
 
 
 class JitterPipe:
-    """A delay element with per-packet random delay, heap-backed.
+    """A delay element with per-packet random delay.
 
-    The coalesced :class:`~repro.net.pipe.Pipe` assumes constant delay
-    (arrival order == delivery order) and keeps one FIFO plus at most one
-    armed simulator event.  With jittered delays, packet ``B`` arriving
-    after ``A`` may leave first, so the pending set lives in an internal
-    heap keyed by ``(deliver_time, reserved_seq)``.
-
-    Sequence reservation works exactly like the coalesced pipe's: every
-    arrival claims the global insertion seq that a one-event-per-packet
-    engine would have consumed by scheduling its delivery, and each
-    delivery executes at heap position ``(time, seq)`` — so the global
-    firing order is bit-for-bit what per-packet scheduling would produce,
-    in every engine.
-
-    Arming follows the :class:`~repro.sim.timer.Timer` pattern: at most
-    one wake is *adopted* at a time (``_armed_seq``); a wake that
-    surfaces after being superseded by an earlier arrival discards
-    itself by seq mismatch.  One extra wrinkle a timer doesn't have: a
-    superseded wake's ``(time, seq)`` can become the head again after
-    earlier packets drain, and pushing a second event at the same
-    ``(time, seq)`` would create an ordering tie the heap cannot break —
-    so in-flight wake seqs are tracked in ``_outstanding`` and re-arming
-    at one of them simply re-adopts the wake already in the heap.
-
-    Deliveries are strictly per packet (the reference granularity for a
-    reordering element); downstream components accept singles in every
-    engine.
+    Each arrival draws its delay and schedules its own delivery event,
+    so a packet that draws a shorter delay than its predecessor simply
+    fires first: the simulator heap orders deliveries by
+    ``(time, seq)`` and needs no arrival-order assumption.  The draws
+    and the seq happen per packet in arrival order.
     """
 
     def __init__(
@@ -420,10 +393,15 @@ class JitterPipe:
         rng: Random,
         name: str = "jitter-pipe",
     ) -> None:
-        if delay < 0.0:
-            raise ValueError(f"base delay must be non-negative, got {delay!r}")
-        if jitter < 0.0:
-            raise ValueError(f"jitter must be non-negative, got {jitter!r}")
+        for field_name, value in (
+            ("base delay", delay), ("jitter", jitter),
+            ("reorder_extra", reorder_extra),
+        ):
+            if not 0.0 <= value < math.inf:
+                raise ValueError(
+                    f"{field_name} must be finite and non-negative, "
+                    f"got {value!r}"
+                )
         if not 0.0 <= reorder <= 1.0:
             raise ValueError(f"reorder probability out of range: {reorder!r}")
         if reorder > 0.0 and reorder_extra <= 0.0:
@@ -439,16 +417,6 @@ class JitterPipe:
         self.forwarded_packets = 0
         self.forwarded_bytes = 0
         self.reordered_packets = 0
-        #: Pending deliveries: (deliver_time, reserved_seq, packet).
-        #: (time, seq) is globally unique, so the heap never compares
-        #: the packets.
-        self._heap: list[tuple[float, int, Packet]] = []
-        self._armed_time = 0.0
-        self._armed_seq = -1
-        #: Seqs with a wake still in the simulator heap (adopted or
-        #: superseded) — re-arming at one of these re-adopts it instead
-        #: of pushing a duplicate (time, seq) key.
-        self._outstanding: set[int] = set()
 
     @property
     def delay(self) -> float:
@@ -457,8 +425,11 @@ class JitterPipe:
 
     @property
     def in_flight(self) -> int:
-        """Packets currently traversing the pipe."""
-        return len(self._heap)
+        """Deliveries to this pipe's sink still on the simulator heap —
+        an O(heap) scan for tests and debugging; pipes feeding the same
+        sink are counted together."""
+        deliver = self._sink.receive
+        return sum(1 for event in self._sim._heap if event[2] == deliver)
 
     def receive(self, packet: Packet) -> None:
         self.forwarded_packets += 1
@@ -470,57 +441,7 @@ class JitterPipe:
         if self._reorder > 0.0 and rng.random() < self._reorder:
             self.reordered_packets += 1
             delay += rng.expovariate(1.0 / self._reorder_extra)
-        sim = self._sim
-        time = sim._now + delay
-        seq = sim.reserve_seq()
-        heapq.heappush(self._heap, (time, seq, packet))
-        # A fresh arrival's seq exceeds every earlier reservation, so it
-        # only preempts the adopted wake when strictly earlier in time.
-        if self._armed_seq < 0 or time < self._armed_time:
-            self._arm(time, seq)
-
-    def receive_batch(self, packets: list[Packet]) -> None:
-        """Per-packet entry for batched upstreams: each packet's delay
-        draw and seq reservation happen in arrival order, exactly as the
-        per-packet engine interleaves them."""
-        receive = self.receive
-        for packet in packets:
-            receive(packet)
-
-    def _arm(self, time: float, seq: int) -> None:
-        self._armed_time = time
-        self._armed_seq = seq
-        if seq not in self._outstanding:
-            self._outstanding.add(seq)
-            self._sim.call_at_reserved(time, seq, self._fire, seq)
-
-    def _fire(self, wake_seq: int) -> None:
-        self._outstanding.discard(wake_seq)
-        if wake_seq != self._armed_seq:
-            return  # superseded by an earlier arrival's wake
-        self._armed_seq = -1
-        heap = self._heap
-        sim = self._sim
-        sim_heap = sim._heap
-        receive = self._sink.receive
-        while True:
-            receive(heapq.heappop(heap)[2])
-            if not heap:
-                return
-            head = heap[0]
-            time = head[0]
-            seq = head[1]
-            # Same inline-continuation guard as the coalesced pipe: the
-            # next pending delivery may run without a heap round-trip iff
-            # it is exactly the event the heap would fire next.
-            if time <= sim._now and (
-                not sim_heap
-                or sim_heap[0][0] > time
-                or (sim_heap[0][0] == time and sim_heap[0][1] > seq)
-            ):
-                continue
-            self._arm(time, seq)
-            return
+        self._sim.schedule(delay, self._sink.receive, packet)
 
 
 class CapacityTrace:
@@ -652,11 +573,11 @@ class CapacityTrace:
 class TraceLink(Link):
     """A serializing link whose rate follows a :class:`CapacityTrace`.
 
-    Identical to :class:`~repro.net.link.Link` (drop-tail buffer,
-    coalesced propagation FIFO) except that each packet's serialization
-    time is integrated over the trace starting at its transmit instant.
-    Serialization stays strictly sequential, so propagation exit times
-    remain monotone and the coalesced FIFO drains stay valid.
+    Identical to :class:`~repro.net.link.Link` (drop-tail buffer, one
+    propagation event per packet) except that each packet's
+    serialization time is integrated over the trace starting at its
+    transmit instant.  Serialization stays strictly sequential, so
+    propagation exit times remain monotone.
     """
 
     def __init__(
@@ -703,7 +624,7 @@ def build_data_path(
 
     Composition (entry first): Gilbert-Elliott loss -> i.i.d. loss ->
     duplication -> corruption -> delay element (a :class:`JitterPipe`
-    when jitter/reordering is on, else the plain coalesced
+    when jitter/reordering is on, else the plain
     :class:`~repro.net.pipe.Pipe`) -> ``sink``.  Gates the spec leaves
     disabled are not constructed at all.
     """

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 from collections import deque
 
-from repro.net.fastpath import drain_coalesced
 from repro.net.packet import Packet
-from repro.net.sink import PacketSink, batch_capable
+from repro.net.sink import PacketSink
 from repro.sim.simulator import SimulationError, Simulator
+
+_INF = float("inf")
 
 
 class Link:
@@ -33,10 +34,19 @@ class Link:
         buffer_bytes: float | None = None,
         name: str = "link",
     ) -> None:
-        if rate <= 0:
-            raise ValueError(f"link rate must be positive, got {rate!r}")
-        if delay < 0:
-            raise ValueError(f"link delay must be non-negative, got {delay!r}")
+        if not 0 < rate < _INF:
+            raise ValueError(
+                f"link rate must be finite and positive, got {rate!r}"
+            )
+        if not 0 <= delay < _INF:
+            raise ValueError(
+                f"link delay must be finite and non-negative, got {delay!r}"
+            )
+        if buffer_bytes is not None and not 0 <= buffer_bytes < _INF:
+            raise ValueError(
+                "link buffer_bytes must be finite and non-negative (None = "
+                f"unbounded), got {buffer_bytes!r}"
+            )
         self._sim = sim
         self._rate = rate
         self._delay = delay
@@ -47,14 +57,9 @@ class Link:
         self._queue: deque[Packet] = deque()
         self._queued_bytes = 0
         self._busy = False
-        # Coalesced propagation FIFO (same scheme as Pipe: constant delay
-        # + in-order exit means N in-flight packets need only 1 heap
-        # entry, with per-packet reserved seqs pinning the old engine's
-        # exact firing order).
-        self._prop: deque[tuple[float, int, Packet]] = deque()
-        self._prop_armed = False
-        self._batch_sink = batch_capable(sink)
-        self._scratch: list[Packet] = []
+        #: Far-end exit time of the latest transmission: serialization
+        #: is sequential and the delay constant, so exits never reorder.
+        self._last_exit = -_INF
 
         self.forwarded_packets = 0
         self.forwarded_bytes = 0
@@ -80,9 +85,8 @@ class Link:
         """Accept a same-instant batch.
 
         Serialization start (``schedule``) consumes a seq per packet,
-        so the enqueue side must run strictly per-packet to keep the
-        seq assignment independent of batch granularity — a link batches
-        on the *delivery* side only (:meth:`deliver_batch`).
+        so the enqueue side runs strictly per packet: the seq assignment
+        is the one packet-by-packet arrival would produce.
         """
         receive = self.receive
         for packet in packets:
@@ -115,18 +119,16 @@ class Link:
         if self._delay > 0:
             sim = self._sim
             time = sim.now + self._delay
-            prop = self._prop
-            if prop and time < prop[-1][0]:
+            if time < self._last_exit:
                 raise SimulationError(
                     f"link {self.name!r}: non-monotone delivery time "
-                    f"{time!r} after {prop[-1][0]!r} — the coalesced "
-                    "FIFO assumes serialization order == delivery order"
+                    f"{time!r} after {self._last_exit!r} — a link "
+                    "delivers in serialization order"
                 )
-            seq = sim.reserve_seq()
-            prop.append((time, seq, packet))
-            if not self._prop_armed:
-                self._prop_armed = True
-                sim.call_at_reserved(time, seq, self.deliver_batch)
+            self._last_exit = time
+            # One event per packet in flight; the sink's method is looked
+            # up per packet so a wrapper installed after wiring sees it.
+            sim.schedule_at(time, self._sink.receive, packet)
         else:
             self._sink.receive(packet)
         if self._queue:
@@ -135,12 +137,3 @@ class Link:
             self._transmit(nxt)
         else:
             self._busy = False
-
-    def deliver_batch(self) -> None:
-        """Batched drain of the propagation FIFO (see
-        :func:`repro.net.fastpath.drain_coalesced`)."""
-        if drain_coalesced(
-            self._sim, self._prop, self._batch_sink, self.deliver_batch,
-            self._scratch,
-        ):
-            self._prop_armed = False

@@ -33,7 +33,7 @@ class BatchSink(Protocol):
 
 
 class _PerPacketAdapter:
-    """Wraps a plain :class:`PacketSink` so batched drains can feed it."""
+    """Wraps a plain :class:`PacketSink` so a batching limiter can feed it."""
 
     __slots__ = ("_sink",)
 

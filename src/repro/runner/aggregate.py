@@ -62,12 +62,7 @@ class AggregateConfig:
     #: the field participates in the config ``repr`` so validated and
     #: unvalidated runs never share cache entries.
     validate: bool = False
-    #: Delivery batch cap (``Simulator(batch_limit=...)``): ``None`` =
-    #: unbounded, ``1`` = singleton batches, ``K`` = at most K packets
-    #: per hand-off.  It selects no code and outcomes are byte-identical
-    #: for every setting (pinned by ``tests/test_engine_equivalence.py``
-    #: and the differential fuzzer); the field participates in the cache
-    #: token regardless.
+    # Read by the frozen benchmarks/suite/workloads.py:230; selects nothing.
     batch: int | None = None
     #: Optional impairment channels (loss/jitter/reorder/corrupt plus a
     #: capacity trace) applied to the scenario.  ``None`` and an
@@ -230,7 +225,7 @@ def simulate_aggregate(config: AggregateConfig) -> AggregateOutcome:
         from repro.validate import InvariantChecker
 
         checker = InvariantChecker()
-    sim = Simulator(validate=checker, batch_limit=config.batch)
+    sim = Simulator(validate=checker)
     limiter, scenario = build_scenario(config, sim)
     scenario.run()
     if checker is not None:

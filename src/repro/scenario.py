@@ -82,11 +82,6 @@ class FlowRunner:
         self.senders: list[TcpSender] = []
         self._launch(at=spec.start)
 
-    @property
-    def current_sender(self) -> TcpSender | None:
-        """The most recently launched sender, if any."""
-        return self.senders[-1] if self.senders else None
-
     def _launch(self, at: float) -> None:
         if at >= self._horizon:
             return

@@ -30,12 +30,12 @@ class Simulator:
     Nothing can reach into the heap to cancel it: the one cancellable,
     reschedulable thing is :class:`repro.sim.timer.Timer`, which cancels
     by clearing a deadline and lets its wake surface as a no-op.
-    :meth:`reserve_seq` / :meth:`call_at_reserved` let coalesced FIFO
-    components and timers fire at a heap position claimed earlier.
+    :meth:`reserve_seq` / :meth:`call_at_reserved` let a timer fire at
+    a heap position claimed earlier.  A packet in flight on a pipe or a
+    link is one such event whose callback is the sink's ``receive``.
 
     Engine telemetry (all O(1) to maintain): :attr:`pending`,
-    :attr:`events_processed`, :attr:`inline_advances`,
-    :attr:`batched_deliveries`, and :attr:`heap_pushes` /
+    :attr:`events_processed`, and :attr:`heap_pushes` /
     :attr:`peak_heap_size`, which the event-engine gates compare with
     the old engine's (``tests/test_scaling_smoke.py``).
 
@@ -66,26 +66,9 @@ class Simulator:
             raise SimulationError(
                 f"batch_limit must be None or >= 1, got {batch_limit!r}"
             )
-        #: Cap on the same-instant batch a coalesced FIFO component
-        #: (link/pipe) hands its sink per ``receive_batch`` call:
-        #: ``None`` = unbounded (the default), ``K`` = at most K packets,
-        #: ``1`` = every batch is a singleton.  It selects no code — one
-        #: drain kernel (``net/fastpath.py``) runs at every setting — and
-        #: by that module's reserved-seq argument every setting is the
-        #: same simulation, pinned by ``tests/test_engine_equivalence.py``.
+        # Passed by the frozen benchmarks/suite/workloads.py:230; it
+        # selects and caps nothing (every delivery is one event).
         self.batch_limit = batch_limit
-        # Kernel-facing cap: 0 means unbounded (a batch of n packets
-        # stops growing when ``n == cap``; n starts at 1 so 0 never hits).
-        self._batch_cap = 0 if batch_limit is None else batch_limit
-        #: While ``run()`` executes without a ``max_events`` budget, the
-        #: clock may be advanced *inline* by a batched drain (up to this
-        #: bound) whenever the drain's own next packet is provably the
-        #: globally next event — saving a heap round-trip per packet.
-        #: ``None`` disables inline advancement (the state
-        #: outside ``run()`` and under ``max_events`` stepping).
-        self._advance_bound: float | None = None
-        self._inline_advances = 0
-        self._batched_deliveries = 0
         self._heap_pushes = 0
         self._peak_heap = 0
         #: Optional :class:`repro.validate.InvariantChecker`.  Components
@@ -129,17 +112,9 @@ class Simulator:
         """Largest heap length ever reached."""
         return self._peak_heap
 
-    @property
-    def inline_advances(self) -> int:
-        """Clock advances performed inline by link/pipe drains — each one
-        replaced a heap push + pop."""
-        return self._inline_advances
-
-    @property
-    def batched_deliveries(self) -> int:
-        """Packets delivered through multi-packet batches (batch size
-        >= 2); singleton batches are not counted."""
-        return self._batched_deliveries
+    # Read by the frozen benchmarks/suite/workloads.py:102,116; nothing
+    # advances the clock inline or hands a sink more than one packet.
+    inline_advances = batched_deliveries = property(lambda self: 0)
 
     def schedule(
         self, delay: float, callback: Callable[..., None], *args: Any
@@ -179,16 +154,10 @@ class Simulator:
     call_at = schedule_at
 
     def reserve_seq(self) -> int:
-        """Claim the next insertion-sequence number without scheduling.
-
-        Coalesced FIFO components (link/pipe) reserve a seq per packet at
-        entry — the exact point the pre-coalescing engine consumed one by
-        scheduling a per-packet event — and later arm their single
-        delivery event with the head packet's reserved seq via
-        :meth:`call_at_reserved`.  Global (time, seq) firing order is
-        therefore identical to scheduling one event per packet, while the
-        heap holds at most one entry per component.
-        """
+        """Claim the next insertion-sequence number without scheduling;
+        :meth:`call_at_reserved` later pushes an event at that position
+        (how a :class:`~repro.sim.timer.Timer` fires where a
+        cancel-and-push engine would have fired it)."""
         seq = self._seq
         self._seq = seq + 1
         return seq
@@ -236,12 +205,6 @@ class Simulator:
                 "the heap drains)"
             )
         self._running = True
-        # Batched drains may advance the clock inline, but only while an
-        # un-budgeted run() is driving the loop: under ``max_events`` the
-        # caller observes (and resumes from) every individual firing, so
-        # inline advancement would change where the budget lands.
-        if max_events is None:
-            self._advance_bound = _INF if until is None else until
         # Local-variable hot loop: no per-event method dispatch.
         heap = self._heap
         pop = heapq.heappop
@@ -264,4 +227,3 @@ class Simulator:
                 self._now = until
         finally:
             self._running = False
-            self._advance_bound = None

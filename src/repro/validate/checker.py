@@ -6,7 +6,7 @@ non-None, and each limiter / TCP sender / middlebox ``__init__`` calls
 the matching ``attach_*``).  Attachment wraps *instance-level* bound
 methods — each component's packet entry (a limiter's ``receive_batch``,
 which its ``receive`` funnels into; a sender's and a middlebox's
-``receive`` and ``receive_batch``), BC-PQP's ``_on_window_sweep`` and the
+``receive``), BC-PQP's ``_on_window_sweep`` and the
 phantom set's enqueue/fill/reclaim.  Every wrapper calls the method it
 shadows, one packet at a time, and probes after each call: the decision
 loop, ``_process_ack`` and ``_try_send`` a validated run executes are the
@@ -164,10 +164,8 @@ class InvariantChecker:
                 f"{stats.arrived_bytes - arrived_bytes} bytes recorded "
                 f"for a {batch_bytes}-byte batch",
             )
-            # ... and the engine's live/cancelled tiling of the heap
-            # still holds *mid-drain*, while the delivery event that
-            # carried this batch is popped but its successors are not
-            # yet re-armed.
+            # ... and the engine's peak-heap gauge still covers the
+            # heap right after the deliveries this batch scheduled.
             sim = getattr(limiter, "_sim", None)
             if sim is not None and sim in self._simulators:
                 self._check_simulator(sim)
@@ -215,28 +213,17 @@ class InvariantChecker:
         self._simulators.append(sim)
 
     def attach_sender(self, sender: Any) -> None:
-        """Wrap a TCP sender's two ACK entry points for per-ACK checking;
-        both call the originals, so ``_process_ack`` / ``_try_send`` run
+        """Wrap a TCP sender's ACK entry point for per-ACK checking; it
+        calls the original, so ``_process_ack`` / ``_try_send`` run
         exactly as they do unvalidated."""
         self._senders.append(sender)
         original_receive = sender.receive
-        original_receive_batch = sender.receive_batch
-        single: list[Any] = [None]
 
         def wrapped_receive(packet: Any) -> None:
             original_receive(packet)
             self._check_sender(sender)
 
-        def wrapped_receive_batch(packets: Any) -> None:
-            # One ACK at a time through the original batch entry, so the
-            # per-ACK check runs between ACKs.
-            for packet in packets:
-                single[0] = packet
-                original_receive_batch(single)
-                self._check_sender(sender)
-
         sender.receive = wrapped_receive
-        sender.receive_batch = wrapped_receive_batch
 
     def attach_middlebox(self, middlebox: Any) -> None:
         """Wrap dispatch accounting.  Assumes registered limiters receive
@@ -262,29 +249,16 @@ class InvariantChecker:
         middlebox.add_aggregate = wrapped_add
 
         original_receive = middlebox.receive
-        original_receive_batch = middlebox.receive_batch
-        single: list[Any] = [None]
 
-        def count(packet: Any) -> None:
+        def wrapped_receive(packet: Any) -> None:
             state["packets"] += 1
             state["bytes"] += packet.size
             if packet.flow.aggregate not in middlebox._limiters:
                 state["unmatched_bytes"] += packet.size
-
-        def wrapped_receive(packet: Any) -> None:
-            count(packet)
             original_receive(packet)
             self._check_middlebox(middlebox, state)
 
-        def wrapped_receive_batch(packets: Any) -> None:
-            for packet in packets:
-                count(packet)
-                single[0] = packet
-                original_receive_batch(single)
-                self._check_middlebox(middlebox, state)
-
         middlebox.receive = wrapped_receive
-        middlebox.receive_batch = wrapped_receive_batch
 
     # ------------------------------------------------------------------
     # Reporting

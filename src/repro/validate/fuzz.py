@@ -97,11 +97,8 @@ class FuzzCase:
     weights: tuple[float, ...] | None
     priorities: tuple[int, ...] | None
     baseline: str
-    #: Delivery batch cap for the case's primary runs (``None`` =
-    #: unbounded, ``1`` = singleton batches, ``K`` = cap).  Corpus JSON
-    #: predating the field deserializes to the unbounded default.  Every
-    #: case is additionally re-run at the *opposite* granularity and
-    #: diffed bit-for-bit (:func:`_diff_batch`).
+    #: Selects nothing (every delivery is one event); kept, with its
+    #: draw, so later draws and corpus JSON stay as recorded.
     batch: int | None = None
     #: Fleet shard count for the shard-invariance tier: a small
     #: generatively-seeded fleet is run unsharded and partitioned into
@@ -114,11 +111,11 @@ class FuzzCase:
     #: comparable).  ``None`` = clean case; corpus JSON predating the
     #: field deserializes to clean.  Impaired cases skip the loose
     #: (quantum-vs-fluid band) tier — impairment loss amplified through
-    #: CC feedback swamps the band — but keep the strict, batch and
-    #: fleet tiers, which demand bit-equality regardless.
+    #: CC feedback swamps the band — but keep the strict and fleet
+    #: tiers, which demand bit-equality regardless.
     impair: ImpairmentSpec | None = None
     #: Live-reconfiguration plan applied to every run of the case (same
-    #: plan for every engine/batch/shard leg, so churned engines stay
+    #: plan for every engine/shard leg, so churned engines stay
     #: perfectly comparable).  ``None`` = churn-free case; corpus JSON
     #: predating the field deserializes to churn-free.  Churned cases —
     #: like impaired ones — skip the loose band (a mid-run rate or tree
@@ -284,13 +281,10 @@ def generate_case(
     if policy_kind == "prioritized":
         # Mostly priority 0 so lower classes aren't always fully starved.
         priorities = tuple(rng.choice((0, 0, 1)) for _ in range(n))
-    # Batch-limit draw (last, so earlier draws match the pre-batching
-    # corpus): the interesting sizes are the two extremes (1 = singleton
-    # batches, None = unbounded) plus tiny and mid-size caps that force
-    # batch boundaries at awkward places.
+    # Consumes the draws the corpus was recorded with (see FuzzCase.batch).
     batch = rng.choice((1, 2, rng.randint(2, 32), None))
-    # Shard-count draw (after batch, same reason: earlier draws keep
-    # matching the pre-fleet corpus).  Small counts: the tier's job is
+    # Shard-count draw (after batch, so earlier draws keep matching the
+    # pre-fleet corpus).  Small counts: the tier's job is
     # partition boundaries, not population size — uneven splits (3, 5)
     # exercise the remainder-distribution path of ``shard_bounds``.
     shards = rng.choice((1, 2, 3, 5))
@@ -352,13 +346,11 @@ class CaseReport:
         return bool(self.violations or self.divergences or self.crash)
 
 
-def _run_engine(
-    case: FuzzCase, scheme: str, service: str, batch: int | None = None
-) -> dict:
+def _run_engine(case: FuzzCase, scheme: str, service: str) -> dict:
     """One simulation with the checker attached; returns comparable
     outcome numbers plus any invariant violations."""
     checker = InvariantChecker(fail_fast=False)
-    sim = Simulator(validate=checker, batch_limit=batch)
+    sim = Simulator(validate=checker)
     limiter, scenario = build_scenario(case.config(scheme, service), sim)
     scenario.run()
     checker.finalize(traces=(scenario.trace,))
@@ -421,25 +413,6 @@ def _diff_loose(
             )
 
 
-def _diff_batch(
-    scheme: str,
-    batch_a: int | None,
-    batch_b: int | None,
-    a: dict,
-    b: dict,
-    divergences: list[str],
-) -> None:
-    """Granularity invariance of the one engine: two batch caps compute
-    the *same* simulation, so every outcome — including the pure float
-    ``drained_bytes`` accumulator — must be bit-for-bit equal."""
-    for key in _STRICT_KEYS + ("drained_bytes",):
-        if a[key] != b[key]:
-            divergences.append(
-                f"{scheme}: batch={batch_a} vs batch={batch_b} diverge "
-                f"on {key}: {a[key]!r} != {b[key]!r}"
-            )
-
-
 def _diff_fleet(case: FuzzCase, divergences: list[str]) -> int:
     """Fleet shard-invariance tier; returns simulations run.
 
@@ -462,7 +435,6 @@ def _diff_fleet(case: FuzzCase, divergences: list[str]) -> int:
         scheme=scheme,
         horizon=case.horizon,
         warmup=case.warmup,
-        batch=case.batch,
         impair=case.impair,
         # Churned cases churn the fleet too: each aggregate draws its own
         # per-aggregate plan (as many actions as the case's plan) from
@@ -488,11 +460,10 @@ def run_case(case: FuzzCase) -> CaseReport:
     violations: list[str] = []
     divergences: list[str] = []
     simulations = 0
-    other_batch = 1 if case.batch != 1 else None
     for scheme in PHANTOM_SCHEMES:
         outcomes: dict[str, dict] = {}
         for service in ENGINES:
-            outcome = _run_engine(case, scheme, service, batch=case.batch)
+            outcome = _run_engine(case, scheme, service)
             simulations += 1
             outcomes[service] = outcome
             for message in outcome["violations"]:
@@ -507,17 +478,7 @@ def run_case(case: FuzzCase) -> CaseReport:
             _diff_loose(
                 scheme, outcomes["fluid"], outcomes["quantum"], divergences
             )
-        # Granularity tier (a metamorphic relation over one engine): the
-        # same scheme/service at the opposite delivery granularity must
-        # match bit for bit.
-        alt = _run_engine(case, scheme, "fluid", batch=other_batch)
-        simulations += 1
-        for message in alt["violations"]:
-            violations.append(f"{scheme}/fluid/batch={other_batch}: {message}")
-        _diff_batch(
-            scheme, case.batch, other_batch, outcomes["fluid"], alt, divergences
-        )
-    baseline_outcome = _run_engine(case, case.baseline, "fluid", batch=case.batch)
+    baseline_outcome = _run_engine(case, case.baseline, "fluid")
     simulations += 1
     for message in baseline_outcome["violations"]:
         violations.append(f"{case.baseline}: {message}")

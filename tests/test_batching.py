@@ -1,15 +1,11 @@
-"""Delivery granularity: ordering and equivalence properties.
+"""Delivery order: one heap event per packet in flight.
 
-The packet path's contract is that a batch is *bookkeeping*, not a
-semantic unit: draining a same-instant prefix of a pipe/link FIFO in one
-callback must produce exactly the global event interleaving that one
-heap event per packet would.  These tests drive randomized workloads of
-packet arrivals and competing timer events through a
-:class:`~repro.net.pipe.Pipe` under every interesting batch limit
-(1 = singleton batches, tiny caps that split batches at awkward places,
-and the unbounded default) and require the observed delivery/timer log
-to be *identical* across all of them — a metamorphic relation over one
-drain kernel.
+These tests drive randomized workloads of packet arrivals and competing
+timer events through a :class:`~repro.net.pipe.Pipe` and require the
+observed delivery/timer log to be *identical* for every
+``Simulator(batch_limit=)`` — the argument is accepted for the frozen
+benchmark suite and selects nothing, so the relation pins that it stays
+inert.
 """
 
 from __future__ import annotations
@@ -101,23 +97,3 @@ def test_batch_one_delivers_singletons():
     sim.run()
     assert [entry[2] for entry in log] == list(range(10))
     assert sim.batched_deliveries == 0
-
-
-def test_unbounded_batch_drains_same_instant_prefix_in_one_call():
-    """A same-instant burst behind a constant-delay pipe arrives as one
-    batched drain when the batch size is unbounded."""
-    sim = Simulator()
-    batches: list[list[int]] = []
-
-    class BatchRecorder:
-        def receive(self, packet: Packet) -> None:
-            batches.append([packet.seq])
-
-        def receive_batch(self, packets: list[Packet]) -> None:
-            batches.append([p.seq for p in packets])
-
-    pipe = Pipe(sim, 0.001, BatchRecorder())
-    for i in range(10):
-        pipe.receive(Packet.data(FLOW, seq=i, sent_at=0.0))
-    sim.run()
-    assert batches == [list(range(10))]

@@ -6,11 +6,11 @@ The module-level properties pin the contract the tentpole rests on:
 * gate statistics match their specs (GE stationary loss rate);
 * impaired flows still complete with a contiguous receiver sequence
   space (loss recovery survives every impairment mix);
-* impaired runs are byte-identical across delivery batch granularities
-  and fleet shard counts (same-seed, same-draw-order determinism);
+* impaired runs are byte-identical across ``batch=`` settings and
+  fleet shard counts (same-seed, same-draw-order determinism);
 * a disabled :class:`ImpairmentSpec` is indistinguishable from no spec;
-* the coalesced FIFOs refuse non-monotone delivery times instead of
-  silently reordering;
+* pipes and links refuse non-monotone delivery times instead of
+  silently reordering, and non-finite delays at construction;
 * a dropped, duplicated or delayed packet stays the value it was (no
   component reissues or rewrites a packet somebody else may hold).
 
@@ -282,7 +282,7 @@ class TestJitterPipe:
 
 
 # ---------------------------------------------------------------------------
-# Monotonicity guards (satellite: coalesced-FIFO assumption enforcement)
+# Monotonicity guards (constant delay: arrival order == delivery order)
 # ---------------------------------------------------------------------------
 
 
@@ -315,7 +315,7 @@ class TestMonotonicityGuards:
 
         def shrink():
             # Mid-flight delay shrink: packet 1 would now exit at t=3.5,
-            # before packet 0 — the coalesced FIFO must refuse.
+            # before packet 0 — the link must refuse.
             link._delay = 1.5
 
         sim.call_at(1.5, shrink)
@@ -332,6 +332,64 @@ class TestMonotonicityGuards:
         assert (link.dropped_packets, link.dropped_bytes) == (1, MSS)
         sim.run()
         assert sink.packets == [first]
+
+
+_NON_FINITE = [float("nan"), float("inf"), -float("inf")]
+
+
+class TestNonFiniteDelays:
+    """A delivery is pushed on the simulator heap without going through
+    ``schedule``'s finite check, so a NaN or infinite delay, rate or
+    buffer must fail typed at construction, naming field and value —
+    ``nan < 0`` is false, and a NaN heap key silently breaks event
+    order."""
+
+    @pytest.mark.parametrize("bad", _NON_FINITE)
+    def test_pipe_delay(self, bad):
+        with pytest.raises(ValueError, match="pipe delay") as exc:
+            Pipe(Simulator(), bad, Collector())
+        assert repr(bad) in str(exc.value)
+
+    @pytest.mark.parametrize("bad", _NON_FINITE)
+    @pytest.mark.parametrize("field", ["rate", "delay", "buffer_bytes"])
+    def test_link_fields(self, field, bad):
+        kwargs = {"rate": 1e6, "delay": 0.01, "buffer_bytes": 3000.0, field: bad}
+        with pytest.raises(ValueError, match=f"link {field}") as exc:
+            Link(Simulator(), sink=Collector(), **kwargs)
+        assert repr(bad) in str(exc.value)
+
+    @pytest.mark.parametrize("bad", _NON_FINITE)
+    @pytest.mark.parametrize("field", ["delay", "buffer_bytes"])
+    def test_trace_link_fields(self, field, bad):
+        kwargs = {"delay": 0.01, "buffer_bytes": 3000.0, field: bad}
+        with pytest.raises(ValueError, match=f"link {field}") as exc:
+            TraceLink(Simulator(), CapacityTrace(((1.0, 1e6),)),
+                      sink=Collector(), **kwargs)
+        assert repr(bad) in str(exc.value)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_trace_link_rate(self, bad):
+        with pytest.raises(ValueError, match="link rate"):
+            TraceLink(Simulator(), CapacityTrace(((1.0, bad),)), 0.01,
+                      Collector())
+
+    @pytest.mark.parametrize("bad", _NON_FINITE)
+    @pytest.mark.parametrize(
+        "field,label",
+        [("delay", "base delay"), ("jitter", "jitter"),
+         ("reorder_extra", "reorder_extra")],
+    )
+    def test_jitter_pipe_fields(self, field, label, bad):
+        kwargs = {"delay": 0.01, "jitter": 0.001, "reorder_extra": 0.01,
+                  field: bad}
+        with pytest.raises(ValueError, match=label) as exc:
+            JitterPipe(Simulator(), sink=Collector(), reorder=0.1,
+                       rng=Random(1), **kwargs)
+        assert repr(bad) in str(exc.value)
+
+    def test_unbounded_buffer_stays_legal(self):
+        link = Link(Simulator(), 1e6, 0.01, Collector(), buffer_bytes=None)
+        assert link.backlog_bytes == 0
 
 
 # ---------------------------------------------------------------------------
