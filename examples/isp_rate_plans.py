@@ -16,7 +16,6 @@ from repro import (
     Simulator,
     make_limiter,
 )
-from repro.metrics import aggregate_throughput_series
 from repro.units import mbps, ms, to_mbps
 
 PLANS = {  # subscriber id -> plan rate
@@ -56,10 +55,10 @@ def main() -> None:
             rng=random.Random(100 + subscriber),
             aggregate=subscriber,
             horizon=HORIZON,
+            warmup=5.0,
         )
         scenario.run()
-        agg = aggregate_throughput_series(
-            scenario.trace.records, window=0.25, start=5.0, end=HORIZON)
+        agg = scenario.recorder.aggregate_series()
         print(f"  subscriber {subscriber}: plan {to_mbps(plan):5.1f} Mbps"
               f" -> measured {to_mbps(agg.mean()):5.2f} Mbps"
               f" (peak {to_mbps(agg.max()):5.2f},"

@@ -23,7 +23,6 @@ from repro import (
     Simulator,
     make_limiter,
 )
-from repro.metrics import per_slot_throughput_series
 from repro.units import mbps, ms, to_mbps
 
 RATE = mbps(10)
@@ -54,11 +53,11 @@ def main() -> None:
     limiter = make_limiter(sim, "bcpqp", rate=RATE, num_queues=4,
                            max_rtt=ms(50), policy=POLICY)
     scenario = AggregateScenario(sim, limiter=limiter, specs=FLOWS,
-                                 rng=random.Random(3), horizon=HORIZON)
+                                 rng=random.Random(3), horizon=HORIZON,
+                                 warmup=5.0)
     scenario.run()
 
-    slots = per_slot_throughput_series(scenario.trace.records, window=0.25,
-                                       start=5.0, end=HORIZON)
+    slots = scenario.recorder.slot_series()
     print(f"Nested policy over {to_mbps(RATE):.0f} Mbps "
           f"(interactive > bulk, weighted within):")
     total = 0.0

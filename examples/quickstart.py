@@ -11,7 +11,7 @@ Run:  python examples/quickstart.py
 import random
 
 from repro import AggregateScenario, FlowSpec, Simulator, make_limiter
-from repro.metrics import jain_index, per_slot_throughput_series
+from repro.metrics import jain_index
 from repro.units import mbps, ms, to_mbps
 
 RATE = mbps(10)
@@ -28,11 +28,11 @@ def run(scheme: str) -> None:
     limiter = make_limiter(sim, scheme, rate=RATE, num_queues=len(FLOWS),
                            max_rtt=ms(50))
     scenario = AggregateScenario(sim, limiter=limiter, specs=FLOWS,
-                                 rng=random.Random(1), horizon=HORIZON)
+                                 rng=random.Random(1), horizon=HORIZON,
+                                 warmup=5.0)
     scenario.run()
 
-    slots = per_slot_throughput_series(
-        scenario.trace.records, window=0.25, start=5.0, end=HORIZON)
+    slots = scenario.recorder.slot_series()
     shares = {s.slot: slots[s.slot].mean() if s.slot in slots else 0.0
               for s in FLOWS}
     print(f"\n{scheme}: enforcing {to_mbps(RATE):.0f} Mbps")

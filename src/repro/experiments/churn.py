@@ -48,7 +48,7 @@ from repro.experiments.common import (
     run_aggregates,
 )
 from repro.fleet import FleetSpec, run_fleet
-from repro.net.trace import Trace
+from repro.metrics.recorder import Recorder
 from repro.runner.aggregate import build_scenario, measure
 from repro.sim.simulator import Simulator
 from repro.sim.timer import Timer
@@ -176,8 +176,9 @@ class ReclassifyController:
     """Closed-loop mice/elephant reclassification over live weight updates.
 
     Every ``period`` the controller reads the *delivered* bytes each slot
-    accumulated since the last tick (incrementally, off the shared
-    receiver :class:`~repro.net.trace.Trace` — no per-tick rescan) and
+    accumulated since the last tick (the difference of two per-slot
+    running totals off a :class:`~repro.metrics.recorder.Recorder` whose
+    interval starts at 0 — the loop runs through warm-up too) and
     classifies as elephants the slots delivering more than ``factor x``
     their current *entitlement* — their share of the enforced rate under
     the weights in force, not the unweighted ``1/n`` (judging a demoted
@@ -197,7 +198,7 @@ class ReclassifyController:
         self,
         sim: Simulator,
         limiter,
-        trace: Trace,
+        recorder: Recorder,
         num_slots: int,
         *,
         period: float,
@@ -206,13 +207,13 @@ class ReclassifyController:
         demote_weight: float,
     ) -> None:
         self._limiter = limiter
-        self._trace = trace
+        self._recorder = recorder
         self._n = num_slots
         self._period = period
         self._factor = factor
         self._mouse = mouse_weight
         self._demote = demote_weight
-        self._cursor = 0
+        self._totals = [0.0] * num_slots
         self._elephants: frozenset[int] = frozenset()
         #: Weight updates committed / typed-rejected / classification flips.
         self.applied = 0
@@ -222,12 +223,9 @@ class ReclassifyController:
         self._timer.schedule_after(period)
 
     def _tick(self) -> None:
-        trace = self._trace
-        counts = [0.0] * self._n
-        end = len(trace.times)
-        for i in range(self._cursor, end):
-            counts[trace.flow_ids[i].slot] += trace.sizes[i]
-        self._cursor = end
+        totals = self._recorder.slot_goodput()
+        counts = [new - old for new, old in zip(totals, self._totals)]
+        self._totals = totals
         total = sum(counts)
         if total > 0.0:
             weights = [
@@ -270,7 +268,7 @@ def run_control_cell(
     config: Config, scheme: str, *, control: bool
 ) -> tuple[object, ReclassifyController | None]:
     """One reclassification run (in-process: the controller needs the
-    live limiter and receiver trace)."""
+    live limiter and its own from-zero recorder)."""
     rtts = (config.elephant_rtt, *config.mice_rtts)
     specs = tuple(
         FlowSpec(slot=i, cc="reno", rtt=rtt) for i, rtt in enumerate(rtts)
@@ -288,10 +286,23 @@ def run_control_cell(
     limiter, scenario = build_scenario(agg, sim)
     controller = None
     if control:
+        # The outcome is measured over [warmup, horizon); the loop acts
+        # from t = 0, so it counts on a recorder of its own, chained in
+        # front of the scenario's.
+        delivered = Recorder(
+            sim,
+            scenario.recorder,
+            slot_counts=[len(specs)],
+            window=config.control_period,
+            warmup=0.0,
+            horizon=config.horizon,
+            name="control-loop",
+        )
+        limiter.connect(delivered)
         controller = ReclassifyController(
             sim,
             limiter,
-            scenario.trace,
+            delivered,
             len(specs),
             period=config.control_period,
             factor=config.elephant_factor,

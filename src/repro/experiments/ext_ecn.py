@@ -20,17 +20,8 @@ from dataclasses import dataclass, field
 from repro.classify.classifier import SlotClassifier
 from repro.core.bcpqp import BCPQP
 from repro.core.pqp import PQP
-from repro.experiments.common import (
-    MEASUREMENT_WINDOW,
-    ResultCache,
-    print_table,
-    run_cells,
-)
+from repro.experiments.common import ResultCache, print_table, run_cells
 from repro.metrics.fairness import jain_index
-from repro.metrics.throughput import (
-    aggregate_throughput_series,
-    per_slot_throughput_series,
-)
 from repro.policy.tree import Policy
 from repro.scenario import AggregateScenario
 from repro.sim.simulator import Simulator
@@ -103,14 +94,11 @@ def simulate_ecn_cell(cell: EcnCell) -> Cell:
     ]
     scenario = AggregateScenario(
         sim, limiter=limiter, specs=specs,
-        rng=random.Random(config.seed), horizon=config.horizon)
+        rng=random.Random(config.seed), horizon=config.horizon,
+        warmup=config.warmup)
     scenario.run()
-    agg = aggregate_throughput_series(
-        scenario.trace, window=MEASUREMENT_WINDOW,
-        start=config.warmup, end=config.horizon)
-    slots = per_slot_throughput_series(
-        scenario.trace, window=MEASUREMENT_WINDOW,
-        start=config.warmup, end=config.horizon)
+    agg = scenario.recorder.aggregate_series()
+    slots = scenario.recorder.slot_series()
     return Cell(
         mean_normalized=agg.mean() / config.rate,
         peak_normalized=agg.max() / config.rate,

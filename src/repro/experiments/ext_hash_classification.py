@@ -20,14 +20,8 @@ from dataclasses import dataclass, field
 
 from repro.classify.classifier import HashClassifier
 from repro.core.bcpqp import BCPQP
-from repro.experiments.common import (
-    MEASUREMENT_WINDOW,
-    ResultCache,
-    print_table,
-    run_cells,
-)
+from repro.experiments.common import ResultCache, print_table, run_cells
 from repro.metrics.fairness import jain_index
-from repro.metrics.throughput import per_slot_throughput_series
 from repro.net.packet import FlowId
 from repro.policy.tree import Policy
 from repro.scenario import AggregateScenario
@@ -86,11 +80,10 @@ def simulate_hash_cell(cell: HashCell) -> tuple[float, int]:
     ]
     scenario = AggregateScenario(
         sim, limiter=limiter, specs=specs,
-        rng=random.Random(config.seed), horizon=config.horizon)
+        rng=random.Random(config.seed), horizon=config.horizon,
+        warmup=config.warmup)
     scenario.run()
-    slots = per_slot_throughput_series(
-        scenario.trace, window=MEASUREMENT_WINDOW,
-        start=config.warmup, end=config.horizon)
+    slots = scenario.recorder.slot_series()
     shares = [
         slots[i].mean() if i in slots else 0.0
         for i in range(config.num_flows)

@@ -8,11 +8,11 @@ columnar :class:`~repro.metrics.merge.ShardSummary` out.  Inside, the
 shard mirrors the paper's deployment shape — a single
 :class:`~repro.net.middlebox.Middlebox` hosting an independent limiter
 per aggregate, with each aggregate's TCP flows wired through it — but
-measurement goes through the shared columnar
-:class:`~repro.fleet.recorder.FleetRecorder` instead of per-aggregate
-traces, and identically-shaped policy trees are interned so 10^4
-aggregates share a handful of compiled :class:`~repro.policy.tree.Policy`
-objects instead of carrying one tree each.
+measurement goes through one
+:class:`~repro.metrics.recorder.Recorder` with a row per aggregate, and
+identically-shaped policy trees are interned so 10^4 aggregates share a
+handful of compiled :class:`~repro.policy.tree.Policy` objects instead
+of carrying one tree each.
 """
 
 from __future__ import annotations
@@ -23,10 +23,10 @@ from array import array
 
 from repro.cc.endpoint import FlowDemux
 from repro.churn import ChurnDriver
-from repro.fleet.recorder import FleetRecorder
 from repro.fleet.spec import AggregatePlan, ShardConfig, churn_plan_for, plan_for
 from repro.limiters.costs import Op
 from repro.metrics.merge import ShardSummary
+from repro.metrics.recorder import Recorder
 from repro.net.middlebox import Middlebox
 from repro.net.packet import FlowId
 from repro.policy.tree import Policy
@@ -76,7 +76,7 @@ def simulate_shard(config: ShardConfig) -> ShardSummary:
     demux = FlowDemux()
 
     plans = [plan_for(spec, aggregate) for aggregate in range(lo, hi)]
-    recorder = FleetRecorder(
+    recorder = Recorder(
         sim,
         demux,
         lo=lo,
@@ -175,10 +175,10 @@ def simulate_shard(config: ShardConfig) -> ShardSummary:
         horizon=spec.horizon,
         nbins=recorder.nbins,
         rates=rates,
-        goodput_bytes=recorder.goodput_bytes,
-        binned_bytes=recorder.binned_bytes,
+        goodput_bytes=recorder.goodput_bytes(),
+        binned_bytes=recorder.binned_bytes(),
         slot_offsets=recorder.slot_offsets,
-        slot_goodput=recorder.slot_goodput,
+        slot_goodput=recorder.slot_goodput(),
         arrived_packets=arrived,
         forwarded_packets=forwarded,
         dropped_packets=dropped,

@@ -1,16 +1,14 @@
-"""Throughput extraction from packet traces.
+"""Throughput extraction from packet records.
 
 The paper measures per-flow throughput at the receiver over 250 ms windows
 (§6.1), normalizes aggregate throughput by the enforced rate, and reports
-bursts as the tail of that distribution.  These helpers turn a
-:class:`~repro.net.trace.Trace` into exactly those series.
-
-Binning runs in a single pass with a precomputed ``1/window`` and, when
-given a :class:`~repro.net.trace.Trace` (or its ``records`` view), indexes
-the trace's columns directly instead of materializing one record object
-per packet — the dominant cost of post-run measurement on large traces.
-Arbitrary iterables of :class:`~repro.net.trace.PacketRecord` are still
-accepted.
+bursts as the tail of that distribution.  These helpers turn any iterable
+of :class:`~repro.net.trace.PacketRecord` (a :class:`~repro.net.trace.Trace`
+is one) into exactly those series, in a single pass.  Runs measure online
+through :class:`~repro.metrics.recorder.Recorder`, which shares
+:func:`bin_layout` and :func:`rate_series` with this module; these
+functions serve the opt-in packet taps and are the reference the recorder
+is tested against.
 """
 
 from __future__ import annotations
@@ -22,16 +20,12 @@ from typing import Callable, Hashable, Iterable
 from repro.metrics.series import TimeSeries
 from repro.metrics.stats import percentile
 from repro.net.packet import FlowId
-from repro.net.trace import PacketRecord, Trace, TraceRecords
+from repro.net.trace import PacketRecord
 
 Records = Iterable[PacketRecord]
 
-
-def _columns(records: Records) -> tuple[list, list, list] | None:
-    """Return ``(times, flow_ids, sizes)`` when column access is possible."""
-    if isinstance(records, (Trace, TraceRecords)):
-        return records.times, records.flow_ids, records.sizes
-    return None
+#: Measurement window used throughout the paper's evaluation (250 ms).
+MEASUREMENT_WINDOW = 0.25
 
 
 def _validate(window: float, start: float, end: float) -> tuple[int, float]:
@@ -87,15 +81,17 @@ def bin_layout(window: float, start: float, end: float) -> tuple[int, float]:
     The exact layout every throughput series in this module uses —
     including the ULP-rounded whole-window detection and the trailing
     partial window (see :func:`_validate`).  Exposed so streaming
-    accumulators (e.g. the fleet's columnar recorder) can bin bytes
-    on the fly with semantics byte-identical to post-hoc trace binning.
+    accumulators (:class:`~repro.metrics.recorder.Recorder`) can bin
+    bytes on the fly with semantics byte-identical to post-hoc binning.
     """
     return _validate(window, start, end)
 
 
-def _series(
+def rate_series(
     acc: list[float], window: float, start: float, last_width: float
 ) -> TimeSeries:
+    """Per-bin byte totals -> bytes/s, one point per bin of ``bin_layout``
+    (the last bin divides by its true, possibly partial, width)."""
     values = [nbytes / window for nbytes in acc]
     if values and last_width != window:
         values[-1] = acc[-1] / last_width
@@ -105,19 +101,16 @@ def _series(
     )
 
 
-def _binned_rates(
+def _binned(
     records: Records,
     window: float,
     start: float,
     end: float,
     key: Callable[[PacketRecord], Hashable],
-) -> dict[Hashable, TimeSeries]:
-    """Bin record bytes into ``window``-sized buckets per key.
-
-    Generic fallback for arbitrary record iterables; traces go through the
-    column fast paths in the public functions instead.
-    """
-    nbins, last_width = _validate(window, start, end)
+) -> dict[Hashable, list[float]]:
+    """Per-key byte totals over the bins of ``[start, end)``, in order of
+    each key's first in-range record."""
+    nbins, _last_width = _validate(window, start, end)
     inv_window = 1.0 / window
     last = nbins - 1
     bins: dict[Hashable, list[float]] = defaultdict(lambda: [0.0] * nbins)
@@ -130,47 +123,21 @@ def _binned_rates(
             # bin either way.
             index = int((t - start) * inv_window)
             bins[key(rec)][index if index < last else last] += rec.size
-    return {
-        k: _series(acc, window, start, last_width) for k, acc in bins.items()
-    }
+    return bins
 
 
-def _binned_columns(
-    times: list[float],
-    sizes: list[int],
-    keys: list | None,
+def _binned_rates(
+    records: Records,
     window: float,
     start: float,
     end: float,
-    slot_key: bool = False,
-) -> dict[Hashable, list[float]]:
-    """Single-pass column binning.
-
-    ``keys=None`` bins everything under one accumulator (returned under the
-    key ``"all"``); otherwise ``keys`` is the flow-id column and
-    ``slot_key`` selects binning by ``flow.slot`` instead of the full id.
-    """
-    nbins, _last_width = _validate(window, start, end)
-    inv_window = 1.0 / window
-    last = nbins - 1
-    bins: dict[Hashable, list[float]] = {}
-    if keys is None:
-        acc = [0.0] * nbins
-        for i, t in enumerate(times):
-            if start <= t < end:
-                index = int((t - start) * inv_window)
-                acc[index if index < last else last] += sizes[i]
-        bins["all"] = acc
-        return bins
-    for i, t in enumerate(times):
-        if start <= t < end:
-            index = int((t - start) * inv_window)
-            k = keys[i].slot if slot_key else keys[i]
-            acc = bins.get(k)
-            if acc is None:
-                acc = bins[k] = [0.0] * nbins
-            acc[index if index < last else last] += sizes[i]
-    return bins
+    key: Callable[[PacketRecord], Hashable],
+) -> dict[Hashable, TimeSeries]:
+    _nbins, last_width = _validate(window, start, end)
+    return {
+        k: rate_series(acc, window, start, last_width)
+        for k, acc in _binned(records, window, start, end, key).items()
+    }
 
 
 def aggregate_throughput_series(
@@ -181,14 +148,9 @@ def aggregate_throughput_series(
     end: float,
 ) -> TimeSeries:
     """Total throughput (bytes/s) over fixed windows, all flows summed."""
-    cols = _columns(records)
-    if cols is not None:
-        times, _flows, sizes = cols
-        _nbins, last_width = _validate(window, start, end)
-        acc = _binned_columns(times, sizes, None, window, start, end)["all"]
-        return _series(acc, window, start, last_width)
-    rates = _binned_rates(records, window, start, end, key=lambda _r: "all")
-    return rates.get("all", _empty_series(window, start, end))
+    _nbins, last_width = _validate(window, start, end)
+    acc = binned_bytes(records, window=window, start=start, end=end)
+    return rate_series(acc, window, start, last_width)
 
 
 def per_flow_throughput_series(
@@ -199,15 +161,6 @@ def per_flow_throughput_series(
     end: float,
 ) -> dict[FlowId, TimeSeries]:
     """Per-flow throughput series keyed by exact :class:`FlowId`."""
-    cols = _columns(records)
-    if cols is not None:
-        times, flows, sizes = cols
-        _nbins, last_width = _validate(window, start, end)
-        bins = _binned_columns(times, sizes, flows, window, start, end)
-        return {
-            k: _series(acc, window, start, last_width)
-            for k, acc in bins.items()
-        }
     return _binned_rates(records, window, start, end, key=lambda r: r.flow)  # type: ignore[return-value]
 
 
@@ -219,29 +172,12 @@ def per_slot_throughput_series(
     end: float,
 ) -> dict[int, TimeSeries]:
     """Per-slot throughput series: on-off incarnations of a slot merge."""
-    cols = _columns(records)
-    if cols is not None:
-        times, flows, sizes = cols
-        _nbins, last_width = _validate(window, start, end)
-        bins = _binned_columns(
-            times, sizes, flows, window, start, end, slot_key=True
-        )
-        return {
-            k: _series(acc, window, start, last_width)
-            for k, acc in bins.items()
-        }
     return _binned_rates(records, window, start, end, key=lambda r: r.flow.slot)  # type: ignore[return-value]
 
 
 def flow_bytes(records: Records) -> dict[FlowId, int]:
     """Total received bytes per flow."""
     totals: dict[FlowId, int] = defaultdict(int)
-    cols = _columns(records)
-    if cols is not None:
-        _times, flows, sizes = cols
-        for flow, size in zip(flows, sizes):
-            totals[flow] += size
-        return dict(totals)
     for rec in records:
         totals[rec.flow] += rec.size
     return dict(totals)
@@ -275,25 +211,6 @@ def binned_bytes(
     (integer packet sizes accumulate exactly in floats) — the conservation
     property the throughput series are derived from.
     """
-    cols = _columns(records)
-    if cols is not None:
-        times, _flows, sizes = cols
-        return _binned_columns(times, sizes, None, window, start, end)["all"]
-    nbins, _last_width = _validate(window, start, end)
-    inv_window = 1.0 / window
-    last = nbins - 1
-    acc = [0.0] * nbins
-    for rec in records:
-        t = rec.time
-        if start <= t < end:
-            index = int((t - start) * inv_window)
-            acc[index if index < last else last] += rec.size
-    return acc
-
-
-def _empty_series(window: float, start: float, end: float) -> TimeSeries:
-    series = TimeSeries()
-    nbins, _last_width = _validate(window, start, end)
-    for i in range(nbins):
-        series.append(start + i * window, 0.0)
-    return series
+    # Indexing the defaultdict yields the all-zero bins when nothing is
+    # in range.
+    return _binned(records, window, start, end, lambda _rec: None)[None]

@@ -1,13 +1,13 @@
-"""Packet traces: lightweight observation points for experiments and tests.
+"""Packet traces: an opt-in per-packet tap for experiments and tests.
 
-The trace stores its observations as parallel columns (one plain list per
-field) instead of one :class:`PacketRecord` object per packet.  A multi-
-minute aggregate run records hundreds of thousands of packets; columns cut
-both the per-packet allocation on the simulator's hot path and the memory
-footprint, and let the metrics layer (:mod:`repro.metrics.throughput`) bin
-bytes by indexing columns directly without materializing records.
-:attr:`Trace.records` remains available as a compatibility view that
-builds :class:`PacketRecord` objects on demand.
+Runs measure through :class:`~repro.metrics.recorder.Recorder`, which
+keeps bins, not packets.  A :class:`Trace` is for the caller that needs
+the packets themselves — an application figure whose measurement interval
+is only known after the run, a test comparing two runs' arrival times —
+and wires one in by hand.  It stores its observations as parallel columns
+(one plain list per field) instead of one :class:`PacketRecord` object per
+packet; :attr:`Trace.records` and iteration build records on demand, which
+is what :mod:`repro.metrics.throughput` consumes.
 """
 
 from __future__ import annotations
@@ -35,30 +35,13 @@ class TraceRecords:
     """Sequence view over a :class:`Trace`'s columns.
 
     Indexing and iteration materialize :class:`PacketRecord` objects on
-    demand, so code written against the record-list API keeps working; the
-    underlying columns stay exposed (``times``/``flow_ids``/``sizes``) for
-    the metrics fast path.
+    demand, so code written against the record-list API keeps working.
     """
 
     __slots__ = ("_trace",)
 
     def __init__(self, trace: "Trace") -> None:
         self._trace = trace
-
-    @property
-    def times(self) -> list[float]:
-        """Arrival-time column (same object as ``trace.times``)."""
-        return self._trace.times
-
-    @property
-    def flow_ids(self) -> list[FlowId]:
-        """Flow-identity column."""
-        return self._trace.flow_ids
-
-    @property
-    def sizes(self) -> list[int]:
-        """Wire-size column."""
-        return self._trace.sizes
 
     def __len__(self) -> int:
         return len(self._trace.times)

@@ -17,20 +17,13 @@ from repro.limiters.base import RateLimiter
 from repro.metrics.fairness import jain_index
 from repro.net.impair import ImpairmentSpec
 from repro.metrics.series import TimeSeries
-from repro.metrics.throughput import (
-    aggregate_throughput_series,
-    check_interval,
-    per_slot_throughput_series,
-)
+from repro.metrics.throughput import MEASUREMENT_WINDOW, check_interval
 from repro.policy.tree import Policy
 from repro.runner.cache import scheme_fingerprint
 from repro.scenario import AggregateScenario, BottleneckSpec, FlowRecord
 from repro.schemes import check_scheme, make_limiter
 from repro.sim.simulator import Simulator
 from repro.workload.spec import FlowSpec
-
-#: Measurement window used throughout the paper's evaluation (250 ms).
-MEASUREMENT_WINDOW = 0.25
 
 
 @dataclass(frozen=True)
@@ -173,6 +166,8 @@ def build_scenario(
         specs=config.specs,
         rng=random.Random(config.seed),
         horizon=config.horizon,
+        window=config.window,
+        warmup=config.warmup,
         bottleneck=config.bottleneck,
         impair=config.impair,
     )
@@ -189,20 +184,14 @@ def measure(
     scenario: AggregateScenario,
 ) -> AggregateOutcome:
     """Extract the figure measurements from a completed run."""
-    trace = scenario.trace
+    recorder = scenario.recorder
     bottleneck = scenario.bottleneck
     driver = getattr(limiter, "churn_driver", None)
     return AggregateOutcome(
         scheme=config.scheme,
         rate=config.rate,
-        aggregate_series=aggregate_throughput_series(
-            trace, window=config.window, start=config.warmup,
-            end=config.horizon,
-        ),
-        slot_series=per_slot_throughput_series(
-            trace, window=config.window, start=config.warmup,
-            end=config.horizon,
-        ),
+        aggregate_series=recorder.aggregate_series(),
+        slot_series=recorder.slot_series(),
         drop_rate=limiter.stats.drop_rate,
         cycles_per_packet=limiter.cost.cycles_per_packet(
             limiter.stats.arrived_packets
@@ -229,5 +218,5 @@ def simulate_aggregate(config: AggregateConfig) -> AggregateOutcome:
     limiter, scenario = build_scenario(config, sim)
     scenario.run()
     if checker is not None:
-        checker.finalize(traces=(scenario.trace,))
+        checker.finalize(recorders=(scenario.recorder,))
     return measure(config, limiter, scenario)

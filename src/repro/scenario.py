@@ -3,7 +3,7 @@
 Reproduces the paper's three-machine testbed for one traffic aggregate:
 
     senders --(per-flow delay pipes)--> rate limiter
-        --> [optional secondary bottleneck link] --> receiver trace
+        --> [optional secondary bottleneck link] --> recorder
         --> per-flow receivers --(per-flow delay pipes)--> ACKs back
 
 Each :class:`~repro.workload.spec.FlowSpec` becomes a :class:`FlowRunner`
@@ -19,10 +19,11 @@ from typing import Sequence
 
 from repro.cc.endpoint import FlowDemux, TcpSender
 from repro.limiters.base import RateLimiter
+from repro.metrics.recorder import Recorder
+from repro.metrics.throughput import MEASUREMENT_WINDOW, check_interval
 from repro.net.impair import CapacityTrace, ImpairmentSpec, TraceLink
 from repro.net.link import Link
 from repro.net.packet import FlowId
-from repro.net.trace import Trace
 from repro.sim.simulator import Simulator
 from repro.wiring import wire_flow
 from repro.workload.spec import FlowSpec
@@ -157,6 +158,10 @@ class AggregateScenario:
         Optional secondary bottleneck between limiter and receiver.
     horizon:
         Run length in seconds — on-off slots stop relaunching past it.
+    window, warmup:
+        Receiver goodput is binned online into ``window``-wide bins over
+        ``[warmup, horizon)`` (see ``recorder``); an interval that cannot
+        be measured is rejected here, before anything is wired.
     impair:
         Optional :class:`~repro.net.impair.ImpairmentSpec`.  Per-flow
         channels (loss/jitter/reorder/duplicate/corrupt) wrap each
@@ -176,6 +181,8 @@ class AggregateScenario:
         aggregate: int = 0,
         bottleneck: BottleneckSpec | None = None,
         horizon: float = 30.0,
+        window: float = MEASUREMENT_WINDOW,
+        warmup: float = 0.0,
         impair: ImpairmentSpec | None = None,
     ) -> None:
         if not specs:
@@ -183,19 +190,30 @@ class AggregateScenario:
         slots = [s.slot for s in specs]
         if len(set(slots)) != len(slots):
             raise ValueError("flow slots must be unique within an aggregate")
+        check_interval(horizon, warmup, window)
         self.sim = sim
         self.limiter = limiter
         self.horizon = horizon
 
         self.demux = FlowDemux()
-        self.trace = Trace(sim, self.demux, data_only=True, name="receiver")
-        downstream: object = self.trace
+        #: The run's measurement: one row, a slot per flow slot.
+        self.recorder = Recorder(
+            sim,
+            self.demux,
+            lo=aggregate,
+            slot_counts=[max(slots) + 1],
+            window=window,
+            warmup=warmup,
+            horizon=horizon,
+            name="receiver",
+        )
+        downstream: object = self.recorder
         if bottleneck is not None:
             self.bottleneck: Link | None = Link(
                 sim,
                 bottleneck.rate,
                 bottleneck.delay,
-                self.trace,
+                self.recorder,
                 buffer_bytes=bottleneck.buffer_bytes,
                 name="secondary-bottleneck",
             )

@@ -274,12 +274,13 @@ class InvariantChecker:
         if not condition:
             self._fail(message)
 
-    def finalize(self, *, traces: tuple[Any, ...] = ()) -> None:
+    def finalize(self, *, recorders: tuple[Any, ...] = ()) -> None:
         """Run end-of-simulation checks.
 
-        Re-checks every attached component once more and flags empty
-        receiver traces (a run whose receiver saw nothing almost always
-        means mis-wired topology, not a quiet workload).
+        Re-checks every attached component once more and flags recorders
+        that measured nothing (a run whose receiver saw no goodput over
+        its whole measurement interval almost always means mis-wired
+        topology, not a quiet workload).
         """
         for limiter, state in self._limiters:
             if state["ready"]:
@@ -290,11 +291,11 @@ class InvariantChecker:
             self._check_middlebox(middlebox, state)
         for sim in self._simulators:
             self._check_simulator(sim)
-        for trace in traces:
+        for recorder in recorders:
             self._ensure(
-                len(trace.times) > 0,
-                f"trace {getattr(trace, 'name', '?')!r}: no records at end "
-                "of run (empty receiver trace)",
+                bool(recorder.seen),
+                f"recorder {recorder.name!r}: nothing recorded at end of "
+                "run (the receiver saw no goodput)",
             )
 
     # ------------------------------------------------------------------

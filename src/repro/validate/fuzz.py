@@ -353,13 +353,10 @@ def _run_engine(case: FuzzCase, scheme: str, service: str) -> dict:
     sim = Simulator(validate=checker)
     limiter, scenario = build_scenario(case.config(scheme, service), sim)
     scenario.run()
-    checker.finalize(traces=(scenario.trace,))
-    trace = scenario.trace
-    goodput = sum(
-        size
-        for time, size in zip(trace.times, trace.sizes)
-        if time >= case.warmup
-    )
+    checker.finalize(recorders=(scenario.recorder,))
+    # Goodput is the in-range ``[warmup, horizon)`` total, like every
+    # other measurement of the run.
+    goodput = int(scenario.recorder.goodput_bytes()[0])
     stats = limiter.stats
     outcome = {
         "forwarded_packets": stats.forwarded_packets,

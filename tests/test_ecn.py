@@ -7,7 +7,6 @@ import pytest
 from repro import AggregateScenario, FlowSpec, Simulator
 from repro.classify.classifier import SlotClassifier
 from repro.core.pqp import PQP
-from repro.metrics import aggregate_throughput_series
 from repro.net.packet import FlowId, Packet
 from repro.net.sink import NullSink
 from repro.policy.tree import Policy
@@ -131,10 +130,10 @@ class TestEndToEnd:
             specs = [FlowSpec(slot=0, cc="reno", rtt=ms(20), ecn=True),
                      FlowSpec(slot=1, cc="cubic", rtt=ms(30), ecn=True)]
             sc = AggregateScenario(sim, limiter=lim, specs=specs,
-                                   rng=random.Random(1), horizon=15.0)
+                                   rng=random.Random(1), horizon=15.0,
+                                   warmup=5.0)
             sc.run()
-            agg = aggregate_throughput_series(
-                sc.trace.records, window=0.25, start=5.0, end=15.0)
+            agg = sc.recorder.aggregate_series()
             return agg.mean(), lim.stats.drop_rate
 
         rate_plain, drops_plain = run(None)

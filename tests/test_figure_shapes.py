@@ -34,11 +34,7 @@ from repro.experiments import (
     fig7_applications,
     fig9_video_timeseries,
 )
-from repro.metrics import (
-    aggregate_throughput_series,
-    jain_index,
-    per_slot_throughput_series,
-)
+from repro.metrics import jain_index
 from repro.units import mbps, ms, to_mbps
 from repro.workload.aggregates import Section61Config
 
@@ -257,12 +253,11 @@ def _ablate(scheme, *, horizon=15.0, warmup=5.0, seed=2, **kwargs):
     specs = [FlowSpec(slot=i, cc=cc, rtt=ms(10 + 10 * i))
              for i, cc in enumerate(["reno", "cubic", "bbr", "vegas"])]
     scenario = AggregateScenario(sim, limiter=limiter, specs=specs,
-                                 rng=random.Random(seed), horizon=horizon)
+                                 rng=random.Random(seed), horizon=horizon,
+                                 warmup=warmup)
     scenario.run()
-    agg = aggregate_throughput_series(scenario.trace.records, window=0.25,
-                                      start=warmup, end=horizon)
-    slots = per_slot_throughput_series(scenario.trace.records, window=0.25,
-                                       start=warmup, end=horizon)
+    agg = scenario.recorder.aggregate_series()
+    slots = scenario.recorder.slot_series()
     return {
         "mean": agg.mean() / mbps(10),
         "peak": agg.max() / mbps(10),

@@ -17,7 +17,7 @@ from array import array
 
 import pytest
 
-from repro.cc.endpoint import FlowDemux
+from repro.cc.endpoint import FlowDemux, TcpReceiver
 from repro.fleet import (
     FleetRecorder,
     FleetSpec,
@@ -31,11 +31,13 @@ from repro.fleet import (
 from repro.fleet.shard import _interned_policy
 from repro.metrics.merge import merge_shard_summaries
 from repro.metrics.throughput import bin_layout, binned_bytes
+from repro.net.impair import ImpairmentSpec
 from repro.net.middlebox import Middlebox
 from repro.net.packet import FlowId
 from repro.net.trace import Trace
 from repro.schemes import make_limiter
 from repro.sim.simulator import Simulator
+from repro.units import MSS
 from repro.wiring import wire_flow
 
 pytestmark = pytest.mark.fleet
@@ -188,18 +190,9 @@ class TestRecorderByteIdentity:
         nbins, _last = bin_layout(spec.window, spec.warmup, spec.horizon)
         assert summary.nbins == nbins
         for row, plan in enumerate(plans):
-            rows = [
-                (t, s)
-                for t, f, s in zip(trace.times, trace.flow_ids, trace.sizes)
-                if f.aggregate == plan.aggregate
-            ]
-            sub = Trace(Simulator())
-            for t, s in rows:
-                sub.times.append(t)
-                sub.flow_ids.append(FlowId(plan.aggregate, 0, 0))
-                sub.sizes.append(s)
             classic = binned_bytes(
-                sub, window=spec.window, start=spec.warmup, end=spec.horizon
+                (r for r in trace if r.flow.aggregate == plan.aggregate),
+                window=spec.window, start=spec.warmup, end=spec.horizon,
             )
             streamed = list(
                 summary.binned_bytes[row * nbins:(row + 1) * nbins]
@@ -245,8 +238,29 @@ class TestRecorderByteIdentity:
         recorder.receive(Packet.data(flow, 0, sim.now))
         sim._now = 0.3  # in window
         recorder.receive(Packet.data(flow, 1, sim.now))
-        assert recorder.recorded_packets == 1
-        assert recorder.goodput_bytes[0] > 0
+        recorder.receive(Packet.ack(flow, 2, sim.now, echo_ts=0.0,
+                                    echo_retransmit=False))
+        assert list(recorder.goodput_bytes()) == [MSS]
+
+    def test_impaired_goodput_is_what_the_receivers_accepted(
+        self, monkeypatch
+    ):
+        # Arrived is not arrived intact: a failed checksum used up the
+        # limiter's tokens but the receiver drops it, so it is not goodput.
+        receivers = []
+        init = TcpReceiver.__init__
+
+        def remember(receiver, *args):
+            init(receiver, *args)
+            receivers.append(receiver)
+
+        monkeypatch.setattr(TcpReceiver, "__init__", remember)
+        spec = FleetSpec(aggregates=4, seed=3, warmup=0.0, horizon=2.0,
+                         impair=ImpairmentSpec(corrupt=0.05))
+        summary = simulate_shard(ShardConfig(spec=spec, shards=1, index=0))
+        assert sum(r.corrupt_dropped for r in receivers) > 20
+        assert sum(summary.goodput_bytes) == sum(
+            r.data_bytes for r in receivers)
 
 
 class TestShardInvariance:

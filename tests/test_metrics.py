@@ -4,9 +4,10 @@ import math
 import statistics
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.metrics.fairness import jain_index, weighted_jain_index
+from repro.metrics.recorder import Recorder
 from repro.metrics.series import TimeSeries
 from repro.metrics.stats import cdf_points, mean, percentile, summarize
 from repro.metrics.throughput import (
@@ -17,7 +18,8 @@ from repro.metrics.throughput import (
     per_flow_throughput_series,
     per_slot_throughput_series,
 )
-from repro.net.packet import FlowId
+from repro.net.packet import FlowId, Packet
+from repro.net.sink import NullSink
 from repro.net.trace import PacketRecord, Trace
 from repro.sim.simulator import Simulator
 
@@ -324,3 +326,95 @@ class TestAwkwardExtents:
         # Integer packet sizes accumulate exactly in floats: conservation
         # is exact, for every window/extent combination.
         assert sum(acc) == in_range
+
+
+#: (window, warmup, horizon) cases that have bitten before: 0.7/0.1 one
+#: ULP below 7, a trailing partial window, a warm-up that is not a
+#: multiple of the window, and the paper's own layout.
+_AWKWARD_INTERVALS = [
+    (0.1, 0.0, 0.7), (0.1, 0.3, 1.0), (0.25, 0.0, 0.6), (0.3, 0.0, 1.0),
+    (0.25, 0.5, 2.0), (0.1, 0.0, 0.9),
+]
+
+
+def _nudged(t: float, ulps: int) -> float:
+    for _ in range(abs(ulps)):
+        t = math.nextafter(t, math.inf if ulps > 0 else -math.inf)
+    return max(t, 0.0)
+
+
+@st.composite
+def _interval_and_stream(draw):
+    window, warmup, horizon = draw(
+        st.sampled_from(_AWKWARD_INTERVALS)
+        | st.tuples(st.floats(min_value=1e-3, max_value=0.5),
+                    st.floats(min_value=0.0, max_value=0.3),
+                    st.floats(min_value=0.31, max_value=1.5)))
+    assume(horizon - warmup >= window)
+    instant = (
+        # The edges of the interval, and one ULP inside each of them.
+        st.sampled_from([warmup, math.nextafter(warmup, math.inf),
+                         math.nextafter(horizon, 0.0), horizon])
+        # Mid-bin, and within a few ULPs or a millionth of a window of a
+        # bin edge: where a recorder that remembers its last bin can go
+        # stale.
+        | st.builds(
+            lambda k, ulps, frac: _nudged(
+                warmup + (k + frac) * window, ulps),
+            st.integers(min_value=0, max_value=4),
+            st.integers(min_value=-3, max_value=3),
+            st.sampled_from([0.0, 0.0, 1e-7, -1e-7, -2e-6, 0.5, 0.5]))
+        | st.floats(min_value=0.0, max_value=horizon + 0.1))
+    packet = st.tuples(
+        st.integers(min_value=0, max_value=3),       # slot
+        st.integers(min_value=0, max_value=5),       # seq: duplicates happen
+        st.integers(min_value=1, max_value=9000),    # size
+        st.sampled_from(["data", "data", "data", "ack", "corrupt"]))
+    # One list per instant: a same-instant batch, as a limiter forwards.
+    stream = draw(st.lists(
+        st.tuples(instant, st.lists(packet, min_size=1, max_size=4)),
+        max_size=30))
+    # Unsorted: the recorder is held to any call order, not only a
+    # simulator's non-decreasing clock.
+    return window, warmup, horizon, stream
+
+
+class TestOnlineEqualsPostHoc:
+    """The recorder bins as packets arrive; logging them in a ``Trace``
+    and binning afterwards must give the same series, float for float."""
+
+    @settings(max_examples=300)
+    @given(_interval_and_stream(), st.booleans())
+    def test_recorder_series_equal_trace_series(self, drawn, batched):
+        window, warmup, horizon, stream = drawn
+        sim = Simulator()
+        recorder = Recorder(sim, NullSink(), lo=7, slot_counts=[4],
+                            window=window, warmup=warmup, horizon=horizon)
+        trace = Trace(sim, recorder)
+        for t, batch in stream:
+            sim._now = t
+            packets = []
+            for slot, seq, size, kind in batch:
+                flow = FlowId(7, slot)
+                if kind == "ack":
+                    packets.append(Packet.ack(
+                        flow, seq, t, echo_ts=t, echo_retransmit=False))
+                else:
+                    packet = Packet.data(flow, seq, t, size=size)
+                    packet.corrupt = kind == "corrupt"
+                    packets.append(packet)
+            if batched:
+                trace.receive_batch(packets)
+            else:
+                for packet in packets:
+                    trace.receive(packet)
+        interval = dict(window=window, start=warmup, end=horizon)
+        assert recorder.aggregate_series() == aggregate_throughput_series(
+            trace, **interval)
+        online = recorder.slot_series()
+        posthoc = per_slot_throughput_series(trace, **interval)
+        assert online == posthoc
+        # Jain's index sums the slot dict in its own order.
+        assert list(online) == list(posthoc)
+        assert list(recorder.goodput_bytes()) == [
+            sum(binned_bytes(trace, **interval))]

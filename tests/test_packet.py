@@ -138,7 +138,7 @@ class TestPacketIsAValue:
             kept.append((packet, (packet.flow, packet.seq, packet.sent_at,
                                   packet.retransmit)))
 
-        limiter.connect(TeeSink(CallbackSink(keep), scenario.trace))
+        limiter.connect(TeeSink(CallbackSink(keep), scenario.recorder))
         scenario.run()
         assert len(kept) > 1000 and any(snap[3] for _, snap in kept)
         assert len({id(packet) for packet, _ in kept}) == len(kept)

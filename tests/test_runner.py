@@ -351,6 +351,39 @@ class TestConfigRepr:
         message = str(excinfo.value)
         assert field in message and repr(value) in message
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("window", 0.0),
+            ("window", -0.25),
+            ("window", float("nan")),
+            ("warmup", 2.0),  # == horizon
+            ("warmup", float("nan")),
+            ("horizon", float("nan")),
+        ],
+    )
+    def test_unmeasurable_scenario_rejected_at_construction(
+        self, field, value
+    ):
+        # The scenario sizes its bins when it is built, so a hand-wired
+        # run (no AggregateConfig in front) fails as early and as typed.
+        import random
+
+        from repro.scenario import AggregateScenario
+        from repro.schemes import make_limiter
+        from repro.sim.simulator import Simulator
+
+        sim = Simulator()
+        limiter = make_limiter(sim, "policer", rate=mbps(5), num_queues=1,
+                               max_rtt=ms(20))
+        interval = {"horizon": 2.0, "warmup": 0.5, "window": 0.25}
+        interval[field] = value
+        with pytest.raises(ValueError) as excinfo:
+            AggregateScenario(sim, limiter=limiter, specs=[FlowSpec(slot=0)],
+                              rng=random.Random(1), **interval)
+        message = str(excinfo.value)
+        assert field in message and repr(value) in message
+
     def test_repr_has_no_memory_addresses(self):
         # The cache key hashes repr(config); an object default-repr like
         # <Policy at 0x7f...> would silently break cross-run caching.

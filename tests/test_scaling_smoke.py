@@ -21,10 +21,13 @@ EXPERIMENTS.md tabulates each pin: today's value, the limit, and the
 value at the parent of the commit whose win the pin protects.
 """
 
+import dataclasses
 import functools
+import gc
 import itertools
 import os
 import random
+import tracemalloc
 
 import pytest
 
@@ -34,6 +37,7 @@ from repro.classify.classifier import SlotClassifier
 from repro.core.bcpqp import BCPQP
 from repro.experiments import fig5_efficiency
 from repro.fleet import FleetSpec, ShardConfig, simulate_shard
+from repro.metrics.throughput import bin_layout
 from repro.net.impair import ImpairmentSpec
 from repro.net.packet import FlowId, Packet
 from repro.net.sink import NullSink
@@ -370,6 +374,56 @@ def test_shard_cost_per_packet_is_flat_in_the_aggregates():
 
 
 # ----------------------------------------------------------------------
+# Memory: a run holds bins, not packets
+# ----------------------------------------------------------------------
+
+
+def _held_bytes(horizon: float) -> dict:
+    """Bytes allocated under ``src/repro/`` and still held when the fig5
+    bcpqp cell reaches ``horizon`` (limiter, scenario and simulator
+    alive, garbage collected): counted by ``tracemalloc``, so neither the
+    allocator's arenas nor the host's page size is in the number."""
+    config = fig5_efficiency.Config()
+    cell = dataclasses.replace(
+        fig5_efficiency.grid(config)[config.schemes.index("bcpqp")],
+        horizon=horizon,
+    )
+    tracemalloc.start()
+    try:
+        sim = Simulator()
+        limiter, scenario = build_scenario(cell, sim)
+        scenario.run()
+        gc.collect()
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    held = sum(
+        stat.size
+        for stat in snapshot.filter_traces(
+            [tracemalloc.Filter(True, _SRC + "*")]
+        ).statistics("filename")
+    )
+    nbins, _ = bin_layout(cell.window, cell.warmup, horizon)
+    return _show(f"held horizon={horizon}", bytes=held,
+                 arrived_packets=limiter.stats.arrived_packets,
+                 cells=nbins * len(cell.specs))
+
+
+def test_memory_held_is_flat_in_the_horizon():
+    # Twice the horizon delivers twice the packets; what a run keeps may
+    # grow by the bins that cover the extra seconds (8 bytes a cell),
+    # nothing else.  The slack is for what happens to be in flight at the
+    # last instant and sitting in CPython's free lists, which moves the
+    # count by up to ~30 KB either way; five list slots and two boxed
+    # numbers per delivered packet grew it 971 184 bytes over these same
+    # 5 s (EXPERIMENTS.md).
+    short, long = _held_bytes(5.0), _held_bytes(10.0)
+    assert long["arrived_packets"] > 1.9 * short["arrived_packets"]
+    bins_added = 8 * (long["cells"] - short["cells"])
+    assert long["bytes"] - short["bytes"] <= bins_added + 64 * 1024
+
+
+# ----------------------------------------------------------------------
 # Event engine: the simulator's own counters against the old engine
 # ----------------------------------------------------------------------
 
@@ -402,10 +456,12 @@ PRE_PR_EVENTLOOP = {
 
 #: What the counters above are proxies for: ``line`` events under
 #: ``src/repro/`` per arrived packet over the cell's whole
-#: ``scenario.run()``.  One heap event per packet in flight reads 471.6 /
-#: 439.2 / 434.3 / 405.9; with a private FIFO and a batching drain per
-#: pipe it read 524.0 / 487.9 / 497.9 / 449.5 (EXPERIMENTS.md).
-LINES_PER_PACKET_LIMIT = {"bcpqp": 479, "pqp": 446, "shaper": 441, "policer": 412}
+#: ``scenario.run()``.  One heap event per packet in flight and one
+#: binned add per delivered packet read 465.4 / 433.2 / 431.6 / 400.2;
+#: appending every delivered packet to a ``Trace`` read 471.6 / 439.2 /
+#: 434.3 / 405.9, and a private FIFO and a batching drain per pipe 524.0
+#: / 487.9 / 497.9 / 449.5 (EXPERIMENTS.md).
+LINES_PER_PACKET_LIMIT = {"bcpqp": 470, "pqp": 437, "shaper": 433, "policer": 404}
 
 
 def _eventloop_cell(scheme: str) -> dict:

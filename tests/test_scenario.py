@@ -12,23 +12,20 @@ from repro import (
     Simulator,
     make_limiter,
 )
-from repro.metrics import (
-    aggregate_throughput_series,
-    jain_index,
-    per_slot_throughput_series,
-)
+from repro.metrics import jain_index
 from repro.units import mbps, ms
 
 
 def run_scenario(scheme, specs, *, rate=mbps(10), max_rtt=ms(50),
-                 horizon=10.0, bottleneck=None, seed=1, **limiter_kwargs):
+                 horizon=10.0, warmup=5.0, bottleneck=None, seed=1,
+                 **limiter_kwargs):
     sim = Simulator()
     limiter = make_limiter(sim, scheme, rate=rate,
                            num_queues=max(s.slot for s in specs) + 1,
                            max_rtt=max_rtt, **limiter_kwargs)
     scenario = AggregateScenario(
         sim, limiter=limiter, specs=specs, rng=random.Random(seed),
-        horizon=horizon, bottleneck=bottleneck)
+        horizon=horizon, warmup=warmup, bottleneck=bottleneck)
     scenario.run()
     return scenario, limiter
 
@@ -38,8 +35,7 @@ class TestSingleFlow:
     def test_backlogged_flow_achieves_rate_through_bcpqp(self, cc):
         specs = [FlowSpec(slot=0, cc=cc, rtt=ms(30))]
         sc, limiter = run_scenario("bcpqp", specs, horizon=15.0)
-        agg = aggregate_throughput_series(
-            sc.trace.records, window=0.25, start=5.0, end=15.0)
+        agg = sc.recorder.aggregate_series()
         assert agg.mean() == pytest.approx(mbps(10), rel=0.15)
 
     def test_finite_flow_completes_and_is_recorded(self):
@@ -68,8 +64,7 @@ class TestMultiFlowFairness:
         results = {}
         for scheme in ("shaper", "bcpqp", "policer"):
             sc, _ = run_scenario(scheme, specs, horizon=15.0, seed=2)
-            slots = per_slot_throughput_series(
-                sc.trace.records, window=0.25, start=5.0, end=15.0)
+            slots = sc.recorder.slot_series()
             results[scheme] = jain_index([s.mean() for s in slots.values()])
         assert results["bcpqp"] > 0.9
         assert results["bcpqp"] > results["policer"]
@@ -80,8 +75,7 @@ class TestMultiFlowFairness:
         specs = [FlowSpec(slot=i, cc="cubic", rtt=ms(20), weight=w)
                  for i, w in enumerate(weights)]
         sc, _ = run_scenario("bcpqp", specs, weights=weights, horizon=15.0)
-        slots = per_slot_throughput_series(
-            sc.trace.records, window=0.25, start=5.0, end=15.0)
+        slots = sc.recorder.slot_series()
         ratio = slots[1].mean() / slots[0].mean()
         assert ratio == pytest.approx(3.0, rel=0.25)
 
@@ -91,8 +85,7 @@ class TestMultiFlowFairness:
                  FlowSpec(slot=1, cc="cubic", rtt=ms(20))]
         sc, _ = run_scenario("bcpqp", specs, horizon=15.0,
                              policy=Policy.prioritized([0, 1]))
-        slots = per_slot_throughput_series(
-            sc.trace.records, window=0.25, start=5.0, end=15.0)
+        slots = sc.recorder.slot_series()
         # High-priority flow takes (nearly) everything; the low-priority
         # flow may be starved out of the measurement window entirely.
         low = slots[1].mean() if 1 in slots else 0.0
@@ -122,10 +115,9 @@ class TestSecondaryBottleneck:
     def test_bottleneck_limits_delivery(self):
         specs = [FlowSpec(slot=0, cc="cubic", rtt=ms(20))]
         sc, _ = run_scenario(
-            "pqp", specs, rate=mbps(10), horizon=10.0,
+            "pqp", specs, rate=mbps(10), horizon=10.0, warmup=3.0,
             bottleneck=BottleneckSpec(rate=mbps(5), buffer_bytes=30 * 1500))
-        agg = aggregate_throughput_series(
-            sc.trace.records, window=0.25, start=3.0, end=10.0)
+        agg = sc.recorder.aggregate_series()
         assert agg.max() <= mbps(5) * 1.05
 
     def test_bottleneck_drops_accounted(self):
@@ -159,8 +151,9 @@ class TestScenarioValidation:
         specs = [FlowSpec(slot=0, cc="reno", rtt=ms(10),
                           on_off=OnOffSpec(burst_packets_mean=30,
                                            off_time_mean=0.2))]
-        a, _ = run_scenario("bcpqp", specs, horizon=5.0, seed=3)
-        b, _ = run_scenario("bcpqp", specs, horizon=5.0, seed=3)
+        a, _ = run_scenario("bcpqp", specs, horizon=5.0, warmup=0.0, seed=3)
+        b, _ = run_scenario("bcpqp", specs, horizon=5.0, warmup=0.0, seed=3)
         assert [r.packets for r in a.flow_records] == \
             [r.packets for r in b.flow_records]
-        assert len(a.trace.records) == len(b.trace.records)
+        assert a.recorder.cells == b.recorder.cells
+        assert any(a.recorder.cells)

@@ -10,8 +10,10 @@ from repro.core.pqp import PQP
 from repro.classify.classifier import SlotClassifier
 from repro.limiters.base import RateLimiter
 from repro.limiters.token_bucket import TokenBucketPolicer
+from repro.metrics.recorder import Recorder
 from repro.net.packet import FlowId, Packet
 from repro.net.sink import NullSink
+from repro.net.trace import Trace
 from repro.policy.tree import Policy
 from repro.runner.aggregate import AggregateConfig, build_scenario
 from repro.sim.simulator import Simulator
@@ -112,13 +114,13 @@ class TestViolationDetection:
         assert len(checker.violations) >= 1
 
     def test_finalize_flags_empty_trace(self):
-        class FakeTrace:
-            name = "receiver"
-            times: list = []
-
+        recorder = Recorder(Simulator(), NullSink(), slot_counts=[1],
+                            window=0.25, warmup=0.0, horizon=1.0,
+                            name="receiver")
         checker = InvariantChecker(fail_fast=False)
-        checker.finalize(traces=(FakeTrace(),))
-        assert any("empty receiver trace" in v for v in checker.violations)
+        checker.finalize(recorders=(recorder,))
+        assert any("'receiver': nothing recorded" in v
+                   for v in checker.violations)
 
 
 class TestWholeRunValidation:
@@ -134,7 +136,7 @@ class TestWholeRunValidation:
         )
         limiter, scenario = build_scenario(config, sim)
         scenario.run()
-        checker.finalize(traces=(scenario.trace,))
+        checker.finalize(recorders=(scenario.recorder,))
         assert checker.violations == []
         assert checker.checks > 100
 
@@ -170,6 +172,8 @@ class TestZeroPerturbation:
                 seed=7, phantom_service=service,
             )
             limiter, scenario = build_scenario(config, sim)
+            trace = Trace(sim, scenario.recorder)
+            limiter.connect(trace)
             scenario.run()
             stats = limiter.stats
             return (
@@ -178,7 +182,7 @@ class TestZeroPerturbation:
                 stats.dropped_bytes, dict(stats.per_queue_drops),
                 limiter.queues.drained_bytes,
                 limiter.cost.snapshot(),
-                tuple(scenario.trace.times),
+                tuple(trace.times),
                 sim.events_processed,
             )
 
@@ -264,9 +268,11 @@ class TestValidationAuditsProduction:
                 seed=5,
             )
             limiter, scenario = build_scenario(config, sim)
+            trace = Trace(sim, scenario.recorder)
+            limiter.connect(trace)
             scenario.run()
             if checker is not None:
-                checker.finalize(traces=(scenario.trace,))
+                checker.finalize(recorders=(scenario.recorder,))
                 assert checker.violations == []
             stats = limiter.stats
             outcome = (
@@ -274,7 +280,7 @@ class TestValidationAuditsProduction:
                 stats.dropped_bytes, dict(stats.per_queue_drops),
                 limiter.magic_fills, limiter.magic_reclaims,
                 limiter.queues.drained_bytes, limiter.cost.snapshot(),
-                tuple(scenario.trace.times), sim.events_processed,
+                tuple(trace.times), sim.events_processed,
             )
             return outcome, dict(counts)
 

@@ -80,13 +80,15 @@ class TestWholeStackDeterminism:
         ]
         scenario = AggregateScenario(sim, limiter=limiter, specs=specs,
                                      rng=random.Random(seed), horizon=6.0)
+        trace = Trace(sim, scenario.recorder)
+        limiter.connect(trace)
         scenario.run()
         return (
             sim.events_processed,
             limiter.stats.forwarded_packets,
             limiter.stats.dropped_packets,
             tuple((r.time, r.flow.slot, r.seq)
-                  for r in scenario.trace.records[:200]),
+                  for r in trace.records[:200]),
         )
 
     def test_identical_runs_bit_for_bit(self):
