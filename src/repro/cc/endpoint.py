@@ -761,8 +761,6 @@ class TcpSender:
     # ------------------------------------------------------------------
 
     def _take_rate_sample(self, ack: int, now: float) -> float | None:
-        if not self.cc.needs_rate_samples:
-            return None
         info = self._send_info.get(ack - 1)
         if len(self._send_info) > 4 * max(int(self.cc.cwnd), 256):
             self._send_info = {

@@ -118,6 +118,9 @@ def _report(result: FleetResult) -> None:
             ["wall s", f"{result.wall_seconds:.2f}"],
             ["peak shard RSS (MB)",
              f"{result.peak_rss_bytes / 1e6:.1f}"],
+            ["event lanes (summed) / deepest heap",
+             f"{sum(s.lanes for s in result.summaries)} / "
+             f"{max(s.peak_heap for s in result.summaries)}"],
             ["digest", m.digest[:32]],
         ],
     )
@@ -148,6 +151,8 @@ def as_json(result: FleetResult) -> dict:
         "peak_rss_per_shard_bytes": [
             s.peak_rss_bytes for s in result.summaries
         ],
+        "lanes_per_shard": [s.lanes for s in result.summaries],
+        "peak_heap_per_shard": [s.peak_heap for s in result.summaries],
         "digest": m.digest,
     }
 

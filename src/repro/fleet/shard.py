@@ -97,6 +97,8 @@ def simulate_shard(config: ShardConfig) -> ShardSummary:
     impair = spec.impair if spec.impair and spec.impair.flow_enabled else None
     impair_streams = RngFactory(spec.seed) if impair is not None else None
     for plan in plans:
+        # Everything of one aggregate only ever calls itself: one lane.
+        sim.new_lane()
         limiter = make_limiter(
             sim,
             spec.scheme,
@@ -193,6 +195,8 @@ def simulate_shard(config: ShardConfig) -> ShardSummary:
         * 1024,
         events_processed=sim.events_processed,
         heap_pushes=sim.heap_pushes,
+        lanes=len(sim.lanes),
+        peak_heap=sim.peak_heap_size,
         flows=flows,
         updates_applied=sum(d.applied for d in drivers),
         updates_rejected=sum(d.rejected for d in drivers),

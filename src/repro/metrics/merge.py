@@ -78,6 +78,9 @@ class ShardSummary:
     peak_rss_bytes: int = 0
     events_processed: int = 0
     heap_pushes: int = 0
+    #: Event lanes the shard's simulator drained and its deepest heap.
+    lanes: int = 0
+    peak_heap: int = 0
     flows: int = 0
     #: Live-reconfiguration outcomes across the shard's aggregates
     #: (0 without churn).  Each aggregate's plan derives from the global

@@ -425,11 +425,11 @@ class JitterPipe:
 
     @property
     def in_flight(self) -> int:
-        """Deliveries to this pipe's sink still on the simulator heap —
-        an O(heap) scan for tests and debugging; pipes feeding the same
+        """Deliveries to this pipe's sink still on the simulator's heaps —
+        an O(pending) scan for tests and debugging; pipes feeding the same
         sink are counted together."""
-        deliver = self._sink.receive
-        return sum(1 for event in self._sim._heap if event[2] == deliver)
+        deliver, lanes = self._sink.receive, self._sim.lanes
+        return sum(event[2] == deliver for lane in lanes for event in lane)
 
     def receive(self, packet: Packet) -> None:
         self.forwarded_packets += 1

@@ -34,6 +34,10 @@ class Simulator:
     a heap position claimed earlier.  A packet in flight on a pipe or a
     link is one such event whose callback is the sink's ``receive``.
 
+    The heap is one of a list of **lanes** (:meth:`new_lane`; one by
+    default), drained one after another.  A push lands in the current lane,
+    so ``(time, seq)`` orders a lane's events and nothing orders two lanes.
+
     Engine telemetry (all O(1) to maintain): :attr:`pending`,
     :attr:`events_processed`, and :attr:`heap_pushes` /
     :attr:`peak_heap_size`, which the event-engine gates compare with
@@ -59,6 +63,8 @@ class Simulator:
     ) -> None:
         self._now = float(start_time)
         self._heap: list[tuple[float, int, Callable[..., None], tuple]] = []
+        self._lanes = [self._heap]
+        self._lane = 0
         self._seq = 0
         self._events_processed = 0
         self._running = False
@@ -94,9 +100,30 @@ class Simulator:
 
     @property
     def pending(self) -> int:
-        """Number of events awaiting their turn (the heap length: every
-        pushed event fires)."""
-        return len(self._heap)
+        """Number of events awaiting their turn (the summed lane lengths:
+        every pushed event fires)."""
+        return sum(map(len, self._lanes))
+
+    @property
+    def lanes(self) -> tuple[list, ...]:
+        """The lanes' heaps in drain order — to read, never to push on."""
+        return tuple(self._lanes)
+
+    @property
+    def lane(self) -> int:
+        """Index of the current lane: where a push lands now."""
+        return self._lane
+
+    def new_lane(self) -> None:
+        """Declare what is scheduled from here on causally independent of
+        everything before: neither side's events call into the other's
+        components.  An empty current lane is reused."""
+        if self._running:
+            raise SimulationError("new_lane() called from within an event")
+        if self._heap:
+            self._heap = []
+            self._lane = len(self._lanes)
+            self._lanes.append(self._heap)
 
     # Read by the frozen benchmarks/suite/workloads.py:115 and nothing
     # else; nothing cancels a heap entry, so the backlog is always 0.
@@ -109,7 +136,7 @@ class Simulator:
 
     @property
     def peak_heap_size(self) -> int:
-        """Largest heap length ever reached."""
+        """Largest length any one lane's heap ever reached."""
         return self._peak_heap
 
     # Read by the frozen benchmarks/suite/workloads.py:102,116; nothing
@@ -196,6 +223,10 @@ class Simulator:
         bound compares false against every event time and would never
         stop a self-sustaining chain, so it raises
         :class:`SimulationError` like a non-finite delay does.
+
+        Lanes drain in creation order, each up to ``until``.  A
+        ``max_events`` stop is defined for one non-empty lane only: cut
+        mid-lane, several lanes have no one clock to resume from.
         """
         if self._running:
             raise SimulationError("run() re-entered from within an event")
@@ -204,26 +235,35 @@ class Simulator:
                 f"invalid until {until!r}: must be finite (None runs until "
                 "the heap drains)"
             )
+        lanes = self._lanes
+        if max_events is not None and sum(map(bool, lanes)) > 1:
+            raise SimulationError("max_events with several non-empty lanes")
         self._running = True
         # Local-variable hot loop: no per-event method dispatch.
-        heap = self._heap
         pop = heapq.heappop
         fired = 0
+        end = self._now if until is None else until
         try:
-            while True:
-                if max_events is not None and fired >= max_events:
-                    return
-                if not heap:
-                    break
-                next_time = heap[0][0]
-                if until is not None and next_time > until:
-                    break
-                _time, _seq, callback, args = pop(heap)
-                self._now = next_time
-                self._events_processed += 1
-                callback(*args)
-                fired += 1
-            if until is not None and until > self._now:
-                self._now = until
+            for lane, heap in enumerate(lanes):
+                self._lane = lane
+                self._heap = heap
+                while True:
+                    if max_events is not None and fired >= max_events:
+                        return
+                    if not heap:
+                        break
+                    next_time = heap[0][0]
+                    if until is not None and next_time > until:
+                        break
+                    _time, _seq, callback, args = pop(heap)
+                    self._now = next_time
+                    self._events_processed += 1
+                    callback(*args)
+                    fired += 1
+                end = max(end, self._now)  # each lane restarts the clock
+            self._now = end
         finally:
+            # Back to the builder's lane: the last one opened.
+            self._heap = lanes[-1]
+            self._lane = len(lanes) - 1
             self._running = False

@@ -62,8 +62,10 @@ Enforced invariants (paper anchors in parentheses):
   only through their middlebox);
 * modeled op counts (§6.2 cost model) never negative;
 * event-engine accounting: the heap high-water mark never below the
-  current heap length (``Simulator(validate=checker)`` self-registers
-  the simulator).
+  deepest lane's current length (``Simulator(validate=checker)``
+  self-registers the simulator);
+* lane independence (``Simulator.new_lane``'s contract): a limiter's
+  packet entry and a sender's ACK entry run only in the lane it was built in.
 """
 
 from __future__ import annotations
@@ -126,11 +128,13 @@ class InvariantChecker:
         """
         state: dict[str, Any] = {"ready": False}
         self._limiters.append((limiter, state))
+        home = limiter._sim.lane
 
         original_receive_batch = limiter.receive_batch
         single: list[Any] = [None]
 
         def wrapped_receive_batch(packets: Any) -> None:
+            self._check_lane(limiter._sim, home, limiter.name)
             # The limiter's one entry point (``receive`` is a batch of
             # one through this same attribute).  Each packet goes through
             # the *original* decision loop as a singleton batch so the
@@ -151,7 +155,7 @@ class InvariantChecker:
                 original_receive_batch(single)
                 self._check_limiter(limiter, state, packet)
             # Batch-aware invariants: the whole batch (and nothing else)
-            # was accounted across this hand-off...
+            # was accounted across this hand-off.
             self._ensure(
                 stats.arrived_packets - arrived_packets == len(packets),
                 f"{limiter.name}: batch packet accounting broken: "
@@ -164,11 +168,6 @@ class InvariantChecker:
                 f"{stats.arrived_bytes - arrived_bytes} bytes recorded "
                 f"for a {batch_bytes}-byte batch",
             )
-            # ... and the engine's peak-heap gauge still covers the
-            # heap right after the deliveries this batch scheduled.
-            sim = getattr(limiter, "_sim", None)
-            if sim is not None and sim in self._simulators:
-                self._check_simulator(sim)
 
         limiter.receive_batch = wrapped_receive_batch
 
@@ -218,8 +217,10 @@ class InvariantChecker:
         exactly as they do unvalidated."""
         self._senders.append(sender)
         original_receive = sender.receive
+        home = sender._sim.lane
 
         def wrapped_receive(packet: Any) -> None:
+            self._check_lane(sender._sim, home, f"sender {sender.flow}")
             original_receive(packet)
             self._check_sender(sender)
 
@@ -365,11 +366,20 @@ class InvariantChecker:
 
     def _check_simulator(self, sim: Any) -> None:
         """Engine-counter probe: the peak-heap gauge never trails the
-        heap it measures."""
+        deepest of the heaps it measures."""
+        deepest = max(map(len, sim.lanes))
         self._ensure(
-            sim.peak_heap_size >= sim.pending,
-            f"simulator: peak heap {sim.peak_heap_size} below current "
-            f"pending count {sim.pending}",
+            sim.peak_heap_size >= deepest,
+            f"simulator: peak heap {sim.peak_heap_size} below the deepest "
+            f"lane's current {deepest} pending",
+        )
+
+    def _check_lane(self, sim: Any, home: int, name: str) -> None:
+        """Only lane ``home``'s events may call what was built there."""
+        self._ensure(
+            sim.lane == home,
+            f"{name}: called from event lane {sim.lane} but built in lane "
+            f"{home} (lanes must be causally independent)",
         )
 
     def _check_limiter(

@@ -412,7 +412,8 @@ class NaiveScoreboard(TcpSender):
             delivered += newly
             self._delivered += newly
             self._delivered_time = now
-            rate = self._take_rate_sample(ack, now)
+            rate = (self._take_rate_sample(ack, now)
+                    if self._needs_rate else None)
             if self._in_recovery and ack >= self._recover_point:
                 self._in_recovery = False
                 self._recovery_budget = 0.0

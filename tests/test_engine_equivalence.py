@@ -192,3 +192,23 @@ def test_outcomes_match_legacy_engine_digests(cell, batch):
         assert outcome.flow_records and outcome.magic_fills
         assert outcome.updates_applied == 8
     assert _outcome_digest(outcome) == LEGACY_DIGESTS[cell]
+
+
+def test_new_lane_before_anything_is_scheduled_changes_nothing(monkeypatch):
+    # An empty current lane is reused: a builder may open a lane per
+    # unit unconditionally and a one-unit run stays the one-heap run.
+    from repro.runner import aggregate
+    from repro.sim.simulator import Simulator
+
+    sims = []
+
+    def laned(*args, **kwargs):
+        sim = Simulator(*args, **kwargs)
+        sim.new_lane()
+        sims.append(sim)
+        return sim
+
+    monkeypatch.setattr(aggregate, "Simulator", laned)
+    outcome = simulate_aggregate(_legacy_cell("churn", None))
+    assert _outcome_digest(outcome) == LEGACY_DIGESTS["churn"]
+    assert [len(sim.lanes) for sim in sims] == [1]

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 from array import array
+from unittest import mock
 
 import pytest
 
@@ -28,8 +29,10 @@ from repro.fleet import (
     shard_configs,
     simulate_shard,
 )
+from repro.fleet import shard as shard_module
 from repro.fleet.shard import _interned_policy
 from repro.metrics.merge import merge_shard_summaries
+from repro.metrics.recorder import Recorder
 from repro.metrics.throughput import bin_layout, binned_bytes
 from repro.net.impair import ImpairmentSpec
 from repro.net.middlebox import Middlebox
@@ -290,6 +293,98 @@ class TestShardInvariance:
         a = run_fleet(plain, shards=2).metrics
         b = run_fleet(checked, shards=2).metrics
         assert a == b
+
+
+#: What a shard's clock and host put on its summary; everything else on
+#: it is an outcome of the simulation.
+_HOST_FIELDS = {"setup_seconds", "run_seconds", "cpu_seconds", "peak_rss_bytes"}
+
+
+def _driven(spec: FleetSpec, cuts=(), *, reverse=False) -> dict:
+    """``simulate_shard`` with its one ``sim.run(until=horizon)`` taken in
+    pieces — a run up to each of ``cuts``, then the rest — and, with
+    ``reverse``, its lanes drained last-built first.  Returns everything
+    observable: the summary's columns and counters, the merged digest and
+    every row's slot series in the recorder's dict order."""
+    seen = {}
+
+    class DrivenSimulator(Simulator):
+        def run(self, until=None, max_events=None):
+            if reverse:
+                self._lanes.reverse()
+            for cut in (*cuts, until):
+                super().run(until=cut)
+
+    class KeptRecorder(Recorder):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            seen["recorder"] = self
+
+    with mock.patch.object(shard_module, "Simulator", DrivenSimulator), \
+            mock.patch.object(shard_module, "Recorder", KeptRecorder):
+        summary = simulate_shard(ShardConfig(spec, 1, 0))
+    observed = {
+        name: value
+        for name, value in dataclasses.asdict(summary).items()
+        if name not in _HOST_FIELDS
+    }
+    observed["digest"] = merge_shard_summaries([summary]).digest
+    observed["slot_series"] = [
+        [(slot, series.times, series.values)
+         for slot, series in seen["recorder"].slot_series(row).items()]
+        for row in range(spec.aggregates)
+    ]
+    return observed
+
+
+_LANE_FLEET = dict(aggregates=8, seed=13, horizon=1.2, warmup=0.2)
+
+
+class TestLaneInvariance:
+    """``simulate_shard`` gives every aggregate an event lane, so how far
+    one aggregate has run when the next one starts depends on how
+    ``run(until)`` is sliced and on the order the lanes are drained in.
+    Nothing observable may: a lane boundary that cut through an
+    aggregate (say one lane per flow) would fail every case here."""
+
+    @pytest.mark.parametrize("variant", [
+        *({"scheme": scheme} for scheme in SCHEMES),
+        {"impair": ImpairmentSpec(loss=0.02, jitter=0.003, reorder=0.05,
+                                  reorder_extra=0.002)},
+        {"churn_actions": 4},
+        {"validate": True},
+    ], ids=lambda v: "-".join(f"{k}={getattr(x, 'loss', x)}"
+                              for k, x in v.items()))
+    def test_outcome_independent_of_slicing_and_lane_order(self, variant):
+        spec = FleetSpec(**_LANE_FLEET, **variant)
+        one_shot = _driven(spec)
+        assert one_shot["lanes"] == spec.aggregates
+        assert sum(one_shot["arrived_packets"]) > 0
+        assert any(len(row) > 1 for row in one_shot["slot_series"])
+        if spec.churn_actions:
+            assert one_shot["updates_applied"] > 0
+        steps = round(spec.horizon / 0.05)
+        even = tuple(0.05 * k for k in range(1, steps))
+        ragged = (0.37, 0.37 + 1e-9)
+        assert _driven(spec, even) == one_shot
+        assert _driven(spec, ragged) == one_shot
+        if not spec.validate:
+            # (The checker knows a component's lane by its index, which
+            # reversing the list renumbers.)
+            assert _driven(spec, reverse=True) == one_shot
+            assert _driven(spec, even, reverse=True) == one_shot
+
+    def test_summary_reports_lanes_and_the_deepest_heap(self):
+        spec = FleetSpec(**_LANE_FLEET)
+        whole, = (simulate_shard(c) for c in shard_configs(spec, 1))
+        halves = [simulate_shard(c) for c in shard_configs(spec, 2)]
+        assert [s.lanes for s in halves] == [4, 4] and whole.lanes == 8
+        # The deepest heap is one aggregate's, whoever its neighbours are.
+        assert whole.peak_heap == max(s.peak_heap for s in halves) > 0
+        # A summary pickled before the fields existed still loads.
+        old = dataclasses.replace(whole)
+        del old.__dict__["lanes"], old.__dict__["peak_heap"]
+        assert (old.lanes, old.peak_heap) == (0, 0)
 
 
 class TestMerge:

@@ -280,6 +280,20 @@ class TestJitterPipe:
         sim.run()
         assert pipe.in_flight == 0
 
+    def test_in_flight_counts_every_lane(self):
+        # The pipe's deliveries sit in the lane that was current when
+        # they were pushed, not necessarily the builder's current one.
+        sim = Simulator()
+        pipe = JitterPipe(sim, 0.01, Collector(), jitter=0.002, rng=Random(3))
+        for i in range(4):
+            pipe.receive(make_data(i))
+        sim.new_lane()
+        sim.schedule(1.0, lambda: None)
+        assert [len(lane) for lane in sim.lanes] == [4, 1]
+        assert pipe.in_flight == 4
+        sim.run()
+        assert pipe.in_flight == 0
+
 
 # ---------------------------------------------------------------------------
 # Monotonicity guards (constant delay: arrival order == delivery order)

@@ -28,6 +28,7 @@ import itertools
 import os
 import random
 import tracemalloc
+from unittest import mock
 
 import pytest
 
@@ -66,6 +67,12 @@ BATCH = 1000
 def _src_lines():
     """Counts the ``line`` events its body executes under ``src/repro/``."""
     return counting(under=_SRC)
+
+
+def _sim_lines():
+    """Counts the ``line`` events under ``src/repro/sim/`` only: what the
+    event engine itself executes, none of the packet path."""
+    return counting(under=os.path.join(_SRC, "sim") + os.sep)
 
 
 def _show(name: str, **counts) -> dict:
@@ -351,16 +358,28 @@ def test_apply_update_cost_is_linear_in_the_queues():
     assert _lines_per_update(256) <= 10 * _lines_per_update(32)
 
 
+@functools.cache  # two gates read the same two runs
 def _shard_cell(aggregates: int) -> dict:
     """One unsharded fleet run end to end (TCP endpoints, a middlebox
     hosting one limiter per aggregate, the columnar recorder)."""
     config = ShardConfig(FleetSpec(aggregates=aggregates, seed=1), 1, 0)
-    with _src_lines() as steps:
+    sims = []
+
+    def kept(*args, **kwargs):
+        # The shard's own simulator, read after the run; asking the
+        # engine rather than the summary keeps the pin runnable on trees
+        # whose summaries do not carry the number.
+        sims.append(Simulator(*args, **kwargs))
+        return sims[-1]
+
+    with mock.patch("repro.fleet.shard.Simulator", kept), \
+            _src_lines() as steps:
         summary = simulate_shard(config)
     packets = sum(summary.arrived_packets)
     return _show(f"simulate_shard aggregates={aggregates}",
                  lines=steps.lines / packets,
-                 events=summary.events_processed / packets)
+                 events=summary.events_processed / packets,
+                 peak_heap=sims[0].peak_heap_size)
 
 
 def test_shard_cost_per_packet_is_flat_in_the_aggregates():
@@ -371,6 +390,37 @@ def test_shard_cost_per_packet_is_flat_in_the_aggregates():
     small, big = _shard_cell(25), _shard_cell(100)
     assert big["lines"] <= 1.1 * small["lines"]
     assert big["events"] <= 1.05 * small["events"]
+
+
+def test_shard_heap_depth_is_flat_in_the_aggregates():
+    # The line counts above cannot see what an event costs the host: on
+    # one shared heap every event sifts through, and lands on the cold
+    # state of, a different aggregate (439 deep at 25 aggregates, 1 544
+    # at 100).  With a lane per aggregate the deepest heap is the busiest
+    # aggregate's own packets in flight and timers: 66 and 66.
+    small, big = _shard_cell(25), _shard_cell(100)
+    assert big["peak_heap"] <= 1.1 * small["peak_heap"]
+
+
+def test_lane_switch_costs_a_few_lines():
+    # What lanes add to the engine: a run() call visits every lane, so
+    # a sliced fleet run pays lanes x slices visits that fire nothing.
+    def idle_visits(lanes: int, calls: int) -> int:
+        sim = Simulator()
+        for _ in range(lanes):
+            sim.new_lane()
+            sim.schedule(1.0, lambda: None)
+        with _sim_lines() as steps:
+            for k in range(calls):
+                sim.run(until=1e-3 * k)
+        assert sim.events_processed == 0 and len(sim.lanes) == lanes
+        return steps.lines
+
+    per_visit = _show(
+        "eventloop lane visit lanes=100 calls=50",
+        lines=(idle_visits(100, 50) - idle_visits(1, 50)) / (99 * 50),
+    )["lines"]
+    assert per_visit <= 15
 
 
 # ----------------------------------------------------------------------
@@ -519,7 +569,7 @@ def _chain_lines(kind: str, events: int) -> int:
         rearm = functools.partial(sim.schedule, 1e-3, tick)
     else:
         rearm = functools.partial(Timer(sim, tick).schedule_after, 1e-3)
-    with counting(under=os.path.join(_SRC, "sim") + os.sep) as steps:
+    with _sim_lines() as steps:
         rearm()
         sim.run()
     assert sim.events_processed == events

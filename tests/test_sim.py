@@ -257,6 +257,84 @@ class TestReservedSequences:
         assert sim.pending == 0
 
 
+class TestLanes:
+    def test_lanes_drain_in_creation_order_each_in_time_order(self):
+        sim = Simulator()
+        fired = []
+
+        def note(tag):
+            fired.append((tag, sim.lane, sim.now))
+
+        sim.schedule(2.0, note, "a2")
+        sim.schedule(1.0, note, "a1")
+        sim.new_lane()
+        sim.schedule(0.5, note, "b")
+        assert (sim.lane, sim.pending) == (1, 3)
+        assert [len(lane) for lane in sim.lanes] == [2, 1]
+        sim.run()
+        assert fired == [("a1", 0, 1.0), ("a2", 0, 2.0), ("b", 1, 0.5)]
+        # Drained with no bound: the clock reads the latest event fired.
+        assert sim.now == 2.0
+        assert (sim.pending, sim.peak_heap_size) == (0, 2)
+
+    def test_an_event_schedules_into_its_own_lane(self):
+        sim = Simulator()
+        fired = []
+
+        def chain(tag, left):
+            fired.append((tag, sim.lane, sim.now))
+            if left:
+                sim.schedule(1.0, chain, tag, left - 1)
+
+        sim.schedule(0.0, chain, "a", 2)
+        sim.new_lane()
+        sim.schedule(0.5, chain, "b", 1)
+        sim.run(until=1.0)
+        assert fired == [("a", 0, 0.0), ("a", 0, 1.0), ("b", 1, 0.5)]
+        assert sim.now == 1.0
+        assert [len(lane) for lane in sim.lanes] == [1, 1]
+        # Between runs the builder is back in the last lane it opened.
+        assert sim.lane == 1
+        sim.run(until=2.0)
+        assert fired[3:] == [("a", 0, 2.0), ("b", 1, 1.5)]
+        assert sim.now == 2.0 and sim.events_processed == 5
+
+    def test_an_empty_current_lane_is_reused(self):
+        sim = Simulator()
+        sim.new_lane()
+        sim.new_lane()
+        assert (sim.lane, len(sim.lanes)) == (0, 1)
+        sim.schedule(1.0, lambda: None)
+        sim.new_lane()
+        sim.new_lane()
+        assert (sim.lane, len(sim.lanes)) == (1, 2)
+
+    def test_new_lane_from_inside_an_event_is_an_error(self):
+        sim = Simulator()
+        sim.schedule(1.0, sim.new_lane)
+        with pytest.raises(SimulationError, match="new_lane"):
+            sim.run()
+        assert len(sim.lanes) == 1
+
+    def test_max_events_needs_a_single_non_empty_lane(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(1.0, fired.append, "a")
+        sim.new_lane()
+        sim.schedule(2.0, fired.append, "b")
+        sim.schedule(3.0, fired.append, "c")
+        with pytest.raises(SimulationError, match="max_events"):
+            sim.run(max_events=1)
+        assert fired == [] and sim.now == 0.0
+        sim.run(until=1.0)
+        # One non-empty lane left: the single-lane semantics, unchanged.
+        sim.run(until=10.0, max_events=1)
+        assert fired == ["a", "b"] and sim.now == 2.0
+        assert sim.lane == 1
+        sim.run(max_events=1)
+        assert fired == ["a", "b", "c"]
+
+
 class TestDeterminism:
     @given(st.lists(st.floats(min_value=0, max_value=100), min_size=1, max_size=50))
     def test_events_always_fire_in_nondecreasing_time(self, delays):

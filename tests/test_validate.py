@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from repro.cc.endpoint import TcpSender
+from repro.cc.endpoint import FlowDemux, TcpSender
 from repro.core.bcpqp import BCPQP
 from repro.core.pqp import PQP
 from repro.classify.classifier import SlotClassifier
@@ -19,6 +19,7 @@ from repro.runner.aggregate import AggregateConfig, build_scenario
 from repro.sim.simulator import Simulator
 from repro.units import MSS, mbps, ms
 from repro.validate import InvariantChecker, InvariantViolation
+from repro.wiring import wire_flow
 from repro.workload.spec import FlowSpec
 
 
@@ -104,6 +105,47 @@ class TestViolationDetection:
         limiter.stats.forwarded_packets += 1  # corrupt conservation
         with pytest.raises(InvariantViolation):
             limiter.receive(data_packet())
+
+    def test_limiter_called_from_a_foreign_lane_flagged(self):
+        # new_lane() promises independence; a packet handed across the
+        # boundary breaks it, and the violation names both lanes.
+        checker, sim = _checked_sim()
+        limiter = TokenBucketPolicer(sim, rate=mbps(5), bucket_bytes=10 * MSS)
+        limiter.connect(NullSink())
+        sim.schedule(0.1, limiter.receive, data_packet())
+        sim.new_lane()
+        sim.schedule(0.2, limiter.receive, data_packet())
+        with pytest.raises(InvariantViolation,
+                           match="from event lane 1 but built in lane 0"):
+            sim.run()
+        assert limiter.stats.arrived_packets == 1
+
+    def test_sender_acked_from_a_foreign_lane_flagged(self):
+        checker, sim = _checked_sim()
+        sender = wire_flow(sim, FlowId(0, 0), cc="reno", rtt=ms(20),
+                           ingress=NullSink(), demux=FlowDemux(),
+                           packets=None, start=0.0)
+        sim.new_lane()
+        ack = Packet.ack(FlowId(0, 0), ack_next=1, sent_at=0.0, echo_ts=0.0,
+                         echo_retransmit=False)
+        sim.schedule(0.05, sender.receive, ack)
+        with pytest.raises(InvariantViolation,
+                           match="from event lane 1 but built in lane 0"):
+            sim.run(until=1.0)
+
+    def test_peak_heap_probe_reads_the_deepest_lane(self):
+        # Two lanes of three: pending (6) exceeds any one heap's depth,
+        # and the gauge that matters is per heap.
+        checker, sim = _checked_sim()
+        for _ in range(2):
+            sim.new_lane()
+            for k in range(3):
+                sim.schedule(1.0 + k, lambda: None)
+        assert (sim.pending, sim.peak_heap_size) == (6, 3)
+        checker.finalize()
+        sim._peak_heap = 2  # corrupt: below the deepest lane
+        with pytest.raises(InvariantViolation, match="deepest"):
+            checker.finalize()
 
     def test_collect_mode_accumulates(self):
         checker, sim = _checked_sim(fail_fast=False)
