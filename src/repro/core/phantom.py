@@ -12,16 +12,13 @@ and asks the engine for everything else through the method set
 :class:`repro.core.gps.VirtualTimeGps` defines (``advance``, ``length``,
 ``peek_length``, ``total``, ``rate_of``, ``set_rate``, ``offer``, ``add``,
 ``remove``, ``active_mask``, ``drained_bytes``; ``group_virtual_times``
-on an engine that has virtual times).  ``service`` picks the engine:
+on an engine that has virtual times).  ``service`` picks the engine; both
+compute the same GPS process (§3.2's fluid shares ``r*_i``):
 
 * ``fluid`` (default, what production runs) —
   :class:`repro.core.gps.VirtualTimeGps`, the piecewise-linear GPS
   process in virtual time: an arrival costs O(classes being served) plus
   a heap operation, and ``r*_i`` is an O(depth) read.
-* ``quantum`` — :class:`repro.core.quantum.QuantumDrain`, the paper's
-  literal mechanism (§3.2): batched dequeues of MSS-sized phantom packets
-  picked by hierarchical DRR.  An ablation of the idealization; an
-  arrival is O(N).
 * ``fluid-ref`` — :class:`repro.validate.reference.ReferenceFluid`, the
   direct piecewise loop (recompute all shares, scan all queues per
   piece), O(N) per arrival.  The executable specification the strict
@@ -29,15 +26,14 @@ on an engine that has virtual times).  ``service`` picks the engine:
   beside the fuzzer and is imported only when asked for.
 
 Regardless of engine, ``total_length()`` is a running counter (O(1)),
-and ``drain_recomputes`` counts *fluid linear pieces / DRR dequeues* — the
-paper-modeled amortized drain work — independent of how much Python
-bookkeeping the engine actually skips (see :mod:`repro.limiters.costs`).
+and ``drain_recomputes`` counts *fluid linear pieces* — the paper-modeled
+amortized drain work — independent of how much Python bookkeeping the
+engine actually skips (see :mod:`repro.limiters.costs`).
 """
 
 from __future__ import annotations
 
 from repro.core.gps import VirtualTimeGps
-from repro.core.quantum import QuantumDrain
 from repro.policy.tree import Policy
 
 #: Counters below this many bytes are treated as empty (float hygiene).
@@ -48,8 +44,6 @@ def _engine_class(service: str) -> type:
     """The drain engine class behind a ``service`` name."""
     if service == "fluid":
         return VirtualTimeGps
-    if service == "quantum":
-        return QuantumDrain
     if service == "fluid-ref":
         # Imported lazily so production never loads the reference drain.
         from repro.validate.reference import ReferenceFluid
@@ -77,7 +71,7 @@ class PhantomQueueSet:
     """
 
     #: Supported service disciplines.
-    SERVICES = ("fluid", "fluid-ref", "quantum")
+    SERVICES = ("fluid", "fluid-ref")
 
     def __init__(
         self,
@@ -102,7 +96,7 @@ class PhantomQueueSet:
         self._magic = [0.0] * n
         self._clock = start_time
         self.service = service
-        #: Fluid-piece recomputations / DRR dequeues, for the cost model.
+        #: Fluid-piece recomputations, for the cost model.
         self.drain_recomputes = 0
         #: Mutation epoch: bumped by every committed :meth:`reconfigure`.
         #: The invariant checker keys its epoch-seam checks off this.
@@ -231,8 +225,8 @@ class PhantomQueueSet:
           and stay valid).
         * A policy change builds a fresh engine of the same class for
           the new tree and re-adds surviving per-queue occupancy by
-          index, so no scheduler state (virtual times, DRR deficits and
-          cursors, unspent quantum budget) crosses the seam.  Removed
+          index, so no service state (virtual times, class heaps, the
+          served list) crosses the seam.  Removed
           queues' bytes (real and magic) are *evicted* — accounted in
           :attr:`evicted_bytes`, never silently lost — and
           :attr:`drained_bytes` stays continuous via a base accumulator.

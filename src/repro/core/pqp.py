@@ -42,8 +42,7 @@ class PQP(RateLimiter):
         requirement ``BDP^2/18 x MSS`` for correct steady-state rates.
     service:
         Phantom drain engine: ``"fluid"`` (GPS idealization via the
-        virtual-time engine, the default), ``"quantum"`` (batched DRR
-        dequeues, the paper's literal mechanism) or ``"fluid-ref"`` (the
+        virtual-time engine, the default) or ``"fluid-ref"`` (the
         reference piecewise loop from :mod:`repro.validate.reference`,
         decision-equivalent to ``fluid``) — see
         :class:`~repro.core.phantom.PhantomQueueSet`.

@@ -106,7 +106,6 @@ def simulate_shard(config: ShardConfig) -> ShardSummary:
             num_queues=plan.num_flows,
             max_rtt=plan.max_rtt,
             policy=_interned_policy(plan, policies),
-            phantom_service=spec.phantom_service,
             name=f"{spec.scheme}-{plan.aggregate}",
         )
         limiter.connect(recorder)

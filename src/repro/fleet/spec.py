@@ -76,8 +76,6 @@ class FleetSpec:
     rtt_range: tuple[float, float] = (0.01, 0.08)
     #: Flow start times drawn uniformly from ``[0, max_start]``.
     max_start: float = 0.1
-    #: Phantom service discipline for pqp/bcpqp; ignored otherwise.
-    phantom_service: str = "fluid"
     #: Attach the runtime invariant checker inside every shard.
     validate: bool = False
     #: Optional per-flow impairment channels.  Each flow's impairment
@@ -93,7 +91,7 @@ class FleetSpec:
     churn_actions: int = 0
 
     def __post_init__(self) -> None:
-        check_scheme(self.scheme, self.phantom_service)
+        check_scheme(self.scheme)
         if self.aggregates < 1:
             raise ValueError("aggregates must be >= 1")
         if self.churn_actions < 0:

@@ -30,7 +30,6 @@ from repro.net.packet import Packet
 from repro.policy.tree import Policy
 from repro.sched.drr import HierarchicalDrrScheduler
 from repro.sim.simulator import Simulator
-from repro.units import MSS
 
 _ALU = Op.ALU.index
 _MAP = Op.MAP.index
@@ -63,7 +62,6 @@ class Shaper(RateLimiter):
         policy: Policy,
         classifier: FlowClassifier,
         queue_bytes: float,
-        quantum: float = MSS,
         name: str = "shaper",
     ) -> None:
         super().__init__(sim, name=name)
@@ -80,8 +78,7 @@ class Shaper(RateLimiter):
         self._policy = policy
         self._classifier = classifier
         self._capacity = float(queue_bytes)
-        self._quantum = float(quantum)
-        self._scheduler = HierarchicalDrrScheduler(policy, quantum=quantum)
+        self._scheduler = HierarchicalDrrScheduler(policy)
         n = policy.num_queues
         self._queues: list[deque[Packet]] = [deque() for _ in range(n)]
         self._queue_bytes = [0.0] * n
@@ -190,9 +187,7 @@ class Shaper(RateLimiter):
                 return
             # A new tree starts from zero deficits and cursors, seeded with
             # the queues that still hold packets.
-            self._scheduler = HierarchicalDrrScheduler(
-                policy, quantum=self._quantum
-            )
+            self._scheduler = HierarchicalDrrScheduler(policy)
             for qi, queue in enumerate(self._queues):
                 if queue:
                     self._scheduler.activate(qi)

@@ -148,7 +148,7 @@ class Policy:
         The tree is walked on every call: this is the written
         specification of the shares (the production engine answers
         ``r*_i`` itself, :meth:`repro.core.gps.VirtualTimeGps.rate_of`),
-        read only by the two O(N) reference disciplines and the checker.
+        read only by the O(N) reference discipline and the checker.
         """
         return self._rates_for(self._active_mask(active), rate)
 
@@ -157,8 +157,8 @@ class Policy:
     ) -> float:
         """Single-queue GPS rate: entry ``queue`` of :meth:`fluid_rates`.
 
-        The ``quantum`` and ``fluid-ref`` disciplines read BC-PQP's
-        ``r*_i`` here; ``fluid`` reads it off the virtual-time engine
+        The ``fluid-ref`` discipline reads BC-PQP's ``r*_i`` here;
+        ``fluid`` reads it off the virtual-time engine
         (:meth:`repro.core.gps.VirtualTimeGps.rate_of`), for which this
         is the independent oracle.
         """

@@ -61,7 +61,6 @@ _SHARED_SOURCES: tuple[str, ...] = (
 _PHANTOM_SOURCES: tuple[str, ...] = (
     "core/phantom.py",
     "core/gps.py",
-    "core/quantum.py",
     "validate/reference.py",
     "core/sizing.py",
 )

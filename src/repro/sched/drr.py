@@ -7,50 +7,41 @@ to weights.  The long-run byte shares converge to the fluid (GPS) shares
 returned by :meth:`repro.policy.Policy.fluid_rates` — a property the test
 suite checks for random trees.
 
-Two schedulers live here.  Both are told about occupancy as it changes
+:class:`HierarchicalDrrScheduler` is told about occupancy as it changes
 (``activate(q)`` when queue ``q`` goes empty -> occupied, ``deactivate(q)``
 when it drains empty), so a dequeue walks only the live levels of the tree
 — O(depth) plus amortized O(1) deficit rotations — and no call does work
-proportional to the number of queues:
+proportional to the number of queues.  Its service order is pinned bit
+for bit (every shaper figure and digest depends on it) to the stateless
+scan it replaced, which re-derived the live set from the head sizes on
+every ``select``, O(N) per dequeue; that scan survives as the oracle in
+``tests/test_sched.py``.  Three of its properties are load-bearing and
+kept on purpose:
 
-* :class:`HierarchicalDrrScheduler` — the shaper's scheduler.  Its service
-  order is pinned bit for bit (every shaper figure and digest depends on
-  it) to the stateless scan it replaced, which re-derived the live set
-  from the head sizes on every ``select``, O(N) per dequeue; that scan
-  survives as the oracle in ``tests/test_sched.py``.  Three of its
-  properties are load-bearing and kept on purpose:
-
-  - *Child-order rotation.*  A node's winner list — its occupied children
-    of the best occupied priority — is kept in child order, so a child
-    that (re)activates is inserted at its child position (a bisect plus a
-    C-level list insert among its occupied same-priority siblings, paid
-    per empty -> occupied transition, not per packet), never appended.
-  - *Positional cursor.*  ``cursor`` indexes the winner list of the
-    moment, not a particular child: when the list changes under it, it
-    points at whoever now sits there, wraps to 0 when a *visit* finds it
-    past the end, and is read modulo the list length when a parent only
-    peeks at the packet the subtree would emit.
-  - *Visit-time idle reset.*  Classic DRR zeroes an emptied queue's
-    deficit.  Here a child's deficit is zeroed when ``select`` next
-    *visits* its parent and finds the child idle — so a queue that
-    empties and refills within one packet serialization keeps its credit,
-    and when every queue idles nothing is zeroed until service restarts.
-    ``deactivate`` therefore only parks the child on its parent's
-    ``idled`` list.
-
-* :class:`ActiveSetDrr` — the phantom ``quantum`` drain's scheduler
-  (:class:`repro.core.quantum.QuantumDrain`).  It
-  zeroes deficits eagerly and keeps winner lists in swap-pop order (same
-  members, different rotation), and the loosely pinned ``quantum`` drain
-  outcomes depend on exactly that order — which is why the two classes
-  are not one yet, although they share the activate/deactivate contract.
+* *Child-order rotation.*  A node's winner list — its occupied children
+  of the best occupied priority — is kept in child order, so a child
+  that (re)activates is inserted at its child position (a bisect plus a
+  C-level list insert among its occupied same-priority siblings, paid
+  per empty -> occupied transition, not per packet), never appended.
+* *Positional cursor.*  ``cursor`` indexes the winner list of the
+  moment, not a particular child: when the list changes under it, it
+  points at whoever now sits there, wraps to 0 when a *visit* finds it
+  past the end, and is read modulo the list length when a parent only
+  peeks at the packet the subtree would emit.
+* *Visit-time idle reset.*  Classic DRR zeroes an emptied queue's
+  deficit.  Here a child's deficit is zeroed when ``select`` next
+  *visits* its parent and finds the child idle — so a queue that
+  empties and refills within one packet serialization keeps its credit,
+  and when every queue idles nothing is zeroed until service restarts.
+  ``deactivate`` therefore only parks the child on its parent's
+  ``idled`` list.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
 from operator import attrgetter
-from typing import Callable, Sequence
+from typing import Sequence
 
 from repro.policy.tree import Leaf, Node, Policy
 from repro.units import MSS
@@ -266,176 +257,12 @@ class HierarchicalDrrScheduler:
         path.clear()
 
 
-class _ActiveNode:
-    """Mutable scheduling state for one policy node in :class:`ActiveSetDrr`."""
-
-    __slots__ = (
-        "parent", "weight", "priority", "queue", "children",
-        "deficit", "cursor", "active", "by_prio", "pos", "winning",
-    )
-
-    def __init__(self, spec: Node, parent: "_ActiveNode | None") -> None:
-        self.parent = parent
-        self.weight = spec.weight
-        self.priority = spec.priority
-        self.queue = spec.queue if isinstance(spec, Leaf) else None
-        self.children = (
-            [] if isinstance(spec, Leaf)
-            else [_ActiveNode(c, self) for c in spec.children]
-        )
-        # Deficit counter for *this* node as seen by its parent.
-        self.deficit = 0.0
-        # Round-robin cursor over this node's active winner list.
-        self.cursor = 0
-        self.active = False
-        #: Active children grouped by priority (internal nodes only).
-        self.by_prio: dict[int, list["_ActiveNode"]] = {}
-        #: Index of this node in its parent's ``by_prio`` list while active.
-        self.pos = -1
-        #: Smallest priority with active children, or None.
-        self.winning: int | None = None
-
-
+# The repo benchmark's span table (benchmarks/suite/spans.py) resolves
+# every class it names, this one included; delete with ROADMAP item 1(a).
 class ActiveSetDrr:
-    """Hierarchical DRR with incrementally maintained occupancy.
+    """Placeholder: no methods, nothing constructs it.
 
-    Usage::
-
-        sched = ActiveSetDrr(policy, head_of=lambda q: ...)
-        sched.activate(q)              # queue q went empty -> occupied
-        queue = sched.select()         # next queue to serve (or None)
-        ... drain from queue ...
-        sched.charge(size)             # bill the dequeued bytes
-        sched.deactivate(q)            # queue q drained empty
-
-    ``head_of(q)`` returns the size of the phantom packet queue ``q``
-    would emit next (``min(quantum, length)`` for byte-counter queues);
-    it is only consulted for *active* queues.
-
-    ``select``/``charge`` must alternate, exactly as with
-    :class:`HierarchicalDrrScheduler`; byte shares converge to the same
-    fluid shares (the winner lists hold the same nodes, only their
-    rotation order differs, which DRR fairness does not depend on).
+    :class:`HierarchicalDrrScheduler` is the one DRR scheduler.  The name
+    stays only so the benchmark's boundary table resolves; with no
+    methods to match, the table wraps nothing here.
     """
-
-    def __init__(
-        self,
-        policy: Policy,
-        *,
-        head_of: Callable[[int], float],
-        quantum: float = MSS,
-    ) -> None:
-        if quantum <= 0:
-            raise ValueError(f"quantum must be positive, got {quantum!r}")
-        self._policy = policy
-        self._quantum = float(quantum)
-        self._head_of = head_of
-        self._root = _ActiveNode(policy.root, None)
-        self._leaves: list[_ActiveNode] = [None] * policy.num_queues  # type: ignore[list-item]
-        self._index(self._root)
-        self._path: list[_ActiveNode] = []
-
-    def _index(self, node: _ActiveNode) -> None:
-        if node.queue is not None:
-            self._leaves[node.queue] = node
-        for child in node.children:
-            self._index(child)
-
-    @property
-    def policy(self) -> Policy:
-        """The policy tree this scheduler realizes."""
-        return self._policy
-
-    def any_active(self) -> bool:
-        """Whether any queue is currently occupied, O(1)."""
-        return self._root.active
-
-    def activate(self, queue: int) -> None:
-        """Report that ``queue`` went from empty to occupied."""
-        node = self._leaves[queue]
-        while not node.active:
-            node.active = True
-            parent = node.parent
-            if parent is None:
-                return
-            bucket = parent.by_prio.get(node.priority)
-            if bucket is None:
-                bucket = parent.by_prio[node.priority] = []
-            node.pos = len(bucket)
-            bucket.append(node)
-            if parent.winning is None or node.priority < parent.winning:
-                parent.winning = node.priority
-            node = parent
-
-    def deactivate(self, queue: int) -> None:
-        """Report that ``queue`` drained empty.
-
-        Classic DRR zeroes the deficit of an emptied queue so it cannot
-        hoard credit; the same reset applies to subtree nodes that go
-        fully idle.
-        """
-        node = self._leaves[queue]
-        while node.active:
-            node.active = False
-            node.deficit = 0.0
-            node.cursor = 0
-            parent = node.parent
-            if parent is None:
-                return
-            bucket = parent.by_prio[node.priority]
-            last = bucket.pop()
-            if last is not node:
-                bucket[node.pos] = last
-                last.pos = node.pos
-            node.pos = -1
-            if not bucket:
-                del parent.by_prio[node.priority]
-                if parent.by_prio:
-                    if node.priority == parent.winning:
-                        parent.winning = min(parent.by_prio)
-                    node = parent  # parent still active; stop after fixup
-                    break
-                parent.winning = None
-                node = parent  # subtree idle: keep deactivating upward
-            else:
-                break
-
-    def select(self) -> int | None:
-        """Pick the next queue to serve, or ``None`` if all are empty."""
-        node = self._root
-        if not node.active:
-            return None
-        self._path = []
-        quantum = self._quantum
-        while node.queue is None:
-            winners = node.by_prio[node.winning]  # type: ignore[index]
-            count = len(winners)
-            guard = 0
-            max_rounds = 4 * count + 8
-            while True:
-                child = winners[node.cursor % count]
-                cost = self._peek(child)
-                if child.deficit >= cost or guard > max_rounds:
-                    # Quantum top-ups are unbounded above packet sizes, so
-                    # the guard only trips on absurd quantum/packet ratios;
-                    # serve the current child rather than loop forever.
-                    break
-                child.deficit += quantum * child.weight
-                node.cursor = (node.cursor + 1) % count
-                guard += 1
-            self._path.append(child)
-            node = child
-        return node.queue
-
-    def charge(self, nbytes: float) -> None:
-        """Bill ``nbytes`` to every node on the last selected path."""
-        for node in self._path:
-            node.deficit -= nbytes
-        self._path = []
-
-    def _peek(self, node: _ActiveNode) -> float:
-        """Size of the phantom packet this subtree would emit if selected."""
-        while node.queue is None:
-            winners = node.by_prio[node.winning]  # type: ignore[index]
-            node = winners[node.cursor % len(winners)]
-        return self._head_of(node.queue)

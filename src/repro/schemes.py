@@ -48,7 +48,7 @@ SCHEMES = (
 )
 
 
-def check_scheme(scheme: str, phantom_service: str) -> None:
+def check_scheme(scheme: str, phantom_service: str = "fluid") -> None:
     """Reject a ``scheme`` / ``phantom_service`` pair no limiter exists
     for, naming the field, the value and the legal set.
 

@@ -9,8 +9,9 @@ literally zero per-packet overhead.
 
 ``python -m repro.validate --fuzz N --seed S`` runs the cross-engine
 differential fuzzer: seeded random scenarios executed under the phantom
-schemes x {fluid, fluid-ref, quantum} service disciplines, diffing drop
-decisions, drained bytes, magic fills/reclaims and goodput.  The
+schemes x {fluid, fluid-ref} service disciplines, diffing drop
+decisions, magic fills/reclaims and goodput exactly and drained bytes up
+to rounding.  The
 ``fluid-ref`` engine it holds production to lives here too
 (:mod:`repro.validate.reference`), loaded only when a run asks for it.
 """

@@ -3,7 +3,7 @@
 Draws seeded random scenarios (flow count, CC algorithm mix, RTTs in
 2-100 ms, enforced rates, policy trees) and runs each under the phantom
 schemes (pqp, bcpqp) x every phantom service discipline ({fluid,
-fluid-ref, quantum}), plus one rotating baseline scheme, all with the
+fluid-ref}), plus one rotating baseline scheme, all with the
 :class:`~repro.validate.checker.InvariantChecker` attached.
 
 Two comparison tiers:
@@ -15,16 +15,14 @@ Two comparison tiers:
   dropped packet and byte counts, per-queue drop maps, magic fills and
   reclaims, goodput.  Only ``drained_bytes`` (a pure float accumulator)
   gets a rounding tolerance.
-* **loose** — ``quantum`` batches MSS-sized phantom dequeues through a
-  DRR scheduler, so individual drop decisions legitimately differ from
-  the fluid idealization; only aggregate outcomes (goodput, forwarded
-  bytes) must land in a band around the fluid result.
+* **fleet** — each case draws a shard count, runs a small
+  generatively-seeded fleet (:mod:`repro.fleet`) both unsharded and
+  partitioned into that many shards, and requires the merged metrics to
+  be byte-identical (``shards=1`` skips the tier).  The shard count
+  rides along in the ``--case`` JSON like every other field.
 
-A third differential tier covers fleet sharding: each case draws a
-shard count, runs a small generatively-seeded fleet (:mod:`repro.fleet`)
-both unsharded and partitioned into that many shards, and requires the
-merged metrics to be byte-identical (``shards=1`` skips the tier).  The
-shard count rides along in the ``--case`` JSON like every other field.
+Neither tier allows more than float rounding, so both apply unchanged
+to impaired and churned cases.
 
 Any invariant violation or cross-engine divergence is reported with a
 minimized single-line repro::
@@ -45,12 +43,12 @@ from repro.policy.tree import Policy
 from repro.runner.aggregate import AggregateConfig, build_scenario
 from repro.sim.rng import RngFactory
 from repro.sim.simulator import Simulator
-from repro.units import MSS, mbps
+from repro.units import mbps
 from repro.validate.checker import InvariantChecker
 from repro.workload.spec import FlowSpec
 
 #: Phantom service disciplines compared per scheme.
-ENGINES = ("fluid", "fluid-ref", "quantum")
+ENGINES = ("fluid", "fluid-ref")
 #: Schemes that have a phantom engine to differentiate.
 PHANTOM_SCHEMES = ("pqp", "bcpqp")
 #: Non-phantom schemes, rotated one per case (invariants only).
@@ -72,13 +70,6 @@ _STRICT_KEYS = (
 #: drained_bytes tolerance (strict tier): rounding only.
 _DRAINED_REL = 1e-6
 _DRAINED_ABS = 1.0
-#: Loose-tier band: |quantum - fluid| <= REL * max + ABS, for goodput and
-#: forwarded bytes.  The quantum engine really does drop different
-#: packets (MSS-granular DRR vs the fluid idealization), which CC
-#: feedback then amplifies; the band only catches gross divergence
-#: (an engine starving or over-admitting a workload).
-_LOOSE_REL = 0.35
-_LOOSE_ABS = 50.0 * MSS
 
 
 @dataclass(frozen=True)
@@ -109,18 +100,13 @@ class FuzzCase:
     #: Impairment channels applied to every run of the case (same spec,
     #: same per-flow derived seeds, so impaired engines stay perfectly
     #: comparable).  ``None`` = clean case; corpus JSON predating the
-    #: field deserializes to clean.  Impaired cases skip the loose
-    #: (quantum-vs-fluid band) tier — impairment loss amplified through
-    #: CC feedback swamps the band — but keep the strict and fleet
-    #: tiers, which demand bit-equality regardless.
+    #: field deserializes to clean.
     impair: ImpairmentSpec | None = None
     #: Live-reconfiguration plan applied to every run of the case (same
     #: plan for every engine/shard leg, so churned engines stay
-    #: perfectly comparable).  ``None`` = churn-free case; corpus JSON
-    #: predating the field deserializes to churn-free.  Churned cases —
-    #: like impaired ones — skip the loose band (a mid-run rate or tree
-    #: change amplified through CC feedback swamps it) but keep every
-    #: bit-exact tier, now exercising the epoch-seam migration paths.
+    #: perfectly comparable, now exercising the epoch-seam migration
+    #: paths).  ``None`` = churn-free case; corpus JSON predating the
+    #: field deserializes to churn-free.
     churn: ChurnPlan | None = None
 
     def __post_init__(self) -> None:
@@ -396,20 +382,6 @@ def _diff_strict(
         )
 
 
-def _diff_loose(
-    scheme: str, fluid: dict, quantum: dict, divergences: list[str]
-) -> None:
-    """quantum vs fluid: aggregate outcomes must land in a band."""
-    for key in ("goodput_bytes", "forwarded_bytes"):
-        a, b = fluid[key], quantum[key]
-        bound = _LOOSE_ABS + _LOOSE_REL * max(a, b)
-        if abs(a - b) > bound:
-            divergences.append(
-                f"{scheme}: quantum vs fluid diverge on {key}: "
-                f"{b!r} vs {a!r} (bound {bound!r})"
-            )
-
-
 def _diff_fleet(case: FuzzCase, divergences: list[str]) -> int:
     """Fleet shard-invariance tier; returns simulations run.
 
@@ -466,15 +438,6 @@ def run_case(case: FuzzCase) -> CaseReport:
             for message in outcome["violations"]:
                 violations.append(f"{scheme}/{service}: {message}")
         _diff_strict(scheme, outcomes["fluid-ref"], outcomes["fluid"], divergences)
-        # The loose band assumes CC feedback amplifies only the engines'
-        # *own* decision differences; impairment loss — or a mid-run
-        # rate/tree change — multiplies that amplification past any
-        # useful band, so impaired and churned cases rely on the
-        # bit-exact tiers instead.
-        if case.impair is None and case.churn is None:
-            _diff_loose(
-                scheme, outcomes["fluid"], outcomes["quantum"], divergences
-            )
     baseline_outcome = _run_engine(case, case.baseline, "fluid")
     simulations += 1
     for message in baseline_outcome["violations"]:

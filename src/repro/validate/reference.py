@@ -10,7 +10,7 @@ decision, and it shares no code with that engine: the shares come from
 :meth:`Policy.fluid_rates <repro.policy.tree.Policy.fluid_rates>`.
 
 :class:`~repro.core.phantom.PhantomQueueSet` resolves it by a lazy
-import, so nothing that runs ``fluid`` or ``quantum`` loads this module.
+import, so nothing that runs ``fluid`` loads this module.
 """
 
 from __future__ import annotations

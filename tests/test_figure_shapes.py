@@ -266,14 +266,20 @@ def _ablate(scheme, *, horizon=15.0, warmup=5.0, seed=2, **kwargs):
     }
 
 
+#: The bcpqp ``_ablate`` cell under the literal batched-DRR phantom drain
+#: (MSS-sized phantom dequeues, §3.2), recorded before that drain was
+#: deleted; EXPERIMENTS.md "Ablations" has the full table.
+QUANTUM_BCPQP = {"mean": 1.00116, "jain": 0.9999450218530592,
+                 "drops": 0.31803438209536167}
+
+
 def test_ablation_phantom_service():
-    """Fluid GPS vs quantum DRR phantom service: same end-to-end story."""
-    results = {svc: _ablate("bcpqp", phantom_service=svc)
-               for svc in ("fluid", "quantum")}
-    fluid, quantum = results["fluid"], results["quantum"]
-    assert abs(fluid["mean"] - quantum["mean"]) < 0.06
-    assert abs(fluid["jain"] - quantum["jain"]) < 0.08
-    assert abs(fluid["drops"] - quantum["drops"]) < 0.08
+    """Fluid GPS vs the recorded batched-DRR phantom service: same
+    end-to-end story."""
+    fluid = _ablate("bcpqp")
+    assert abs(fluid["mean"] - QUANTUM_BCPQP["mean"]) < 0.06
+    assert abs(fluid["jain"] - QUANTUM_BCPQP["jain"]) < 0.08
+    assert abs(fluid["drops"] - QUANTUM_BCPQP["drops"]) < 0.08
 
 
 def test_ablation_buffer_insensitivity():

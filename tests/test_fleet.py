@@ -112,16 +112,20 @@ class TestFleetSpecValidation:
         with pytest.raises(ValueError):
             FleetSpec(aggregates=1, warmup=0.2, horizon=0.3, window=0.25)
 
-    @pytest.mark.parametrize(
-        "field,value", [("scheme", "nosuch"), ("phantom_service", "fluid_ref")]
-    )
+    @pytest.mark.parametrize("field,value", [("scheme", "nosuch")])
     def test_rejects_unknown_scheme_or_service(self, field, value):
         # Before any plan, recorder, Middlebox or worker process exists.
         with pytest.raises(ValueError) as excinfo:
             FleetSpec(aggregates=2, **{field: value})
         message = str(excinfo.value)
         assert field in message and repr(value) in message
-        assert "bcpqp" in message or "fluid-ref" in message
+        assert "bcpqp" in message
+
+    def test_phantom_service_is_not_a_field(self):
+        # Shards always run the fluid drain; a spec that still names the
+        # discipline fails at construction instead of being ignored.
+        with pytest.raises(TypeError, match="phantom_service"):
+            FleetSpec(aggregates=2, phantom_service="fluid")
 
     @pytest.mark.parametrize(
         "field,value",
@@ -163,7 +167,6 @@ def _shard_trace(spec: FleetSpec):
             num_queues=plan.num_flows,
             max_rtt=plan.max_rtt,
             policy=_interned_policy(plan, policies),
-            phantom_service=spec.phantom_service,
         )
         limiter.connect(trace)
         box.add_aggregate(plan.aggregate, limiter)

@@ -29,11 +29,17 @@ class TestEnqueue:
         q.try_enqueue(1, 100)
         assert q.active_flags() == [False, True, False]
 
+    @pytest.mark.parametrize("service", ["turbo", "quantum"])
+    def test_unknown_service_rejected(self, service):
+        with pytest.raises(ValueError) as excinfo:
+            PhantomQueueSet(Policy.fair(2), 1500.0, [1e6] * 2, service=service)
+        assert str(PhantomQueueSet.SERVICES) in str(excinfo.value)
+
 
 class TestRootLeafPolicy:
     """A one-queue policy whose root *is* the leaf (no class above it)."""
 
-    @pytest.mark.parametrize("service", ["fluid", "fluid-ref", "quantum"])
+    @pytest.mark.parametrize("service", ["fluid", "fluid-ref"])
     def test_root_leaf_takes_the_whole_rate(self, service):
         # The leaf's own weight is irrelevant without siblings.
         q = PhantomQueueSet(
@@ -158,6 +164,98 @@ class TestMagic:
         q.try_enqueue(0, 500)
         assert q.reclaim_magic(0) == 0.0
         assert q.length(0) == 500
+
+
+@pytest.mark.parametrize("service", PhantomQueueSet.SERVICES)
+class TestEveryService:
+    """The §3.2 service contract, checked on each drain engine
+    ``service`` can select: every one computes the same GPS process."""
+
+    def test_drains_at_configured_rate(self, service):
+        q = PhantomQueueSet(Policy.fair(1), 1000.0, [1e6], service=service)
+        q.try_enqueue(0, 5000)
+        q.advance(2.0)
+        assert q.length(0) == pytest.approx(3000.0)
+
+    def test_no_service_accrues_while_idle(self, service):
+        """A policer holds no tokens beyond the queues themselves: service
+        budget must not pile up across idle periods."""
+        q = PhantomQueueSet(Policy.fair(1), 1000.0, [1e6], service=service)
+        q.advance(100.0)  # long idle
+        q.try_enqueue(0, 5000)
+        q.advance(100.5)
+        assert q.length(0) == pytest.approx(4500.0)
+
+    def test_fair_long_run_split(self, service):
+        q = PhantomQueueSet(Policy.fair(2), 3000.0, [1e6] * 2,
+                            service=service)
+        q.try_enqueue(0, 60_000)
+        q.try_enqueue(1, 60_000)
+        q.advance(20.0)
+        assert q.length(0) == pytest.approx(30_000.0)
+        assert q.length(1) == pytest.approx(30_000.0)
+
+    def test_weighted_split(self, service):
+        q = PhantomQueueSet(Policy.weighted([3, 1]), 4000.0, [1e7] * 2,
+                            service=service)
+        q.try_enqueue(0, 1_000_000)
+        q.try_enqueue(1, 1_000_000)
+        q.advance(100.0)
+        drained0 = 1_000_000 - q.length(0)
+        drained1 = 1_000_000 - q.length(1)
+        assert drained0 == pytest.approx(300_000.0)
+        assert drained1 == pytest.approx(100_000.0)
+
+    def test_priority_serves_high_first(self, service):
+        q = PhantomQueueSet(Policy.prioritized([0, 1]), 1000.0, [1e6] * 2,
+                            service=service)
+        q.try_enqueue(0, 2000)
+        q.try_enqueue(1, 2000)
+        q.advance(2.0)
+        assert q.length(0) == 0.0
+        assert q.length(1) == pytest.approx(2000.0)
+
+    def test_magic_clamps_as_queue_drains(self, service):
+        q = PhantomQueueSet(Policy.fair(1), 1000.0, [5000.0], service=service)
+        q.try_enqueue(0, 1000)
+        q.fill_with_magic(0)  # magic = 4000
+        q.advance(2.0)  # drained 2000, length 3000 => magic clamps to 3000
+        assert q.magic_bytes(0) == pytest.approx(3000.0)
+
+    def test_total_drain_is_rate_times_time(self, service):
+        q = PhantomQueueSet(Policy.fair(3), 3000.0, [1e6] * 3,
+                            service=service)
+        for i in range(3):
+            q.try_enqueue(i, 50_000)
+        q.advance(10.0)
+        assert q.drained_bytes == pytest.approx(30_000.0)
+        assert q.total_length() == pytest.approx(120_000.0)
+
+    @settings(deadline=None, max_examples=50)
+    @given(
+        ops=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=2),      # queue
+                st.floats(min_value=1, max_value=5000),     # size
+                st.floats(min_value=0, max_value=0.5),      # dt before op
+            ),
+            min_size=1, max_size=40,
+        )
+    )
+    def test_bytes_conserved(self, service, ops):
+        """enqueued == drained + still-queued, for any op sequence."""
+        q = PhantomQueueSet(Policy.fair(3), 2000.0, [20_000.0] * 3,
+                            service=service)
+        now = 0.0
+        enqueued = 0.0
+        for queue, size, dt in ops:
+            now += dt
+            q.advance(now)
+            if q.try_enqueue(queue, size):
+                enqueued += size
+        assert enqueued == pytest.approx(
+            q.drained_bytes + q.total_length(), rel=1e-6, abs=1e-3
+        )
 
 
 class TestValidation:

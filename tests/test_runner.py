@@ -262,14 +262,14 @@ class TestResultCache:
     @pytest.mark.parametrize("scheme", ["pqp", "bcpqp"])
     def test_phantom_fingerprints_cover_drain_sources(self, scheme):
         # A drain rewrite must provably invalidate cached PQP/BC-PQP sweep
-        # cells: the phantom counter module, the policer hot path, and all
-        # three drain engines have to be in the hashed source set.
+        # cells: the phantom counter module, the policer hot path, and both
+        # drain engines have to be in the hashed source set.
         from repro.runner.cache import _SCHEME_SOURCES
 
         sources = _SCHEME_SOURCES[scheme]
         required = (
             "core/phantom.py", "core/pqp.py", "core/gps.py",
-            "core/quantum.py", "validate/reference.py",
+            "validate/reference.py",
         )
         for rel in required:
             assert rel in sources, f"{scheme} fingerprint misses {rel}"
@@ -307,7 +307,13 @@ class TestResultCache:
 
 class TestConfigRepr:
     @pytest.mark.parametrize(
-        "field,value", [("scheme", "bcpqpp"), ("phantom_service", "fluid_ref")]
+        "field,value",
+        [
+            ("scheme", "bcpqpp"),
+            ("phantom_service", "fluid_ref"),
+            # A cell recorded while the quantum drain existed.
+            ("phantom_service", "quantum"),
+        ],
     )
     def test_unknown_scheme_or_service_rejected_at_construction(
         self, field, value

@@ -85,10 +85,15 @@ class TestFactory:
 
     def test_phantom_service_selection(self):
         assert build("pqp").queues.service == "fluid"
-        assert build("pqp", phantom_service="quantum").queues.service == \
-            "quantum"
-        assert build("bcpqp", phantom_service="quantum").queues.service == \
-            "quantum"
+        for scheme in ("pqp", "bcpqp"):
+            for service in ("fluid", "fluid-ref"):
+                limiter = build(scheme, phantom_service=service)
+                assert limiter.queues.service == service
+            with pytest.raises(ValueError) as excinfo:
+                build(scheme, phantom_service="quantum")
+            message = str(excinfo.value)
+            assert "'quantum'" in message
+            assert "('fluid', 'fluid-ref')" in message
 
     def test_custom_policy_passthrough(self):
         from repro.policy.tree import Policy

@@ -204,6 +204,29 @@ class TestRunningState:
         assert sink.count == 11 and shaper.stats.per_queue_drops[2] == 4
         conserved(shaper)
 
+    def test_policy_swap_serves_the_new_weights(self):
+        # The swap rebuilds the DRR tree from the new policy alone; the
+        # backlogged queues then split service 3:1 as it says.
+        sim = Simulator()
+        served = {0: 0, 1: 0}
+
+        class _Sink:
+            def receive(self, p):
+                served[p.flow.slot] += 1
+
+        shaper = make(sim, queue_bytes=1e6, sink=_Sink())
+        for i in range(200):
+            shaper.receive(pkt(0, i))
+            shaper.receive(pkt(1, i))
+        sim.run(until=2.0)
+        assert served[0] == pytest.approx(served[1], abs=2)
+        shaper.apply_update(PolicyUpdate(policy=Policy.weighted([3, 1])))
+        before = dict(served)
+        sim.run(until=12.0)
+        ratio = (served[0] - before[0]) / (served[1] - before[1])
+        assert ratio == pytest.approx(3.0, rel=0.15)
+        conserved(shaper)
+
     def test_overflow_trim_and_removed_queue_drop_the_tail(self):
         # Arrival overflow, churn tail-trims and removed-queue drops each
         # take the newest packets of a queue; what was stored ahead of

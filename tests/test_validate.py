@@ -199,7 +199,7 @@ class TestZeroPerturbation:
     pinned cost model) safe under validation."""
 
     @pytest.mark.parametrize("scheme,service", [
-        ("pqp", "fluid"), ("pqp", "quantum"),
+        ("pqp", "fluid"), ("pqp", "fluid-ref"),
         ("bcpqp", "fluid"), ("bcpqp", "fluid-ref"),
     ])
     def test_validated_run_byte_identical(self, scheme, service):
@@ -230,7 +230,7 @@ class TestZeroPerturbation:
 
         assert run(False) == run(True)
 
-    @pytest.mark.parametrize("service", ["fluid", "fluid-ref", "quantum"])
+    @pytest.mark.parametrize("service", ["fluid", "fluid-ref"])
     def test_nested_policy_bursts_byte_identical(self, service):
         # Same-instant bursts into a three-class, two-priority tree: the
         # production loop drains once per batch and admits through

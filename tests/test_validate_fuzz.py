@@ -20,11 +20,25 @@ from repro.validate.fuzz import (
 
 pytestmark = pytest.mark.validate
 
-#: Small fixed budget: a few cases through all 7 engine combinations
-#: (3 services x 2 phantom schemes + 1 baseline scheme), plus the sharded-fleet diff tier on cases that
-#: draw ``shards > 1``.
+#: Small fixed budget: a few cases through all 5 engine combinations
+#: (2 services x 2 phantom schemes + 1 baseline scheme), plus the
+#: sharded-fleet diff tier on cases that draw ``shards > 1``.
 SMOKE_CASES = 6
 SMOKE_SEED = 1
+#: Simulations every case runs before the fleet tier.
+ENGINE_SIMS = 5
+#: ``generate_case(1, 0).to_json()`` as recorded while the fuzzer still
+#: ran a third (quantum) engine.  A case names no engines, so a corpus
+#: line from then parses and runs unchanged.
+RECORDED_CASE = (
+    '{"index":0,"seed":980261747,"ccs":["vegas","vegas"],'
+    '"rtts":[0.0902608203447093,0.05361506278963951],'
+    '"starts":[0.07985857570806963,0.0014907475329350994],'
+    '"rate":1493802.2059638107,"horizon":1.4184371282273929,'
+    '"warmup":0.25,"policy_kind":"prioritized","weights":[2.0,1.0],'
+    '"priorities":[1,0],"baseline":"shaper","batch":1,"shards":3,'
+    '"impair":null,"churn":null}'
+)
 
 
 def _fleet_sims(case: FuzzCase) -> int:
@@ -36,7 +50,7 @@ class TestFuzzSmoke:
     def test_corpus_slice_is_clean(self):
         failures, simulations = fuzz(SMOKE_CASES, SMOKE_SEED)
         assert simulations == sum(
-            7 + _fleet_sims(generate_case(SMOKE_SEED, i))
+            ENGINE_SIMS + _fleet_sims(generate_case(SMOKE_SEED, i))
             for i in range(SMOKE_CASES)
         )
         for failing in failures:
@@ -103,9 +117,10 @@ class TestFuzzSmoke:
         assert shorter.horizon == pytest.approx(case.horizon / 2)
 
     def test_single_case_report_shape(self):
-        case = generate_case(SMOKE_SEED, 0)
+        case = FuzzCase.from_json(RECORDED_CASE)
+        assert case == generate_case(SMOKE_SEED, 0)
         report = run_case(case)
-        assert report.simulations == 7 + _fleet_sims(case)
+        assert report.simulations == ENGINE_SIMS + _fleet_sims(case)
         assert report.violations == []
         assert report.divergences == []
         assert not report.failed
