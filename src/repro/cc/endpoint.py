@@ -999,31 +999,3 @@ class FlowDemux:
             self.unroutable += 1
             return
         sink.receive(packet)
-
-    def receive_batch(self, packets: list[Packet]) -> None:
-        """Route a same-instant batch, merging *consecutive* same-flow
-        runs into one sink call (merging across an unrelated packet would
-        reorder traversals that per-packet routing keeps in order)."""
-        sinks = self._sinks
-        n = len(packets)
-        i = 0
-        while i < n:
-            packet = packets[i]
-            flow = packet.flow
-            j = i + 1
-            while j < n and packets[j].flow == flow:
-                j += 1
-            sink = sinks.get(flow)
-            if sink is None:
-                self.unroutable += j - i
-            elif j - i == 1:
-                sink.receive(packet)
-            else:
-                batch = getattr(sink, "receive_batch", None)
-                if batch is not None:
-                    batch(packets[i:j])
-                else:
-                    receive = sink.receive
-                    for k in range(i, j):
-                        receive(packets[k])
-            i = j

@@ -165,8 +165,8 @@ class BCPQP(PQP):
         instead of ``max()``, cost charges accumulated and posted once
         (they are integer-valued, hence commutative).  The rare window
         roll goes through :meth:`_maybe_roll_window`, shared with the
-        periodic sweep.  Nothing here reserves a simulator seq, so
-        decide-all-then-forward is order-safe (see DESIGN.md).
+        periodic sweep.  Each admitted packet is forwarded downstream as
+        soon as it is decided.
         """
         n = len(packets)
         stats = self.stats
@@ -181,9 +181,6 @@ class BCPQP(PQP):
         accepted_window = self._accepted_window
         arrived_window = self._arrived_window
         window_start = self._window_start
-        accepted = self._accept_scratch
-        accepted.clear()
-        append = accepted.append
         arrived_bytes = 0
         drops = 0
         drop_bytes = 0
@@ -235,7 +232,9 @@ class BCPQP(PQP):
                 ):
                     packet.ce = True
                     self.ecn_marked_packets += 1
-                append(packet)
+                stats.forwarded_packets += 1
+                stats.forwarded_bytes += size
+                self._downstream.receive(packet)
             else:
                 drops += 1
                 drop_bytes += size
@@ -248,8 +247,6 @@ class BCPQP(PQP):
         if drops:
             stats.dropped_packets += drops
             stats.dropped_bytes += drop_bytes
-        if accepted:
-            self._forward_batch(accepted)
 
     def _on_window_sweep(self) -> None:
         now = self._sim.now

@@ -155,15 +155,11 @@ class PQP(RateLimiter):
         del now
 
     def receive_batch(self, packets: list[Packet]) -> None:
-        """The admit decision: decide every packet in one tight loop,
-        then forward the accepted ones downstream in one call.
+        """The admit decision: one loop over a same-instant batch that
+        forwards each admitted packet downstream as soon as it is decided.
 
-        Safe because the decision path (classify, advance, offer, ECN
-        mark) reserves no simulator seqs — so running all decisions
-        before any forwarding assigns downstream seqs exactly as
-        packet-by-packet processing would (see DESIGN.md).  Cost charges
-        are integer-valued and commutative, so they accumulate locally
-        and post once per batch.
+        Cost charges are integer-valued and commutative, so they
+        accumulate locally and post once per batch.
         """
         n = len(packets)
         stats = self.stats
@@ -172,9 +168,6 @@ class PQP(RateLimiter):
         queue_of = self._classifier.queue_of
         offer = queues.offer
         fraction = self._ecn_mark_fraction
-        accepted = self._accept_scratch
-        accepted.clear()
-        append = accepted.append
         arrived_bytes = 0
         drops = 0
         drop_bytes = 0
@@ -202,7 +195,9 @@ class PQP(RateLimiter):
                 ):
                     packet.ce = True
                     self.ecn_marked_packets += 1
-                append(packet)
+                stats.forwarded_packets += 1
+                stats.forwarded_bytes += size
+                self._downstream.receive(packet)
             else:
                 drops += 1
                 drop_bytes += size
@@ -215,5 +210,3 @@ class PQP(RateLimiter):
         if drops:
             stats.dropped_packets += drops
             stats.dropped_bytes += drop_bytes
-        if accepted:
-            self._forward_batch(accepted)

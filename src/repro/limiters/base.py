@@ -32,19 +32,33 @@ class LimiterStats:
         return self.dropped_packets / self.arrived_packets
 
 
+class _Unconnected:
+    """The downstream of a limiter nothing is connected to yet: the first
+    forward raises, and a connected limiter's forward pays no check."""
+
+    __slots__ = ("_name",)
+
+    def __init__(self, name: str) -> None:
+        self._name = name
+
+    def receive(self, packet: Packet) -> None:
+        raise RuntimeError(f"{self._name}: no downstream connected")
+
+
 class RateLimiter:
     """A rate-enforcement element sitting in the forwarding path.
 
     Every arrival enters through :meth:`receive_batch` (:meth:`receive`
     is a batch of one), so each limiter holds its decision exactly once.
     Limiters whose per-packet decision consumes simulator seqs (the
-    shaper's dequeue timers) or forwards inline implement
-    :meth:`_on_packet` and inherit the per-packet loop; policers whose
-    decisions are schedule-free override :meth:`receive_batch` with a
-    decide-all-then-forward-all loop.  A decision forwards the packet
-    (:meth:`_forward` / :meth:`_forward_batch`), drops it (:meth:`_drop`),
-    or buffers it for later release (the shaper, which calls
-    :meth:`_forward` from its dequeue timer).
+    shaper's dequeue timers) implement :meth:`_on_packet` and inherit the
+    per-packet loop; the policers override :meth:`receive_batch` with one
+    loop that advances their state once per call and forwards each
+    admitted packet as soon as it is decided.  A decision forwards the
+    packet (:meth:`_forward`, or the same two counts and one downstream
+    ``receive`` inline), drops it (:meth:`_drop`), or buffers it for later
+    release (the shaper, which calls :meth:`_forward` from its dequeue
+    timer).  Nothing downstream of a limiter takes a list.
 
     The downstream hop is attached with :meth:`connect` after construction
     so topology wiring order doesn't matter.
@@ -53,11 +67,7 @@ class RateLimiter:
     def __init__(self, sim: Simulator, *, name: str) -> None:
         self._sim = sim
         self.name = name
-        self._downstream: PacketSink | None = None
-        self._downstream_batch: PacketSink | None = None
-        # Reused by receive_batch overrides to collect the accepted
-        # packets of a batch before the single _forward_batch call.
-        self._accept_scratch: list[Packet] = []
+        self._downstream: PacketSink = _Unconnected(name)
         # The one-element batch :meth:`receive` hands to receive_batch.
         self._one: list[Packet] = [None]  # type: ignore[list-item]
         self.stats = LimiterStats()
@@ -73,9 +83,6 @@ class RateLimiter:
     def connect(self, downstream: PacketSink) -> None:
         """Attach the next hop packets are forwarded to."""
         self._downstream = downstream
-        from repro.net.sink import batch_capable
-
-        self._downstream_batch = batch_capable(downstream)
 
     @property
     def now(self) -> float:
@@ -141,30 +148,9 @@ class RateLimiter:
         )
 
     def _forward(self, packet: Packet) -> None:
-        if self._downstream is None:
-            raise RuntimeError(f"{self.name}: no downstream connected")
         self.stats.forwarded_packets += 1
         self.stats.forwarded_bytes += packet.size
         self._downstream.receive(packet)
-
-    def _forward_batch(self, packets: list[Packet]) -> None:
-        """Forward an accepted batch downstream in one call.
-
-        Only safe for limiters whose decision phase reserves no simulator
-        seqs: packet-by-packet processing interleaves each packet's
-        downstream traversal with the next packet's decision, and the two
-        orders assign identical seqs exactly when the decisions consume
-        none (see DESIGN.md, "Packet path").
-        """
-        if self._downstream is None:
-            raise RuntimeError(f"{self.name}: no downstream connected")
-        stats = self.stats
-        stats.forwarded_packets += len(packets)
-        total = 0
-        for packet in packets:
-            total += packet.size
-        stats.forwarded_bytes += total
-        self._downstream_batch.receive_batch(packets)
 
     def _drop(self, packet: Packet, queue: int = 0) -> None:
         self.stats.dropped_packets += 1

@@ -111,8 +111,9 @@ class TokenBucketPolicer(RateLimiter):
 
     def receive_batch(self, packets: list[Packet]) -> None:
         """The policing decision: one lazy refill (the per-packet
-        refills of a same-instant batch are no-ops after the first), one
-        decide loop on a local token count, one downstream call."""
+        refills of a same-instant batch are no-ops after the first), then
+        one decide loop on a local token count that forwards each admitted
+        packet as soon as it is decided."""
         n = len(packets)
         stats = self.stats
         stats.arrived_packets += n
@@ -124,9 +125,6 @@ class TokenBucketPolicer(RateLimiter):
         cost.charge(Op.MAP, n)
         cost.charge(Op.ALU, 3 * n)
         tokens = self._tokens
-        accepted = self._accept_scratch
-        accepted.clear()
-        append = accepted.append
         arrived_bytes = 0
         drops = 0
         drop_bytes = 0
@@ -135,7 +133,9 @@ class TokenBucketPolicer(RateLimiter):
             arrived_bytes += size
             if tokens >= size:
                 tokens -= size
-                append(packet)
+                stats.forwarded_packets += 1
+                stats.forwarded_bytes += size
+                self._downstream.receive(packet)
             else:
                 drops += 1
                 drop_bytes += size
@@ -146,5 +146,3 @@ class TokenBucketPolicer(RateLimiter):
             stats.dropped_bytes += drop_bytes
             per_queue = stats.per_queue_drops
             per_queue[0] = per_queue.get(0, 0) + drops
-        if accepted:
-            self._forward_batch(accepted)

@@ -26,7 +26,7 @@ from array import array
 from repro.metrics.series import TimeSeries
 from repro.metrics.throughput import bin_layout, rate_series
 from repro.net.packet import Packet, PacketKind
-from repro.net.sink import PacketSink, batch_capable
+from repro.net.sink import PacketSink
 from repro.sim.simulator import Simulator
 
 __all__ = ["Recorder"]
@@ -63,7 +63,6 @@ class Recorder:
         nbins, last_width = bin_layout(window, warmup, horizon)
         self._sim = sim
         self._sink = sink
-        self._batch_sink = batch_capable(sink)
         self.name = name
         self.lo = lo
         self.window = window
@@ -132,27 +131,6 @@ class Recorder:
                 if not held:
                     self.seen[slot] = None
         self._sink.receive(packet)
-
-    def receive_batch(self, packets: list[Packet]) -> None:
-        """Record a same-instant batch (one timestamp, one bin), then
-        forward the whole batch downstream."""
-        now = self._sim._now
-        if not self._from <= now < self._until:
-            self._rebase(now)
-        base = self._base
-        if base >= 0:
-            cells = self.cells
-            for packet in packets:
-                if packet.kind is _DATA and not packet.corrupt:
-                    flow = packet.flow
-                    slot = (
-                        self.slot_offsets[flow.aggregate - self.lo] + flow.slot
-                    )
-                    held = cells[base + slot]
-                    cells[base + slot] = held + packet.size
-                    if not held:
-                        self.seen[slot] = None
-        self._batch_sink.receive_batch(packets)
 
     # -- summaries (integer sums, converted once: exact in any order) --
 

@@ -209,9 +209,8 @@ def _clone(packet: Packet) -> Packet:
 class _Gate:
     """Shared shape of the per-packet impairment gates.
 
-    Gates forward strictly per packet (``receive_batch`` loops), so the
-    RNG draws — and therefore every downstream seq — follow arrival
-    order.
+    Gates take and forward one packet per call, so the RNG draws — and
+    therefore every downstream seq — follow arrival order.
     """
 
     __slots__ = ("_sink", "_rng", "forwarded_packets", "dropped_packets",
@@ -226,11 +225,6 @@ class _Gate:
 
     def receive(self, packet: Packet) -> None:  # pragma: no cover
         raise NotImplementedError
-
-    def receive_batch(self, packets: list[Packet]) -> None:
-        receive = self.receive
-        for packet in packets:
-            receive(packet)
 
     def _drop(self, packet: Packet) -> None:
         """Count a dropped packet."""

@@ -81,17 +81,6 @@ class Link:
         """Bytes currently waiting (not counting the packet in service)."""
         return self._queued_bytes
 
-    def receive_batch(self, packets: list[Packet]) -> None:
-        """Accept a same-instant batch.
-
-        Serialization start (``schedule``) consumes a seq per packet,
-        so the enqueue side runs strictly per packet: the seq assignment
-        is the one packet-by-packet arrival would produce.
-        """
-        receive = self.receive
-        for packet in packets:
-            receive(packet)
-
     def receive(self, packet: Packet) -> None:
         """Accept a packet: transmit now, queue, or drop."""
         if not self._busy:

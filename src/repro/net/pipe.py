@@ -74,10 +74,3 @@ class Pipe:
                 sim._peak_heap = len(heap)
         else:
             self._sink.receive(packet)
-
-    def receive_batch(self, packets: list[Packet]) -> None:
-        """Accept a same-instant batch (a limiter forwarding downstream):
-        :meth:`receive` on each packet in order."""
-        receive = self.receive
-        for packet in packets:
-            receive(packet)

@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, overload
 
-from repro.net.packet import FlowId, Packet, PacketKind
-from repro.net.sink import PacketSink, batch_capable
+from repro.net.packet import FlowId, Packet
+from repro.net.sink import PacketSink
 from repro.sim.simulator import Simulator
 
 
@@ -115,7 +115,6 @@ class Trace:
         self._append_size = self.sizes.append
         self._append_data = self.data_flags.append
         self._append_seq = self.seqs.append
-        self._batch_sink = None if sink is None else batch_capable(sink)
 
     def receive(self, packet: Packet) -> None:
         # Corrupted packets consume capacity upstream but fail their
@@ -130,31 +129,6 @@ class Trace:
             self._total_bytes += size
         if self._sink is not None:
             self._sink.receive(packet)
-
-    def receive_batch(self, packets: list[Packet]) -> None:
-        """Record a same-instant batch with one timestamp read and hoisted
-        column appends, then forward the whole batch downstream."""
-        now = self._sim._now
-        data_only = self._data_only
-        append_time = self._append_time
-        append_flow = self._append_flow
-        append_size = self._append_size
-        append_data = self._append_data
-        append_seq = self._append_seq
-        total = 0
-        for packet in packets:
-            is_data = packet.kind is PacketKind.DATA
-            if (is_data or not data_only) and not packet.corrupt:
-                size = packet.size
-                append_time(now)
-                append_flow(packet.flow)
-                append_size(size)
-                append_data(is_data)
-                append_seq(packet.seq)
-                total += size
-        self._total_bytes += total
-        if self._batch_sink is not None:
-            self._batch_sink.receive_batch(packets)
 
     @property
     def records(self) -> TraceRecords:

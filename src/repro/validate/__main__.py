@@ -115,7 +115,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     if args.case is not None:
-        report = run_case(FuzzCase.from_json(args.case))
+        try:
+            case = FuzzCase.from_json(args.case)
+        except ValueError as exc:
+            print(f"--case: {exc}", file=sys.stderr)
+            return 2
+        report = run_case(case)
     elif args.index is not None:
         report = run_case(
             generate_case(

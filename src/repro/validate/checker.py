@@ -10,7 +10,8 @@ which its ``receive`` funnels into; a sender's and a middlebox's
 phantom set's enqueue/fill/reclaim.  Every wrapper calls the method it
 shadows, one packet at a time, and probes after each call: the decision
 loop, ``_process_ack`` and ``_try_send`` a validated run executes are the
-ones an unvalidated run executes.  So:
+ones an unvalidated run executes, and a policer forwards each packet as
+it decides it either way.  So:
 
 * with validation off nothing is wrapped and the hot path is untouched —
   the disabled cost is exactly one ``getattr`` per component construction;
@@ -138,10 +139,10 @@ class InvariantChecker:
             # The limiter's one entry point (``receive`` is a batch of
             # one through this same attribute).  Each packet goes through
             # the *original* decision loop as a singleton batch so the
-            # per-packet invariants fire between decisions; forwarding
-            # one at a time instead of after the whole batch is
-            # order-safe for the same reason decide-all-then-forward is
-            # (DESIGN.md, "Packet path"), so the validated run stays
+            # per-packet invariants fire between decisions.  The loop
+            # forwards each packet as it decides it, and a same-instant
+            # batch spans no drain piece, so the singletons decide and
+            # forward in the unvalidated order: the run stays
             # bit-identical.
             if not state["ready"]:
                 self._init_limiter(limiter, state)

@@ -163,8 +163,18 @@ class FuzzCase:
 
     @staticmethod
     def from_json(text: str) -> "FuzzCase":
+        """Decode a :meth:`to_json` line.  Malformed input raises
+        :class:`ValueError` naming the offending key."""
         data = json.loads(text)
-        return FuzzCase(**data)
+        if not isinstance(data, dict):
+            raise ValueError(
+                f"fuzz case: expected a JSON object, got {json.dumps(data)[:40]}"
+            )
+        try:
+            # An unknown or missing key names itself in the TypeError.
+            return FuzzCase(**data)
+        except TypeError as exc:
+            raise ValueError(f"fuzz case: {exc}") from None
 
     # -- minimization edits -------------------------------------------
 

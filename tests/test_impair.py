@@ -209,18 +209,6 @@ class TestGates:
         original.ce = True
         assert not original.corrupt and not clone.ce
 
-    def test_batch_entry_loops_per_packet(self):
-        sink = Collector()
-        gate = LossGate(0.5, sink, Random(11))
-        batch = [make_data(i) for i in range(100)]
-        gate.receive_batch(list(batch))
-        # The same seed consumed per-packet gives the same decisions.
-        sink2 = Collector()
-        gate2 = LossGate(0.5, sink2, Random(11))
-        for packet in [make_data(i) for i in range(100)]:
-            gate2.receive(packet)
-        assert [p.seq for p in sink.packets] == [p.seq for p in sink2.packets]
-
 
 # ---------------------------------------------------------------------------
 # JitterPipe
@@ -310,14 +298,6 @@ class TestMonotonicityGuards:
         pipe._delay = 0.001
         with pytest.raises(SimulationError, match="non-monotone"):
             pipe.receive(make_data(1))
-
-    def test_pipe_batch_entry_guarded(self):
-        sim = Simulator()
-        pipe = Pipe(sim, 0.01, Collector())
-        pipe.receive_batch([make_data(0)])
-        pipe._delay = 0.001
-        with pytest.raises(SimulationError, match="non-monotone"):
-            pipe.receive_batch([make_data(1)])
 
     def test_link_rejects_non_monotone_propagation(self):
         sim = Simulator()

@@ -370,7 +370,7 @@ def _interval_and_stream(draw):
         st.integers(min_value=0, max_value=5),       # seq: duplicates happen
         st.integers(min_value=1, max_value=9000),    # size
         st.sampled_from(["data", "data", "data", "ack", "corrupt"]))
-    # One list per instant: a same-instant batch, as a limiter forwards.
+    # One list per instant: what a limiter forwards at one instant.
     stream = draw(st.lists(
         st.tuples(instant, st.lists(packet, min_size=1, max_size=4)),
         max_size=30))
@@ -384,8 +384,8 @@ class TestOnlineEqualsPostHoc:
     and binning afterwards must give the same series, float for float."""
 
     @settings(max_examples=300)
-    @given(_interval_and_stream(), st.booleans())
-    def test_recorder_series_equal_trace_series(self, drawn, batched):
+    @given(_interval_and_stream())
+    def test_recorder_series_equal_trace_series(self, drawn):
         window, warmup, horizon, stream = drawn
         sim = Simulator()
         recorder = Recorder(sim, NullSink(), lo=7, slot_counts=[4],
@@ -403,11 +403,8 @@ class TestOnlineEqualsPostHoc:
                     packet = Packet.data(flow, seq, t, size=size)
                     packet.corrupt = kind == "corrupt"
                     packets.append(packet)
-            if batched:
-                trace.receive_batch(packets)
-            else:
-                for packet in packets:
-                    trace.receive(packet)
+            for packet in packets:
+                trace.receive(packet)
         interval = dict(window=window, start=warmup, end=horizon)
         assert recorder.aggregate_series() == aggregate_throughput_series(
             trace, **interval)

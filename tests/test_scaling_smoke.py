@@ -506,12 +506,13 @@ PRE_PR_EVENTLOOP = {
 
 #: What the counters above are proxies for: ``line`` events under
 #: ``src/repro/`` per arrived packet over the cell's whole
-#: ``scenario.run()``.  One heap event per packet in flight and one
-#: binned add per delivered packet read 465.4 / 433.2 / 431.6 / 400.2;
-#: appending every delivered packet to a ``Trace`` read 471.6 / 439.2 /
-#: 434.3 / 405.9, and a private FIFO and a batching drain per pipe 524.0
-#: / 487.9 / 497.9 / 449.5 (EXPERIMENTS.md).
-LINES_PER_PACKET_LIMIT = {"bcpqp": 470, "pqp": 437, "shaper": 433, "policer": 404}
+#: ``scenario.run()``.  Policers that forward each admitted packet as
+#: they decide it read 445.5 / 414.7 / 430.8 / 381.4 (limits ~1% above);
+#: collecting the admitted packets and forwarding them in one batch call
+#: read 465.4 / 433.2 / 431.6 / 400.2, appending every delivered packet
+#: to a ``Trace`` 471.6 / 439.2 / 434.3 / 405.9, and a private FIFO and a
+#: batching drain per pipe 524.0 / 487.9 / 497.9 / 449.5 (EXPERIMENTS.md).
+LINES_PER_PACKET_LIMIT = {"bcpqp": 450, "pqp": 419, "shaper": 433, "policer": 385}
 
 
 def _eventloop_cell(scheme: str) -> dict:

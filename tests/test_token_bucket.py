@@ -5,6 +5,7 @@ import pytest
 from repro.limiters.token_bucket import TokenBucketPolicer
 from repro.net.packet import FlowId, Packet
 from repro.net.sink import NullSink
+from repro.schemes import make_limiter
 from repro.sim.simulator import Simulator
 
 FLOW = FlowId(0, 0)
@@ -81,8 +82,23 @@ class TestTokenBucket:
     def test_requires_downstream(self):
         sim = Simulator()
         tb = TokenBucketPolicer(sim, rate=100.0, bucket_bytes=2000.0)
-        with pytest.raises(RuntimeError):
+        with pytest.raises(RuntimeError,
+                           match="^policer: no downstream connected$"):
             tb.receive(pkt())
+
+    @pytest.mark.parametrize("scheme", ["pqp", "bcpqp", "fairpolicer"])
+    def test_requires_downstream_every_policer(self, scheme):
+        # The fused policers forward inline and FairPolicer through
+        # _forward; an unconnected one raises the same typed error.  The
+        # packet arrives late enough for FairPolicer's empty per-flow
+        # bucket to have filled.
+        sim = Simulator()
+        limiter = make_limiter(sim, scheme, rate=1e6, num_queues=1,
+                               max_rtt=0.05)
+        sim.schedule(1.0, limiter.receive, pkt())
+        with pytest.raises(RuntimeError,
+                           match=f"^{scheme}: no downstream connected$"):
+            sim.run()
 
     def test_invalid_params(self):
         sim = Simulator()

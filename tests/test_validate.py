@@ -294,6 +294,10 @@ class TestValidationAuditsProduction:
 
             monkeypatch.setattr(cls, name, counted)
 
+        # Every packet enters a policer's decision through receive_batch:
+        # none of them overrides receive.
+        for cls in (PQP, BCPQP, TokenBucketPolicer):
+            assert "receive" not in vars(cls)
         count_calls(BCPQP, "receive_batch")
         count_calls(TcpSender, "_process_ack")
         count_calls(TcpSender, "_try_send")

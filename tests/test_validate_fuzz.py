@@ -10,6 +10,7 @@ validate"`` is implied by selecting none), selected in CI with
 
 import pytest
 
+from repro.validate.__main__ import main as validate_main
 from repro.validate.fuzz import (
     BASELINES,
     FuzzCase,
@@ -38,6 +39,32 @@ RECORDED_CASE = (
     '"warmup":0.25,"policy_kind":"prioritized","weights":[2.0,1.0],'
     '"priorities":[1,0],"baseline":"shaper","batch":1,"shards":3,'
     '"impair":null,"churn":null}'
+)
+
+
+#: ``generate_case(1, 3, impair=True, churn=True).to_json()``, recorded
+#: before ``from_json`` checked its input: nested impairment and churn
+#: objects included.
+RECORDED_IMPAIRED_CHURNED_CASE = (
+    '{"index":3,"seed":685944686,"ccs":["reno","newreno"],'
+    '"rtts":[0.012306845229464146,0.07470861777956057],'
+    '"starts":[0.1428185736878211,0.18731047839189965],'
+    '"rate":1089669.1980856701,"horizon":1.315574797354094,'
+    '"warmup":0.25,"policy_kind":"prioritized","weights":[2.0,3.0],'
+    '"priorities":[0,0],"baseline":"fairpolicer","batch":1,"shards":1,'
+    '"impair":{"loss":0.0,"ge":null,"ack_loss":0.0,'
+    '"jitter":0.006916489452724665,"reorder":0.07109724315755657,'
+    '"reorder_extra":0.006090632294981098,"duplicate":0.0,"corrupt":0.0,'
+    '"trace_rates":null,"trace_buffer":null,"trace_delay":0.0},'
+    '"churn":{"actions":[{"time":0.7988110653122633,"rate":null,'
+    '"weights":null,"priorities":null,'
+    '"capacity_scale":1.7787685240547764},'
+    '{"time":0.7075063926331991,"rate":null,"weights":[1.0,1.0],'
+    '"priorities":null,"capacity_scale":1.4692541217703494},'
+    '{"time":0.6967964132161504,"rate":null,"weights":[1.0,1.0],'
+    '"priorities":null,"capacity_scale":1.3315184572020344},'
+    '{"time":0.7131073807705932,"rate":null,"weights":[1.0,1.0,1.0,1.0],'
+    '"priorities":null,"capacity_scale":1.3930155705874048}]}}'
 )
 
 
@@ -87,6 +114,22 @@ class TestFuzzSmoke:
             {k: v for k, v in json.loads(payload).items() if k != "shards"}
         )
         assert FuzzCase.from_json(stripped).shards == 1
+
+    @pytest.mark.parametrize("text,message", [
+        ('{"bogus":1}', "'bogus'"),
+        ("[1,2]", "expected a JSON object"),
+        ("null", "expected a JSON object"),
+    ])
+    def test_malformed_case_json_fails_typed(self, text, message, capsys):
+        with pytest.raises(ValueError, match=message):
+            FuzzCase.from_json(text)
+        assert validate_main(["--case", text]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_recorded_case_json_still_round_trips(self):
+        case = FuzzCase.from_json(RECORDED_IMPAIRED_CHURNED_CASE)
+        assert case == generate_case(SMOKE_SEED, 3, impair=True, churn=True)
+        assert case.to_json() == RECORDED_IMPAIRED_CHURNED_CASE
 
     def test_shard_counts_are_drawn(self):
         drawn = {generate_case(SMOKE_SEED, i).shards for i in range(32)}
