@@ -18,11 +18,11 @@ unprobed one and its timings mean nothing.
 
 ``--try-send`` counts something else with the same method: every entry
 of ``TcpSender._try_send`` by caller (``ack`` = the tail of
-``_process_ack``, ``pacing`` = the pacing ``Timer``, ``rto``, ``start``),
-by how many packets it sent, and by the check that ended it (``idle``,
-``no_data``, ``cwnd``, ``budget``, ``pacing`` — read off the sender's
-state on return, which is what the last check saw), plus the entries an
-"already waiting for the pacing timer" early return would skip.
+``_process_ack``, ``pacing`` = the sender's pacing wake, ``rto``,
+``start``), by how many packets it sent, and by the check that ended it
+(``idle``, ``no_data``, ``cwnd``, ``budget``, ``pacing`` — read off the
+sender's state on return, which is what the last check saw), plus the
+entries an "already waiting for the pacing wake" early return would skip.
 """
 
 from __future__ import annotations
@@ -212,7 +212,7 @@ def install_try_send() -> None:
         caller = _where[-1] if _where else "pacing"
         waiting = (
             self.started and self.completed_at is None
-            and self._pacing_timer.active
+            and self._pacing_armed
             and self._sim.now < self._next_send_time - 1e-12
         )
         sent = self.packets_sent

@@ -132,7 +132,7 @@ class TcpSender:
         self._rto = _INITIAL_RTO
         if initial_rtt is not None and initial_rtt > 0:
             self._update_rto(initial_rtt)
-        # All three send-side timers are soft-reschedule Timers: the
+        # Both retransmission timers are soft-reschedule Timers: the
         # per-ACK rearm just overwrites a deadline float instead of a
         # cancel + O(log H) heap push (see repro.sim.timer).
         self._rto_timer = Timer(sim, self._on_rto)
@@ -143,9 +143,11 @@ class TcpSender:
         # RTO — the behaviour of the Linux stacks in the paper's testbed.
         self._tlp_timer = Timer(sim, self._on_tlp)
 
-        # Pacing state.
+        # Pacing state.  A pacing deadline is never moved or taken back,
+        # so it needs no Timer: one heap event wakes _try_send, and while
+        # it is pending (armed) no other is pushed.
         self._next_send_time = 0.0
-        self._pacing_timer = Timer(sim, self._try_send)
+        self._pacing_armed = False
 
         self._needs_rate = cc.needs_rate_samples
         #: Whether the controller overrides pacing_rate (the base returns
@@ -231,11 +233,11 @@ class TcpSender:
         A corrupted ACK (failed checksum, see :mod:`repro.net.impair`)
         is counted and dropped, never processed.
         """
-        if not packet.is_ack:
+        if packet.kind is not PacketKind.ACK:
             return
         if packet.corrupt:
             self.corrupt_acks_dropped += 1
-        elif not self.done:
+        elif self.completed_at is None:
             self._process_ack(packet)
 
     # Named by the frozen benchmarks/suite/test_suite.py:147 and called by
@@ -751,10 +753,21 @@ class TcpSender:
 
     def _arm_pacing_timer(self) -> None:
         """Wake :meth:`_try_send` at ``_next_send_time`` (the caller has
-        checked it lies in the future)."""
-        timer = self._pacing_timer
-        if timer._deadline is None:
-            timer._set_deadline(self._next_send_time)
+        checked it lies in the future) unless a wake is already pending.
+
+        The wake takes a freshly reserved seq, the heap position a
+        :class:`~repro.sim.timer.Timer` armed here would fire at.
+        """
+        if not self._pacing_armed:
+            self._pacing_armed = True
+            sim = self._sim
+            sim.call_at_reserved(
+                self._next_send_time, sim.reserve_seq(), self._on_pacing_wake
+            )
+
+    def _on_pacing_wake(self) -> None:
+        self._pacing_armed = False
+        self._try_send()
 
     # ------------------------------------------------------------------
     # Delivery-rate sampling (BBR)
@@ -858,7 +871,7 @@ class TcpSender:
         self.completed_at = now
         self._rto_timer.cancel()
         self._tlp_timer.cancel()
-        self._pacing_timer.cancel()
+        # A pending pacing wake still fires; _try_send returns at once.
         self._send_info.clear()
         self._sacked.clear()
         self._sack_starts.clear()

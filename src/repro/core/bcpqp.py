@@ -26,6 +26,8 @@ from repro.sim.timer import Timer
 from repro.units import MSS, ms
 
 _TWO_MSS = 2.0 * MSS
+_ALU = Op.ALU.index
+_MAP = Op.MAP.index
 
 
 class BCPQP(PQP):
@@ -157,96 +159,73 @@ class BCPQP(PQP):
         self._arrived_window[queue] = 0.0
         self.cost.charge(Op.ALU, 3)
 
-    def receive_batch(self, packets: list[Packet]) -> None:
-        """The BC-PQP decision: PQP's admit loop with the §4 window
+    def _on_packet(self, packet: Packet) -> None:
+        """The BC-PQP decision: PQP's admit decision with the §4 window
         accounting around ``offer``.
 
-        The per-packet common case is inline — flat locals, branches
-        instead of ``max()``, cost charges accumulated and posted once
-        (they are integer-valued, hence commutative).  The rare window
-        roll goes through :meth:`_maybe_roll_window`, shared with the
-        periodic sweep.  Each admitted packet is forwarded downstream as
-        soon as it is decided.
+        The common case is inline, with branches instead of ``max()``.
+        The rare window roll goes through :meth:`_maybe_roll_window`,
+        shared with the periodic sweep.
         """
-        n = len(packets)
-        stats = self.stats
-        stats.arrived_packets += n
         queues = self.queues
-        queue_of = self._classifier.queue_of
-        offer = queues.offer
+        counts = self.cost.counts
         now = self._sim._now
-        fraction = self._ecn_mark_fraction
+        # The drain and its cost as in PQP._on_packet.
+        if now != queues._clock:
+            before = queues.drain_recomputes
+            queues.advance(now)
+            counts[_ALU] += 2 * (queues.drain_recomputes - before)
+        counts[_MAP] += 1
+        counts[_ALU] += 3
+        size = packet.size
+        qi = self._classifier.queue_of(packet.flow)
         period = self.period
-        theta_plus = self.theta_plus
+        # Every arrival, accepted or not: roll the window on the queue's
+        # own clock first (idle detection), then count it.
+        if now - self._window_start[qi] >= period:
+            self._maybe_roll_window(qi, now)
+        self._arrived_window[qi] += size
+        rate_i = queues.offer(qi, size)
+        if rate_i < 0.0:
+            self._drop(packet, qi)
+            return
+        # Upper threshold (magic fill).  r*_i comes from the active set;
+        # the packet just enqueued guarantees `qi` itself is active.
         accepted_window = self._accepted_window
-        arrived_window = self._arrived_window
-        window_start = self._window_start
-        arrived_bytes = 0
-        drops = 0
-        drop_bytes = 0
-        before = queues.drain_recomputes
-        queues.advance(now)
-        alu = 3 * n + 2 * (queues.drain_recomputes - before)
-        for packet in packets:
-            size = packet.size
-            arrived_bytes += size
-            qi = queue_of(packet.flow)
-            # Every arrival, accepted or not: roll the window on the
-            # queue's own clock first (idle detection), then count it.
-            if now - window_start[qi] >= period:
-                self._maybe_roll_window(qi, now)
-            arrived_window[qi] += size
-            rate_i = offer(qi, size)
-            if rate_i >= 0.0:
-                # Upper threshold (magic fill).  r*_i comes from the
-                # active set; the packet just enqueued guarantees `qi`
-                # itself is active.
-                acc = accepted_window[qi] + size
-                accepted_window[qi] = acc
-                x_i = rate_i * period
-                alu += 3
-                # Keep at least two packets of slack above the window
-                # budget so low-rate queues (X_i of a packet or two)
-                # don't trip on packetization granularity — the same
-                # reason token buckets are never sized below a couple of
-                # MTUs.
-                ceiling = theta_plus * x_i
-                slack = x_i + _TWO_MSS
-                if ceiling < slack:
-                    ceiling = slack
-                if acc > ceiling:
-                    if queues.fill_with_magic(qi) > 0:
-                        self.magic_fills += 1
-                        alu += 2
-                    # Restart this queue's window at the fill so the next
-                    # lower-threshold check sees a full window of
-                    # post-fill behaviour (the queue now admits exactly
-                    # at its drain rate).
-                    window_start[qi] = now
-                    accepted_window[qi] = 0.0
-                    arrived_window[qi] = 0.0
-                if (
-                    fraction is not None
-                    and packet.ecn_capable
-                    and queues.length(qi) > fraction * queues.capacity(qi)
-                ):
-                    packet.ce = True
-                    self.ecn_marked_packets += 1
-                stats.forwarded_packets += 1
-                stats.forwarded_bytes += size
-                self._downstream.receive(packet)
-            else:
-                drops += 1
-                drop_bytes += size
-                per_queue = stats.per_queue_drops
-                per_queue[qi] = per_queue.get(qi, 0) + 1
-        stats.arrived_bytes += arrived_bytes
-        cost = self.cost
-        cost.charge(Op.MAP, n)
-        cost.charge(Op.ALU, alu)
-        if drops:
-            stats.dropped_packets += drops
-            stats.dropped_bytes += drop_bytes
+        acc = accepted_window[qi] + size
+        accepted_window[qi] = acc
+        x_i = rate_i * period
+        counts[_ALU] += 3
+        # Keep at least two packets of slack above the window budget so
+        # low-rate queues (X_i of a packet or two) don't trip on
+        # packetization granularity — the same reason token buckets are
+        # never sized below a couple of MTUs.
+        ceiling = self.theta_plus * x_i
+        slack = x_i + _TWO_MSS
+        if ceiling < slack:
+            ceiling = slack
+        if acc > ceiling:
+            if queues.fill_with_magic(qi) > 0:
+                self.magic_fills += 1
+                counts[_ALU] += 2
+            # Restart this queue's window at the fill so the next
+            # lower-threshold check sees a full window of post-fill
+            # behaviour (the queue now admits exactly at its drain rate).
+            self._window_start[qi] = now
+            accepted_window[qi] = 0.0
+            self._arrived_window[qi] = 0.0
+        fraction = self._ecn_mark_fraction
+        if (
+            fraction is not None
+            and packet.ecn_capable
+            and queues.length(qi) > fraction * queues.capacity(qi)
+        ):
+            packet.ce = True
+            self.ecn_marked_packets += 1
+        stats = self.stats
+        stats.forwarded_packets += 1
+        stats.forwarded_bytes += size
+        self._downstream.receive(packet)
 
     def _on_window_sweep(self) -> None:
         now = self._sim.now

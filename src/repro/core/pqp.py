@@ -24,6 +24,9 @@ from repro.net.packet import Packet
 from repro.policy.tree import Policy
 from repro.sim.simulator import Simulator
 
+_ALU = Op.ALU.index
+_MAP = Op.MAP.index
+
 
 class PQP(RateLimiter):
     """Policer with multiple phantom queues.
@@ -154,59 +157,42 @@ class PQP(RateLimiter):
         (BC-PQP closes its accounting windows here)."""
         del now
 
-    def receive_batch(self, packets: list[Packet]) -> None:
-        """The admit decision: one loop over a same-instant batch that
-        forwards each admitted packet downstream as soon as it is decided.
-
-        Cost charges are integer-valued and commutative, so they
-        accumulate locally and post once per batch.
-        """
-        n = len(packets)
-        stats = self.stats
-        stats.arrived_packets += n
+    def _on_packet(self, packet: Packet) -> None:
+        """The admit decision: forward the packet at once if its phantom
+        queue has room for it, else drop it."""
         queues = self.queues
-        queue_of = self._classifier.queue_of
-        offer = queues.offer
-        fraction = self._ecn_mark_fraction
-        arrived_bytes = 0
-        drops = 0
-        drop_bytes = 0
-        # One drain for the whole batch: its packets share an instant and
-        # a zero-width advance spans no piece.  Counter updates: lazy
+        counts = self.cost.counts
+        now = self._sim._now
+        # Drain up to now, unless a packet at this instant already did (a
+        # zero-width advance spans no piece; a clock that went backwards
+        # still reaches advance and raises there).  Counter updates: lazy
         # drain recomputes (amortized), then an occupancy check and an
         # enqueue increment per packet, all cache-resident.
-        # ``drain_recomputes`` counts the *paper's* per-packet drain
-        # work (linear pieces / phantom dequeues), which every service
-        # discipline reports identically — the modeled cost is pinned to
-        # the mechanism, not to how much Python bookkeeping the
-        # optimized engines skip (see repro.limiters.costs).
-        before = queues.drain_recomputes
-        queues.advance(self._sim._now)
-        alu = 3 * n + 2 * (queues.drain_recomputes - before)
-        for packet in packets:
-            size = packet.size
-            arrived_bytes += size
-            qi = queue_of(packet.flow)
-            if offer(qi, size) >= 0.0:
-                if (
-                    fraction is not None
-                    and packet.ecn_capable
-                    and queues.length(qi) > fraction * queues.capacity(qi)
-                ):
-                    packet.ce = True
-                    self.ecn_marked_packets += 1
-                stats.forwarded_packets += 1
-                stats.forwarded_bytes += size
-                self._downstream.receive(packet)
-            else:
-                drops += 1
-                drop_bytes += size
-                per_queue = stats.per_queue_drops
-                per_queue[qi] = per_queue.get(qi, 0) + 1
-        stats.arrived_bytes += arrived_bytes
-        cost = self.cost
-        cost.charge(Op.MAP, n)
-        cost.charge(Op.ALU, alu)
-        if drops:
-            stats.dropped_packets += drops
-            stats.dropped_bytes += drop_bytes
+        # ``drain_recomputes`` counts the *paper's* per-packet drain work
+        # (linear pieces), which every service discipline reports
+        # identically: the modeled cost is pinned to the mechanism, not to
+        # how much Python bookkeeping the engines skip (see
+        # repro.limiters.costs).
+        if now != queues._clock:
+            before = queues.drain_recomputes
+            queues.advance(now)
+            counts[_ALU] += 2 * (queues.drain_recomputes - before)
+        counts[_MAP] += 1
+        counts[_ALU] += 3
+        size = packet.size
+        qi = self._classifier.queue_of(packet.flow)
+        if queues.offer(qi, size) < 0.0:
+            self._drop(packet, qi)
+            return
+        fraction = self._ecn_mark_fraction
+        if (
+            fraction is not None
+            and packet.ecn_capable
+            and queues.length(qi) > fraction * queues.capacity(qi)
+        ):
+            packet.ce = True
+            self.ecn_marked_packets += 1
+        stats = self.stats
+        stats.forwarded_packets += 1
+        stats.forwarded_bytes += size
+        self._downstream.receive(packet)

@@ -249,5 +249,7 @@ class ShardConfig:
 
 def shard_configs(spec: FleetSpec, shards: int) -> list[ShardConfig]:
     """The full sweep for ``spec`` partitioned into ``shards`` shards."""
+    if shards < 1:
+        raise ValueError(f"shards must be >= 1, got {shards}")
     return [ShardConfig(spec=spec, shards=shards, index=i)
             for i in range(shards)]

@@ -48,17 +48,14 @@ class _Unconnected:
 class RateLimiter:
     """A rate-enforcement element sitting in the forwarding path.
 
-    Every arrival enters through :meth:`receive_batch` (:meth:`receive`
-    is a batch of one), so each limiter holds its decision exactly once.
-    Limiters whose per-packet decision consumes simulator seqs (the
-    shaper's dequeue timers) implement :meth:`_on_packet` and inherit the
-    per-packet loop; the policers override :meth:`receive_batch` with one
-    loop that advances their state once per call and forwards each
-    admitted packet as soon as it is decided.  A decision forwards the
-    packet (:meth:`_forward`, or the same two counts and one downstream
-    ``receive`` inline), drops it (:meth:`_drop`), or buffers it for later
-    release (the shaper, which calls :meth:`_forward` from its dequeue
-    timer).  Nothing downstream of a limiter takes a list.
+    Every limiter holds its decision in one method, :meth:`_on_packet`.
+    :meth:`receive` accounts the arrival and calls it; :meth:`receive_batch`
+    does the same for each packet of a same-instant burst, so a burst and
+    the same packets sent one at a time end in the same state.  A decision
+    forwards the packet (:meth:`_forward`, or the same two counts and one
+    downstream ``receive`` inline), drops it (:meth:`_drop`), or buffers it
+    for later release (the shaper, which calls :meth:`_forward` from its
+    dequeue timer).  Nothing downstream of a limiter takes a list.
 
     The downstream hop is attached with :meth:`connect` after construction
     so topology wiring order doesn't matter.
@@ -68,14 +65,12 @@ class RateLimiter:
         self._sim = sim
         self.name = name
         self._downstream: PacketSink = _Unconnected(name)
-        # The one-element batch :meth:`receive` hands to receive_batch.
-        self._one: list[Packet] = [None]  # type: ignore[list-item]
         self.stats = LimiterStats()
         self.cost = CostMeter()
         validator = getattr(sim, "validator", None)
         if validator is not None:
             # The checker wraps instance-level bound methods
-            # (receive_batch and, for BC-PQP, the window sweep) and defers
+            # (_on_packet and, for BC-PQP, the window sweep) and defers
             # all introspection to call time — subclass attributes don't
             # exist yet here.
             validator.attach_limiter(self)
@@ -120,18 +115,15 @@ class RateLimiter:
         )
 
     def receive(self, packet: Packet) -> None:
-        """PacketSink entry point: a batch of one."""
-        one = self._one
-        one[0] = packet
-        self.receive_batch(one)
+        """PacketSink entry point: account the arrival, then decide it."""
+        stats = self.stats
+        stats.arrived_packets += 1
+        stats.arrived_bytes += packet.size
+        self._on_packet(packet)
 
     def receive_batch(self, packets: list[Packet]) -> None:
-        """Account each arrival, then decide it via :meth:`_on_packet`.
-
-        Strictly per packet — always a legal realization of a batch, and
-        what a limiter whose decision consumes simulator seqs must do to
-        keep the seq order independent of batch granularity.
-        """
+        """:meth:`receive` for each packet of a same-instant burst, in
+        order (what the open-loop benchmark driver feeds a limiter)."""
         stats = self.stats
         on_packet = self._on_packet
         for packet in packets:
@@ -140,11 +132,10 @@ class RateLimiter:
             on_packet(packet)
 
     def _on_packet(self, packet: Packet) -> None:
-        """Decide one packet's fate (forward / drop / buffer).  Required
-        of every subclass that does not override :meth:`receive_batch`."""
+        """Decide one already-accounted arrival: forward, drop or buffer
+        it.  Every subclass implements it."""
         raise NotImplementedError(
-            f"{type(self).__name__} defines neither _on_packet nor "
-            "receive_batch"
+            f"{type(self).__name__} does not define _on_packet"
         )
 
     def _forward(self, packet: Packet) -> None:

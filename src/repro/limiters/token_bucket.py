@@ -10,6 +10,9 @@ from repro.limiters.costs import Op
 from repro.net.packet import Packet
 from repro.sim.simulator import Simulator
 
+_ALU = Op.ALU.index
+_MAP = Op.MAP.index
+
 
 class TokenBucketPolicer(RateLimiter):
     """A classic TBF: tokens accrue at ``rate`` into a bucket of
@@ -102,47 +105,30 @@ class TokenBucketPolicer(RateLimiter):
         return commit
 
     def _refill(self) -> None:
-        now = self._sim.now
+        now = self._sim._now
         if now > self._last_refill:
             self._tokens = min(
                 self._bucket, self._tokens + self._rate * (now - self._last_refill)
             )
             self._last_refill = now
 
-    def receive_batch(self, packets: list[Packet]) -> None:
-        """The policing decision: one lazy refill (the per-packet
-        refills of a same-instant batch are no-ops after the first), then
-        one decide loop on a local token count that forwards each admitted
-        packet as soon as it is decided."""
-        n = len(packets)
-        stats = self.stats
-        stats.arrived_packets += n
+    def _on_packet(self, packet: Packet) -> None:
+        """The policing decision: a lazy refill (none for a second packet
+        at one instant), then forward the packet at once if it can spend
+        its size in tokens, else drop it."""
         self._refill()
         # Finding this aggregate's bucket is a flow-table lookup (every
         # scheme pays it), then refill + compare + decrement are a handful
         # of cache-hot ALU ops.
-        cost = self.cost
-        cost.charge(Op.MAP, n)
-        cost.charge(Op.ALU, 3 * n)
-        tokens = self._tokens
-        arrived_bytes = 0
-        drops = 0
-        drop_bytes = 0
-        for packet in packets:
-            size = packet.size
-            arrived_bytes += size
-            if tokens >= size:
-                tokens -= size
-                stats.forwarded_packets += 1
-                stats.forwarded_bytes += size
-                self._downstream.receive(packet)
-            else:
-                drops += 1
-                drop_bytes += size
-        self._tokens = tokens
-        stats.arrived_bytes += arrived_bytes
-        if drops:
-            stats.dropped_packets += drops
-            stats.dropped_bytes += drop_bytes
-            per_queue = stats.per_queue_drops
-            per_queue[0] = per_queue.get(0, 0) + drops
+        counts = self.cost.counts
+        counts[_MAP] += 1
+        counts[_ALU] += 3
+        size = packet.size
+        if self._tokens < size:
+            self._drop(packet)
+            return
+        self._tokens -= size
+        stats = self.stats
+        stats.forwarded_packets += 1
+        stats.forwarded_bytes += size
+        self._downstream.receive(packet)

@@ -30,18 +30,21 @@ class Simulator:
     Nothing can reach into the heap to cancel it: the one cancellable,
     reschedulable thing is :class:`repro.sim.timer.Timer`, which cancels
     by clearing a deadline and lets its wake surface as a no-op.
-    :meth:`reserve_seq` / :meth:`call_at_reserved` let a timer fire at
-    a heap position claimed earlier.  A packet in flight on a pipe or a
-    link is one such event whose callback is the sink's ``receive``.
+    :meth:`reserve_seq` / :meth:`call_at_reserved` let a timer (or a
+    sender's pacing wake) fire at a heap position claimed earlier.  A
+    packet in flight on a pipe or a link is one such event whose callback
+    is the sink's ``receive``.
 
     The heap is one of a list of **lanes** (:meth:`new_lane`; one by
     default), drained one after another.  A push lands in the current lane,
     so ``(time, seq)`` orders a lane's events and nothing orders two lanes.
 
-    Engine telemetry (all O(1) to maintain): :attr:`pending`,
-    :attr:`events_processed`, and :attr:`heap_pushes` /
-    :attr:`peak_heap_size`, which the event-engine gates compare with
-    the old engine's (``tests/test_scaling_smoke.py``).
+    Engine telemetry: :attr:`heap_pushes` and :attr:`peak_heap_size` are
+    counted on push, :attr:`pending` is the summed lane lengths, and
+    :attr:`events_processed` is derived from the two (every pushed event
+    fires), so the run loop counts nothing per event.  The event-engine
+    gates compare them with the old engine's
+    (``tests/test_scaling_smoke.py``).
 
     Example
     -------
@@ -66,7 +69,6 @@ class Simulator:
         self._lanes = [self._heap]
         self._lane = 0
         self._seq = 0
-        self._events_processed = 0
         self._running = False
         if batch_limit is not None and batch_limit < 1:
             raise SimulationError(
@@ -95,8 +97,9 @@ class Simulator:
 
     @property
     def events_processed(self) -> int:
-        """Number of events that have fired so far."""
-        return self._events_processed
+        """Number of events that have fired so far: every pushed event
+        fires, so the pushes less the ones still pending."""
+        return self._heap_pushes - self.pending
 
     @property
     def pending(self) -> int:
@@ -239,27 +242,27 @@ class Simulator:
         if max_events is not None and sum(map(bool, lanes)) > 1:
             raise SimulationError("max_events with several non-empty lanes")
         self._running = True
-        # Local-variable hot loop: no per-event method dispatch.
+        # Local-variable hot loop: no per-event method dispatch and, unless
+        # max_events is given, no per-event counter either.
         pop = heapq.heappop
-        fired = 0
+        limit = _INF if until is None else until
         end = self._now if until is None else until
         try:
             for lane, heap in enumerate(lanes):
                 self._lane = lane
                 self._heap = heap
-                while True:
-                    if max_events is not None and fired >= max_events:
+                if max_events is None:
+                    while heap and heap[0][0] <= limit:
+                        self._now, _seq, callback, args = pop(heap)
+                        callback(*args)
+                else:
+                    fired = 0
+                    while fired < max_events and heap and heap[0][0] <= limit:
+                        self._now, _seq, callback, args = pop(heap)
+                        fired += 1
+                        callback(*args)
+                    if fired == max_events:
                         return
-                    if not heap:
-                        break
-                    next_time = heap[0][0]
-                    if until is not None and next_time > until:
-                        break
-                    _time, _seq, callback, args = pop(heap)
-                    self._now = next_time
-                    self._events_processed += 1
-                    callback(*args)
-                    fired += 1
                 end = max(end, self._now)  # each lane restarts the clock
             self._now = end
         finally:

@@ -2,8 +2,8 @@
 
 A heap event is a plain ``(time, seq, callback, args)`` tuple that fires
 once pushed; the simulator has no cancel.  Everything that needs to take
-a deadline back — RTO / TLP / pacing, the BC-PQP sweep, the churn driver
-— holds a :class:`Timer`, which keeps the deadline in plain attributes:
+a deadline back — RTO / TLP, the BC-PQP sweep, the churn driver — holds
+a :class:`Timer`, which keeps the deadline in plain attributes:
 rescheduling **later** just overwrites a float and an int, cancelling
 clears the float, and the already-armed wake re-arms itself (or returns
 at once) when it surfaces.  Retransmission machinery reschedules on

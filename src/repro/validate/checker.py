@@ -4,14 +4,12 @@ The checker is a passive observer: components self-register at
 construction (``Simulator(validate=checker)`` makes ``sim.validator``
 non-None, and each limiter / TCP sender / middlebox ``__init__`` calls
 the matching ``attach_*``).  Attachment wraps *instance-level* bound
-methods — each component's packet entry (a limiter's ``receive_batch``,
-which its ``receive`` funnels into; a sender's and a middlebox's
-``receive``), BC-PQP's ``_on_window_sweep`` and the
-phantom set's enqueue/fill/reclaim.  Every wrapper calls the method it
-shadows, one packet at a time, and probes after each call: the decision
-loop, ``_process_ack`` and ``_try_send`` a validated run executes are the
-ones an unvalidated run executes, and a policer forwards each packet as
-it decides it either way.  So:
+methods — a limiter's decision ``_on_packet`` (which ``receive`` and
+``receive_batch`` call once per arrival), a sender's and a middlebox's
+``receive``, BC-PQP's ``_on_window_sweep`` and the phantom set's
+enqueue/fill/reclaim.  Every wrapper calls the method it shadows and
+probes after the call: the decision, ``_process_ack`` and ``_try_send`` a
+validated run executes are the ones an unvalidated run executes.  So:
 
 * with validation off nothing is wrapped and the hot path is untouched —
   the disabled cost is exactly one ``getattr`` per component construction;
@@ -66,7 +64,7 @@ Enforced invariants (paper anchors in parentheses):
   deepest lane's current length (``Simulator(validate=checker)``
   self-registers the simulator);
 * lane independence (``Simulator.new_lane``'s contract): a limiter's
-  packet entry and a sender's ACK entry run only in the lane it was built in.
+  decision and a sender's ACK entry run only in the lane it was built in.
 """
 
 from __future__ import annotations
@@ -131,46 +129,20 @@ class InvariantChecker:
         self._limiters.append((limiter, state))
         home = limiter._sim.lane
 
-        original_receive_batch = limiter.receive_batch
-        single: list[Any] = [None]
+        original_on_packet = limiter._on_packet
 
-        def wrapped_receive_batch(packets: Any) -> None:
+        def wrapped_on_packet(packet: Any) -> None:
+            # The limiter's one decision (``receive`` and ``receive_batch``
+            # account each arrival and call it through this attribute), so
+            # the per-packet invariants fire between decisions of exactly
+            # the code an unvalidated run executes.
             self._check_lane(limiter._sim, home, limiter.name)
-            # The limiter's one entry point (``receive`` is a batch of
-            # one through this same attribute).  Each packet goes through
-            # the *original* decision loop as a singleton batch so the
-            # per-packet invariants fire between decisions.  The loop
-            # forwards each packet as it decides it, and a same-instant
-            # batch spans no drain piece, so the singletons decide and
-            # forward in the unvalidated order: the run stays
-            # bit-identical.
             if not state["ready"]:
                 self._init_limiter(limiter, state)
-            stats = limiter.stats
-            arrived_packets = stats.arrived_packets
-            arrived_bytes = stats.arrived_bytes
-            batch_bytes = 0
-            for packet in packets:
-                batch_bytes += packet.size
-                single[0] = packet
-                original_receive_batch(single)
-                self._check_limiter(limiter, state, packet)
-            # Batch-aware invariants: the whole batch (and nothing else)
-            # was accounted across this hand-off.
-            self._ensure(
-                stats.arrived_packets - arrived_packets == len(packets),
-                f"{limiter.name}: batch packet accounting broken: "
-                f"{stats.arrived_packets - arrived_packets} arrivals "
-                f"recorded for a {len(packets)}-packet batch",
-            )
-            self._ensure(
-                stats.arrived_bytes - arrived_bytes == batch_bytes,
-                f"{limiter.name}: batch byte accounting broken: "
-                f"{stats.arrived_bytes - arrived_bytes} bytes recorded "
-                f"for a {batch_bytes}-byte batch",
-            )
+            original_on_packet(packet)
+            self._check_limiter(limiter, state, packet)
 
-        limiter.receive_batch = wrapped_receive_batch
+        limiter._on_packet = wrapped_on_packet
 
         original_apply = limiter.apply_update
 
@@ -336,7 +308,7 @@ class InvariantChecker:
 
             def wrapped_offer(queue: int, size: float) -> float:
                 # The one admit entry point: the limiters look it up per
-                # batch and ``try_enqueue`` goes through it too.
+                # packet and ``try_enqueue`` goes through it too.
                 check_queue(queue)
                 rate = original_offer(queue, size)
                 if rate >= 0.0:

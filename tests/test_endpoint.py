@@ -23,6 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cc.base import AckSample, CongestionControl
 from repro.cc.bbr import Bbr
+from repro.cc import endpoint
 from repro.cc.endpoint import FlowDemux, TcpReceiver, TcpSender
 from repro.cc.reno import NewReno
 from repro.net.impair import LossGate
@@ -30,6 +31,7 @@ from repro.net.packet import FlowId, Packet
 from repro.net.pipe import Pipe
 from repro.net.sink import CallbackSink
 from repro.sim.simulator import Simulator
+from repro.sim.timer import Timer
 from repro.validate import InvariantChecker, InvariantViolation
 
 from tests._steps import counting
@@ -255,6 +257,57 @@ class TestRtoBackstop:
         sim.run(until=4.0)
         assert sender.rto >= 2 * base
         assert sender.timeouts >= 2
+
+
+class TenPerSecond(FixedWindow):
+    """A controller that paces at ten packets a second."""
+
+    def pacing_rate(self, now):
+        return 10.0
+
+
+class TestPacing:
+    def test_a_sender_builds_two_timers_and_paces_without_one(
+            self, monkeypatch):
+        built = []
+
+        class CountedTimer(Timer):
+            __slots__ = ()
+
+            def __init__(self, sim, callback):
+                built.append(callback)
+                super().__init__(sim, callback)
+
+        monkeypatch.setattr(endpoint, "Timer", CountedTimer)
+        sim = Simulator()
+        sent = []
+        sender = TcpSender(sim, FLOW, TenPerSecond(),
+                           CallbackSink(lambda p: sent.append(sim.now)),
+                           total_packets=5)
+        assert [cb.__name__ for cb in built] == ["_on_rto", "_on_tlp"]
+        sim.run(until=0.25)
+        # No ACK ever arrives, so only the pacing wakes clock the sends:
+        # 0.1 s apart, the fourth's wake pending.
+        assert sent == pytest.approx([0.0, 0.1, 0.2])
+        assert sender._pacing_armed
+        assert len(built) == 2
+
+    def test_completion_with_a_pacing_wake_pending_sends_nothing_more(self):
+        sim = Simulator()
+        sent = []
+        sender = TcpSender(sim, FLOW, TenPerSecond(), CallbackSink(sent.append),
+                           total_packets=5)
+        sim.run(until=0.05)
+        assert len(sent) == 1 and sender._pacing_armed  # wake at t=0.1
+        # The whole flow acknowledged while the pacer holds the rest back.
+        sender.receive(Packet.ack(FLOW, ack_next=5, sent_at=0.05, echo_ts=0.0,
+                                  echo_retransmit=False))
+        assert sender.done
+        pushes = sim.heap_pushes
+        sim.run()
+        # The wake (and the cancelled RTO's) surfaced and did nothing.
+        assert len(sent) == sender.packets_sent == 1
+        assert sim.heap_pushes == pushes and sim.pending == 0
 
 
 class TestRenoIntegration:

@@ -72,6 +72,20 @@ class TestShardBounds:
         with pytest.raises(ValueError, match="outside"):
             shard_bounds(10, 2, 2)
 
+    @pytest.mark.parametrize("shards", [0, -1])
+    def test_rejects_fewer_than_one_shard_before_running(self, shards):
+        # Not an empty sweep that then fails in the merge ("need at least
+        # one shard summary"): the CLI stops before any shard runs.
+        from repro.experiments import fleet_scale
+
+        message = f"shards must be >= 1, got {shards}"
+        with pytest.raises(ValueError, match=message):
+            shard_configs(FleetSpec(aggregates=10), shards)
+        with mock.patch("repro.fleet.run.run_tasks") as run_tasks, \
+                pytest.raises(ValueError, match=message):
+            fleet_scale._cli(["--aggregates", "10", "--shards", str(shards)])
+        run_tasks.assert_not_called()
+
 
 class TestPlanDeterminism:
     def test_plan_depends_only_on_seed_and_id(self):

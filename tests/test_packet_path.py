@@ -1,7 +1,9 @@
-"""The packet path takes one packet per call downstream of a limiter.
+"""The packet path takes one packet per call.
 
-A policer decides each packet of a same-instant batch and forwards it at
-once; no sink, pipe, link, gate, recorder, trace or demux accepts a list.
+Every limiter decides in ``_on_packet`` and forwards an admitted packet at
+once; ``receive`` accounts an arrival and calls it, and ``receive_batch``
+is that for each packet of a burst.  No sink, pipe, link, gate, recorder,
+trace or demux accepts a list.
 """
 
 from __future__ import annotations
@@ -13,11 +15,10 @@ import pytest
 
 import repro
 from repro.cc.endpoint import TcpSender
-from repro.core.bcpqp import BCPQP
 from repro.core.pqp import PQP
 from repro.limiters.base import RateLimiter
-from repro.limiters.token_bucket import TokenBucketPolicer
 from repro.net.packet import FlowId, Packet
+from repro.net.sink import CallbackSink
 from repro.schemes import make_limiter
 from repro.sim.simulator import Simulator
 
@@ -34,10 +35,17 @@ def _classes():
 
 
 def test_only_limiters_and_the_sender_take_a_list():
-    # RateLimiter's per-packet loop, the three fused policers, and the
-    # sender's entry the frozen benchmark suite names.
-    takers = {cls for cls in _classes() if "receive_batch" in vars(cls)}
-    assert takers == {RateLimiter, PQP, BCPQP, TokenBucketPolicer, TcpSender}
+    # RateLimiter's per-packet loop and the sender's entry the frozen
+    # benchmark suite names; no limiter has a second way in.
+    classes = list(_classes())
+    takers = {cls for cls in classes if "receive_batch" in vars(cls)}
+    assert takers == {RateLimiter, TcpSender}
+    limiters = [cls for cls in classes
+                if issubclass(cls, RateLimiter) and cls is not RateLimiter]
+    assert len(limiters) >= 5
+    assert [cls for cls in limiters if "receive" in vars(cls)] == []
+    assert [cls for cls in limiters
+            if cls._on_packet is RateLimiter._on_packet] == []
 
 
 class _Probe:
@@ -60,7 +68,7 @@ class _Probe:
 def test_policers_forward_each_packet_as_decided(scheme):
     limiter = make_limiter(Simulator(), scheme, rate=1e6, num_queues=4,
                            max_rtt=0.01, queue_bytes=6000.0)
-    assert type(limiter).receive_batch is not RateLimiter.receive_batch
+    assert type(limiter).receive_batch is RateLimiter.receive_batch
     probe = _Probe(limiter)
     limiter.connect(probe)
     burst = [Packet.data(FlowId(0, seq % 4), seq, 0.0, size=1500)
@@ -71,3 +79,55 @@ def test_policers_forward_each_packet_as_decided(scheme):
     assert stats.forwarded_packets + stats.dropped_packets == 32
     # Arrival order, admitted packets only.
     assert probe.seen == sorted(probe.seen)
+
+
+def _drive_bursts(scheme: str, batched: bool):
+    """Eight same-instant 32-packet bursts, 3 ms apart, into ``scheme``:
+    through ``receive_batch`` or one packet per ``receive`` call."""
+    sim = Simulator()
+    limiter = make_limiter(sim, scheme, rate=2e5, num_queues=4,
+                           max_rtt=0.01, queue_bytes=6000.0, period=0.01)
+    forwarded: list[tuple[float, int, int]] = []
+    limiter.connect(CallbackSink(
+        lambda p: forwarded.append((sim.now, p.flow.slot, p.seq))))
+
+    def one_at_a_time(packets):
+        for packet in packets:
+            limiter.receive(packet)
+
+    entry = limiter.receive_batch if batched else one_at_a_time
+    for tick in range(8):
+        burst = [Packet.data(FlowId(0, k % 4), 32 * tick + k, tick * 3e-3,
+                             size=500 + 250 * (k % 5))
+                 for k in range(32)]
+        sim.schedule_at(tick * 3e-3, entry, burst)
+    sim.run(until=0.5)
+    stats = limiter.stats
+    outcome = {
+        "stats": (stats.arrived_packets, stats.arrived_bytes,
+                  stats.forwarded_packets, stats.forwarded_bytes,
+                  stats.dropped_packets, stats.dropped_bytes),
+        "per_queue_drops": dict(stats.per_queue_drops),
+        "cost": limiter.cost.snapshot(),
+        "forwarded": forwarded,
+    }
+    if isinstance(limiter, PQP):
+        queues = limiter.queues
+        outcome["phantom"] = (
+            [queues.peek_length(q) for q in range(4)],
+            [queues.raw_magic(q) for q in range(4)],
+            getattr(limiter, "magic_fills", None),
+        )
+    return outcome
+
+
+@pytest.mark.parametrize(
+    "scheme", ["pqp", "bcpqp", "policer", "fairpolicer", "shaper"])
+def test_a_burst_decides_as_its_packets_one_at_a_time(scheme):
+    batched = _drive_bursts(scheme, batched=True)
+    assert batched == _drive_bursts(scheme, batched=False)
+    arrived, _, forwarded, _, dropped, _ = batched["stats"]
+    assert arrived == 8 * 32 and forwarded > 0 and dropped > 0
+    assert len(batched["forwarded"]) == forwarded
+    if scheme == "bcpqp":
+        assert batched["phantom"][2] > 0  # the window logic magic-filled

@@ -1,5 +1,7 @@
 """Tests for the discrete-event simulator core."""
 
+from contextlib import nullcontext
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -333,6 +335,72 @@ class TestLanes:
         assert sim.lane == 1
         sim.run(max_events=1)
         assert fired == ["a", "b", "c"]
+
+
+class TestEventsProcessedIsDerived:
+    """The run loop counts nothing per event: ``events_processed`` is
+    ``heap_pushes - pending``, which holds because every pushed event
+    fires, however a run stops."""
+
+    @staticmethod
+    def _three_lanes():
+        sim = Simulator()
+        fired = []
+
+        def chain(tag, left):
+            fired.append(tag)
+            if tag == "boom":
+                raise RuntimeError("boom")
+            if left:
+                sim.schedule(0.5, chain, tag, left - 1)
+
+        sim.schedule(0.0, chain, "a", 3)
+        sim.new_lane()
+        sim.schedule(0.2, chain, "b", 1)
+        sim.schedule(0.7, chain, "boom", 0)
+        sim.new_lane()
+        sim.schedule(0.1, chain, "c", 6)
+        return sim, fired
+
+    @staticmethod
+    def _agrees(sim, fired):
+        assert sim.events_processed == len(fired)
+        assert sim.events_processed == sim.heap_pushes - sim.pending
+
+    def test_one_shot_and_sliced_runs(self):
+        sim, fired = self._three_lanes()
+        with pytest.raises(RuntimeError, match="boom"):
+            sim.run()
+        self._agrees(sim, fired)
+        sim.run()
+        self._agrees(sim, fired)
+        assert sim.pending == 0 and len(fired) == 4 + 3 + 7
+
+        sliced, sliced_fired = self._three_lanes()
+        for until in (0.1, 0.5, 0.65, 0.7):
+            # The slice ending at 0.7 reaches "boom".
+            raises = pytest.raises(RuntimeError) if until == 0.7 else nullcontext()
+            with raises:
+                sliced.run(until=until)
+            self._agrees(sliced, sliced_fired)
+        sliced.run(until=10.0)
+        self._agrees(sliced, sliced_fired)
+        assert sorted(sliced_fired) == sorted(fired)
+
+    def test_max_events_stop(self):
+        sim, fired = self._three_lanes()
+        with pytest.raises(RuntimeError):
+            sim.run(until=1.0)
+        self._agrees(sim, fired)
+        sim.run(until=2.0)
+        # Lanes 0 and 1 drained; "c" has three events left.
+        assert [len(lane) for lane in sim.lanes] == [0, 0, 1]
+        for budget in (0, 1, 2):
+            before = len(fired)
+            sim.run(max_events=budget)
+            assert len(fired) == before + budget
+            self._agrees(sim, fired)
+        assert sim.pending == 0
 
 
 class TestDeterminism:

@@ -118,7 +118,9 @@ class TestViolationDetection:
         with pytest.raises(InvariantViolation,
                            match="from event lane 1 but built in lane 0"):
             sim.run()
-        assert limiter.stats.arrived_packets == 1
+        # The foreign arrival is accounted, never decided.
+        stats = limiter.stats
+        assert (stats.arrived_packets, stats.forwarded_packets) == (2, 1)
 
     def test_sender_acked_from_a_foreign_lane_flagged(self):
         checker, sim = _checked_sim()
@@ -233,9 +235,9 @@ class TestZeroPerturbation:
     @pytest.mark.parametrize("service", ["fluid", "fluid-ref"])
     def test_nested_policy_bursts_byte_identical(self, service):
         # Same-instant bursts into a three-class, two-priority tree: the
-        # production loop drains once per batch and admits through
-        # ``offer``; the checker feeds it singletons (a zero-width
-        # advance each) through its ledger wrapper on the same method.
+        # first packet of a burst drains, the rest skip the zero-width
+        # advance, and every one admits through ``offer`` (the checker's
+        # ledger wrapper on the same method when validated).
         policy = Policy.nested(
             [[1.0, 2.0, 0.5], [1.0, 1.0], [3.0, 1.0, 1.0]],
             group_weights=[2.0, 1.0, 1.5], group_priorities=[0, 1, 0],
@@ -294,11 +296,11 @@ class TestValidationAuditsProduction:
 
             monkeypatch.setattr(cls, name, counted)
 
-        # Every packet enters a policer's decision through receive_batch:
+        # Every packet enters a policer's decision through _on_packet:
         # none of them overrides receive.
         for cls in (PQP, BCPQP, TokenBucketPolicer):
             assert "receive" not in vars(cls)
-        count_calls(BCPQP, "receive_batch")
+        count_calls(BCPQP, "_on_packet")
         count_calls(TcpSender, "_process_ack")
         count_calls(TcpSender, "_try_send")
 
@@ -335,10 +337,10 @@ class TestValidationAuditsProduction:
         assert plain == checked  # byte-for-byte, as TestZeroPerturbation
         arrived = plain[0]
         assert arrived > 500 and plain[3]  # saturated: the limiter drops
-        # The decision loop: at least one entry per arrived packet when
-        # validated (exactly one — the checker feeds singletons).
-        assert checked_calls["receive_batch"] == arrived
-        assert 0 < plain_calls["receive_batch"] <= arrived
+        # The decision: exactly one entry per arrived packet, validated
+        # or not (the checker wraps the same method).
+        assert checked_calls["_on_packet"] == plain_calls["_on_packet"]
+        assert plain_calls["_on_packet"] == arrived
         # One _process_ack per processed ACK in both runs, each clocking
         # out a _try_send (plus the start / pacing / RTO entries).
         assert checked_calls["_process_ack"] == plain_calls["_process_ack"] > 0
@@ -346,10 +348,11 @@ class TestValidationAuditsProduction:
         assert checked_calls["_try_send"] >= checked_calls["_process_ack"]
 
     def test_limiters_have_no_second_per_packet_decision(self):
-        # ``receive`` is the base class's batch-of-one; the policers keep
-        # their decision in receive_batch alone.
+        # ``receive`` and ``receive_batch`` are the base class's accounting
+        # around the one decision each policer defines in _on_packet.
         for cls in (PQP, BCPQP, TokenBucketPolicer):
             assert cls.receive is RateLimiter.receive
-            assert cls._on_packet is RateLimiter._on_packet
+            assert cls.receive_batch is RateLimiter.receive_batch
+            assert "_on_packet" in vars(cls)
             assert not hasattr(cls, "_arrived")
             assert not hasattr(cls, "_accepted")
