@@ -144,11 +144,11 @@ def install() -> None:
     TcpSender.__init__ = init_sender
     TcpReceiver.__init__ = init_receiver
 
-    def ack_before(self, packet):
+    def ack_before(self, ack, echo_ts, echo_retransmit, sack, ecn_echo):
         COUNTS["acks"] += 1
-        if packet.sack:
+        if sack:
             COUNTS["acks_with_sack"] += 1
-            COUNTS["apply_sack.blocks"] += len(packet.sack)
+            COUNTS["apply_sack.blocks"] += len(sack)
 
     def sack_before(self, ranges):
         self._probe_sacked = len(self._sacked)
@@ -236,7 +236,7 @@ def install_try_send() -> None:
     TcpSender._try_send = counted
     TcpSender._arm_pacing_timer = arm
     _scoped(TcpSender, "_process_ack", "ack",
-            before=lambda self, packet: COUNTS.update(acks=1))
+            before=lambda self, *ack: COUNTS.update(acks=1))
     _scoped(TcpSender, "_on_rto", "rto")
     _scoped(TcpSender, "_start", "start")
 

@@ -16,7 +16,7 @@ from typing import Callable
 
 from repro.cc.base import AckSample, CongestionControl
 from repro.net.packet import FlowId, Packet, PacketKind
-from repro.net.sink import PacketSink
+from repro.net.sink import AckSink, PacketSink
 from repro.sim.simulator import Simulator
 from repro.sim.timer import Timer
 from repro.units import MSS
@@ -35,6 +35,8 @@ _TLP_SRTT_FACTOR = 2.0
 #: its own pacing rate (BBR does).
 _PACING_SS_RATIO = 2.0
 _PACING_CA_RATIO = 1.2
+#: Read per data packet: a module constant costs a third of an Enum lookup.
+_DATA = PacketKind.DATA
 
 
 class TcpSender:
@@ -224,21 +226,26 @@ class TcpSender:
         return self._srtt
 
     # ------------------------------------------------------------------
-    # ACK path (PacketSink protocol: the reverse pipe delivers here)
+    # ACK path (the reverse pipe delivers each ACK record here)
     # ------------------------------------------------------------------
 
-    def receive(self, packet: Packet) -> None:
-        """Process an incoming ACK.
-
-        A corrupted ACK (failed checksum, see :mod:`repro.net.impair`)
-        is counted and dropped, never processed.
-        """
-        if packet.kind is not PacketKind.ACK:
-            return
-        if packet.corrupt:
+    def receive_ack(self, ack_next: int, echo_ts: float, echo_retransmit: bool,
+                    sack: tuple[tuple[int, int], ...], ecn_echo: bool,
+                    corrupt: bool) -> None:
+        """Process one ACK record, the six fields :meth:`TcpReceiver.receive`
+        sends.  A corrupted ACK (failed checksum, see :mod:`repro.net.impair`)
+        is counted and dropped, never processed."""
+        if corrupt:
             self.corrupt_acks_dropped += 1
         elif self.completed_at is None:
-            self._process_ack(packet)
+            self._process_ack(ack_next, echo_ts, echo_retransmit, sack,
+                              ecn_echo)
+
+    def receive(self, packet: Packet) -> None:
+        """:meth:`receive_ack` for an ACK built as a :class:`Packet`."""
+        self.receive_ack(packet.ack_next, packet.echo_ts,
+                         packet.echo_retransmit, packet.sack, packet.ecn_echo,
+                         packet.corrupt)
 
     # Named by the frozen benchmarks/suite/test_suite.py:147 and called by
     # nothing under src/: the reverse pipe delivers one ACK per event.
@@ -246,7 +253,9 @@ class TcpSender:
         for packet in packets:
             self.receive(packet)
 
-    def _process_ack(self, packet: Packet) -> None:
+    def _process_ack(self, ack: int, echo_ts: float, echo_retransmit: bool,
+                     sack: tuple[tuple[int, int], ...],
+                     ecn_echo: bool) -> None:
         """Process one ACK: scoreboard, RTT/RTO, congestion control, loss
         detection, then the send attempt it clocks out.
 
@@ -258,12 +267,11 @@ class TcpSender:
         """
         sim = self._sim
         now = sim._now
-        ack = packet.ack_next
         old_una = self.snd_una
 
         if (
             self.ecn
-            and packet.ecn_echo
+            and ecn_echo
             and old_una >= self._ecn_cwr_point
             and not self._in_recovery
         ):
@@ -271,7 +279,6 @@ class TcpSender:
             self.ecn_reductions += 1
             self.cc.on_loss_event(now, self.inflight)
 
-        sack = packet.sack
         newly_sacked = self._apply_sack(sack) if sack else 0
         delivered_this_ack = newly_sacked
 
@@ -304,8 +311,8 @@ class TcpSender:
                 self._advance_una(ack)
                 newly = self._newly_acked
             rtt_sample: float | None = None
-            if not packet.echo_retransmit and packet.echo_ts > 0:
-                rtt_sample = now - packet.echo_ts
+            if not echo_retransmit and echo_ts > 0:
+                rtt_sample = now - echo_ts
                 if rtt_sample < 1e-9:
                     rtt_sample = 1e-9
                 # _update_rto inlined.
@@ -465,15 +472,9 @@ class TcpSender:
             return
         now = self._sim._now
         cc = self.cc
-        rate = cc.pacing_rate(now) if self._cc_paces else None
-        srtt = self._srtt
-        if rate is None and srtt is not None:
-            # Linux-style internal pacing: spread the window over the RTT.
-            cwnd = cc.cwnd
-            ratio = _PACING_SS_RATIO if cwnd < cc.ssthresh else _PACING_CA_RATIO
-            rate = ratio * cwnd / srtt
-            if rate < 1.0:
-                rate = 1.0
+        # Pacing is priced on the first pass that reaches its test: most
+        # calls return at the window test, which changes nothing it reads.
+        priced = False
         sacked = self._sacked
         lost = self._lost_set
         retx = self._retx_out
@@ -500,6 +501,18 @@ class TcpSender:
             in_recovery = self._in_recovery
             if in_recovery and self._recovery_budget < 1.0:
                 return
+            if not priced:
+                priced = True
+                rate = cc.pacing_rate(now) if self._cc_paces else None
+                srtt = self._srtt
+                if rate is None and srtt is not None:
+                    # Linux-style internal pacing: the window over the RTT.
+                    cwnd = cc.cwnd
+                    ratio = (_PACING_SS_RATIO if cwnd < cc.ssthresh
+                             else _PACING_CA_RATIO)
+                    rate = ratio * cwnd / srtt
+                    if rate < 1.0:
+                        rate = 1.0
             if rate is not None:
                 nst = self._next_send_time
                 if now < nst - 1e-12:
@@ -894,7 +907,7 @@ class TcpReceiver:
     #: Maximum SACK ranges advertised per ACK.
     MAX_SACK_RANGES = 3
 
-    def __init__(self, sim: Simulator, ack_path: PacketSink) -> None:
+    def __init__(self, sim: Simulator, ack_path: AckSink) -> None:
         self._sim = sim
         self._ack_path = ack_path
         self.rcv_nxt = 0
@@ -910,11 +923,12 @@ class TcpReceiver:
         return tuple((r[0], r[1]) for r in self._ranges)
 
     def receive(self, packet: Packet) -> None:
-        """Absorb one data packet and return its ACK.
+        """Absorb one data packet and send its ACK down the ACK path as one
+        record, the six fields of :meth:`TcpSender.receive_ack`.
 
         The SACK scan is skipped while no out-of-order ranges exist.
         """
-        if packet.kind is not PacketKind.DATA:
+        if packet.kind is not _DATA:
             return
         if packet.corrupt:
             # Failed checksum: drop without acknowledging.
@@ -935,17 +949,8 @@ class TcpReceiver:
         else:
             self.duplicates += 1
         sack = () if not self._ranges else self._sack_blocks(seq)
-        self._ack_path.receive(
-            Packet.ack(
-                packet.flow,
-                self.rcv_nxt,
-                self._sim._now,
-                echo_ts=packet.sent_at,
-                echo_retransmit=packet.retransmit,
-                sack=sack,
-                ecn_echo=packet.ce,
-            )
-        )
+        self._ack_path.receive_ack(self.rcv_nxt, packet.sent_at,
+                                   packet.retransmit, sack, packet.ce, False)
 
     def _sack_blocks(self, seq: int) -> tuple[tuple[int, int], ...]:
         """Up to three SACK blocks, the one containing the segment that

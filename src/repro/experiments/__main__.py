@@ -32,6 +32,7 @@ from repro.experiments import (
     impairments,
 )
 from repro.runner import ResultCache, default_jobs
+from repro.runner.supervisor import non_negative_int, positive_seconds
 
 _MODULES = (
     ("Figure 1", "fig1", fig1_motivation),
@@ -76,7 +77,7 @@ def _parse_args(argv: list[str] | None) -> argparse.Namespace:
     parser.add_argument(
         "--jobs",
         "-j",
-        type=int,
+        type=non_negative_int,
         default=None,
         metavar="N",
         help="fan simulation grids over N worker processes "
@@ -97,7 +98,7 @@ def _parse_args(argv: list[str] | None) -> argparse.Namespace:
     )
     parser.add_argument(
         "--retries",
-        type=int,
+        type=non_negative_int,
         default=None,
         metavar="N",
         help="retry failed/crashed/hung cells up to N times with "
@@ -106,7 +107,7 @@ def _parse_args(argv: list[str] | None) -> argparse.Namespace:
     )
     parser.add_argument(
         "--task-timeout",
-        type=float,
+        type=positive_seconds,
         default=None,
         metavar="SECONDS",
         help="kill and retry any simulation cell exceeding this wall "
@@ -200,7 +201,7 @@ def main(argv: list[str] | None = None) -> None:
             # inside _process_ack's cumulative time.
             print("cProfile: packet-path entry points")
             stats.print_stats(
-                r"\(receive(_batch)?\)"
+                r"\(receive(_batch|_ack)?\)"
                 r"|_process_ack|_try_send"
                 r"|_apply_sack|_advance_una|_detect_losses"
                 r"|_sack_blocks|\(_insert\)"

@@ -27,6 +27,7 @@ from repro.experiments import common
 from repro.experiments.common import ResultCache, print_table
 from repro.fleet import FleetResult, FleetSpec, run_fleet
 from repro.runner.journal import SweepJournal, grid_hash
+from repro.runner.supervisor import non_negative_int
 from repro.schemes import SCHEMES
 
 __all__ = ["Config", "main", "run"]
@@ -181,7 +182,7 @@ def _cli(argv: list[str] | None = None) -> None:
     parser.add_argument("--horizon", type=float, default=1.2)
     parser.add_argument("--warmup", type=float, default=0.2)
     parser.add_argument(
-        "--jobs", "-j", type=int, default=None,
+        "--jobs", "-j", type=non_negative_int, default=None,
         help="worker processes for the shard sweep (default: serial)",
     )
     parser.add_argument(

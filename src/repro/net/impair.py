@@ -36,11 +36,11 @@ from dataclasses import dataclass, field
 from random import Random
 
 from repro.net.link import Link
-from repro.net.packet import Packet, PacketKind
+from repro.net.packet import Packet
 from repro.net.pipe import Pipe
-from repro.net.sink import PacketSink
+from repro.net.sink import AckSink, PacketSink
 from repro.sim.simulator import Simulator
-from repro.units import MSS, mbps
+from repro.units import ACK_SIZE, MSS, mbps
 
 __all__ = [
     "CapacityTrace",
@@ -176,31 +176,20 @@ class ImpairmentSpec:
 
 
 def _clone(packet: Packet) -> Packet:
-    """A fresh packet (own uid) carrying the same wire-visible content.
+    """A fresh data packet (own uid) carrying the same wire-visible content.
 
     The twin must be a second object because ``ce`` and ``corrupt`` are
     set in flight: a :class:`Corrupter` or an AQM downstream marking one
-    copy must leave the other clean.
+    copy must leave the other clean.  Only the data path duplicates.
     """
-    if packet.kind is PacketKind.DATA:
-        twin = Packet.data(
-            packet.flow,
-            packet.seq,
-            packet.sent_at,
-            size=packet.size,
-            retransmit=packet.retransmit,
-            ecn_capable=packet.ecn_capable,
-        )
-    else:
-        twin = Packet.ack(
-            packet.flow,
-            packet.ack_next,
-            packet.sent_at,
-            echo_ts=packet.echo_ts,
-            echo_retransmit=packet.echo_retransmit,
-            sack=packet.sack,
-            ecn_echo=packet.ecn_echo,
-        )
+    twin = Packet.data(
+        packet.flow,
+        packet.seq,
+        packet.sent_at,
+        size=packet.size,
+        retransmit=packet.retransmit,
+        ecn_capable=packet.ecn_capable,
+    )
     twin.ce = packet.ce
     twin.corrupt = packet.corrupt
     return twin
@@ -209,8 +198,8 @@ def _clone(packet: Packet) -> Packet:
 class _Gate:
     """Shared shape of the per-packet impairment gates.
 
-    Gates take and forward one packet per call, so the RNG draws — and
-    therefore every downstream seq — follow arrival order.
+    Gates take and forward one packet (or ACK record) per call, so the
+    RNG draws — and therefore every downstream seq — follow arrival order.
     """
 
     __slots__ = ("_sink", "_rng", "forwarded_packets", "dropped_packets",
@@ -226,10 +215,10 @@ class _Gate:
     def receive(self, packet: Packet) -> None:  # pragma: no cover
         raise NotImplementedError
 
-    def _drop(self, packet: Packet) -> None:
-        """Count a dropped packet."""
+    def _drop(self, size: int) -> None:
+        """Count a dropped packet of ``size`` bytes."""
         self.dropped_packets += 1
-        self.dropped_bytes += packet.size
+        self.dropped_bytes += size
 
 
 class LossGate(_Gate):
@@ -245,10 +234,18 @@ class LossGate(_Gate):
 
     def receive(self, packet: Packet) -> None:
         if self._rng.random() < self._prob:
-            self._drop(packet)
+            self._drop(packet.size)
             return
         self.forwarded_packets += 1
         self._sink.receive(packet)
+
+    def receive_ack(self, *record) -> None:
+        """:meth:`receive` for an ACK record: the same one draw."""
+        if self._rng.random() < self._prob:
+            self._drop(ACK_SIZE)
+            return
+        self.forwarded_packets += 1
+        self._sink.receive_ack(*record)
 
 
 class GilbertElliottGate(_Gate):
@@ -308,7 +305,7 @@ class GilbertElliottGate(_Gate):
             self.bad = True
         prob = self._loss_bad if self.bad else self._loss_good
         if rng.random() < prob:
-            self._drop(packet)
+            self._drop(packet.size)
             return
         self.forwarded_packets += 1
         self._sink.receive(packet)
@@ -363,6 +360,14 @@ class Corrupter(_Gate):
             packet.corrupt = True
         self.forwarded_packets += 1
         self._sink.receive(packet)
+
+    def receive_ack(self, *record) -> None:
+        """:meth:`receive` for an ACK record: a hit sets its ``corrupt``."""
+        if self._rng.random() < self._prob:
+            self.corrupted_packets += 1
+            record = record[:5] + (True,)
+        self.forwarded_packets += 1
+        self._sink.receive_ack(*record)
 
 
 class JitterPipe:
@@ -650,15 +655,16 @@ def build_data_path(
 def build_ack_path(
     sim: Simulator,
     delay: float,
-    sink: PacketSink,
+    sink: AckSink,
     spec: ImpairmentSpec,
     rng: Random,
     *,
     name: str = "impair-ack",
-) -> PacketSink:
+) -> AckSink:
     """The receiver-side ACK return chain for one flow: i.i.d. ACK loss
-    and corruption in front of the plain reverse delay pipe."""
-    entry: PacketSink = Pipe(sim, delay, sink, name=f"{name}-pipe")
+    and corruption, acting on ACK records (``receive_ack``) one draw
+    each, in front of the plain reverse delay pipe."""
+    entry: AckSink = Pipe(sim, delay, sink, name=f"{name}-pipe")
     if spec.corrupt > 0.0:
         entry = Corrupter(spec.corrupt, entry, rng)
     if spec.ack_loss > 0.0:

@@ -2,8 +2,8 @@
 
 Data packets carry one MSS of payload; sequence numbers count packets (not
 bytes), which matches the paper's MSS-granularity analysis and keeps TCP
-bookkeeping simple.  ACKs are separate 40-byte packets carrying a cumulative
-``ack_next`` (the next packet number the receiver expects).
+bookkeeping simple.  ACKs are 40 bytes and carry a cumulative ``ack_next``
+(the next packet number the receiver expects).
 """
 
 from __future__ import annotations
@@ -81,7 +81,8 @@ class Packet:
     impairment gate), which is why
     :class:`~repro.net.impair.Duplicator` forwards a copy.  This module
     is the only one that knows a packet's field list: build packets
-    with :meth:`data` and :meth:`ack`.
+    with :meth:`data` and :meth:`ack`.  A TCP flow sends its ACKs as
+    records (``TcpSender.receive_ack``); :meth:`ack` is for hand-built ones.
 
     Attributes
     ----------

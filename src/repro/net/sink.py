@@ -1,12 +1,12 @@
 """The packet-sink protocol every forwarding element implements.
 
 Elements hand packets on one at a time through ``receive``; no sink
-takes a list.
+takes a list.  The ACK path hands on records through ``receive_ack``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Protocol, runtime_checkable
+from typing import Any, Callable, Protocol, runtime_checkable
 
 from repro.net.packet import Packet
 
@@ -18,6 +18,13 @@ class PacketSink(Protocol):
     def receive(self, packet: Packet) -> None:
         """Accept ``packet`` at the current simulation time."""
         ...  # pragma: no cover - protocol definition
+
+
+class AckSink(Protocol):
+    """Anything on the ACK path: one record per call, the six fields of
+    :meth:`repro.cc.endpoint.TcpSender.receive_ack`."""
+
+    def receive_ack(self, *record: Any) -> None: ...  # pragma: no cover
 
 
 class NullSink:

@@ -43,6 +43,7 @@ salvageable work is already journaled.
 from __future__ import annotations
 
 import heapq
+import math
 import random
 import time
 from collections import deque
@@ -89,6 +90,13 @@ class RetryPolicy:
     #: Consecutive crash/timeout failures (no success in between) that
     #: trip the circuit breaker and halve the worker budget.
     breaker_threshold: int = 5
+
+    def __post_init__(self) -> None:
+        backoff = (self.backoff_base, self.backoff_factor, self.backoff_max,
+                   self.jitter)
+        if self.retries < 0 or not all(0.0 <= v < math.inf for v in backoff):
+            raise ValueError(f"negative retries or a negative or non-finite "
+                             f"backoff value: {self!r}")
 
     def delay(self, index: int, attempt: int) -> float:
         """Backoff before retrying ``index`` after failed ``attempt``."""
@@ -181,6 +189,21 @@ def reset_session_stats() -> None:
     _SESSION = SweepStats()
 
 
+def non_negative_int(text: str) -> int:
+    """A ``--jobs`` or ``--retries`` count: an int of at least 0."""
+    if (value := int(text)) < 0:
+        raise ValueError(f"expected an int >= 0, got {text!r}")
+    return value
+
+
+def positive_seconds(value: str | float) -> float:
+    """A ``task_timeout`` / ``--task-timeout``: finite seconds above 0."""
+    if not 0.0 < (seconds := float(value)) < math.inf:
+        raise ValueError(
+            f"task timeout must be finite seconds above 0, got {value!r}")
+    return seconds
+
+
 def _absorb_session(stats: SweepStats) -> None:
     _SESSION.retries += stats.retries
     _SESSION.crashes += stats.crashes
@@ -248,10 +271,14 @@ def run_supervised(
 
     Returns a :class:`SweepReport`; raises :class:`SweepError` only in
     ``fail_fast`` mode (first permanent cell failure aborts the sweep,
-    after journaling everything already complete).
+    after journaling everything already complete), and ``ValueError``
+    before any worker starts unless ``task_timeout`` is ``None`` or
+    finite seconds above 0.
     """
     from repro.runner.pool import _pool_context, _task_name
 
+    if task_timeout is not None:
+        positive_seconds(task_timeout)
     policy = policy or RetryPolicy()
     config_list = list(configs)
     total = len(config_list)

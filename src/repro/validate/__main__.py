@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro.runner.supervisor import non_negative_int, positive_seconds
 from repro.validate.fuzz import (
     CaseReport,
     FuzzCase,
@@ -72,18 +73,19 @@ def main(argv: list[str] | None = None) -> int:
         "--seed", type=int, default=1, help="corpus root seed (default 1)"
     )
     parser.add_argument(
-        "--jobs", "-j", type=int, default=None,
+        "--jobs", "-j", type=non_negative_int, default=None,
         help="worker processes for --fuzz (default: in-process); with "
         "workers, cases run under the supervised pool — a crashing case "
         "becomes a reported finding instead of killing the campaign",
     )
     parser.add_argument(
-        "--retries", type=int, default=1,
+        "--retries", type=non_negative_int, default=1,
         help="supervised-pool retries per case before a crash/hang is "
         "reported as a finding (default 1; --jobs only)",
     )
     parser.add_argument(
-        "--task-timeout", type=float, default=None, metavar="SECONDS",
+        "--task-timeout", type=positive_seconds, default=None,
+        metavar="SECONDS",
         help="wall-clock limit per case; a hung case is killed and "
         "reported as a finding (--jobs only)",
     )

@@ -5,9 +5,9 @@ construction (``Simulator(validate=checker)`` makes ``sim.validator``
 non-None, and each limiter / TCP sender / middlebox ``__init__`` calls
 the matching ``attach_*``).  Attachment wraps *instance-level* bound
 methods — a limiter's decision ``_on_packet`` (which ``receive`` and
-``receive_batch`` call once per arrival), a sender's and a middlebox's
-``receive``, BC-PQP's ``_on_window_sweep`` and the phantom set's
-enqueue/fill/reclaim.  Every wrapper calls the method it shadows and
+``receive_batch`` call once per arrival), a sender's ``receive_ack``, a
+middlebox's ``receive``, BC-PQP's ``_on_window_sweep`` and the phantom
+set's enqueue/fill/reclaim.  Every wrapper calls the method it shadows and
 probes after the call: the decision, ``_process_ack`` and ``_try_send`` a
 validated run executes are the ones an unvalidated run executes.  So:
 
@@ -185,19 +185,19 @@ class InvariantChecker:
         self._simulators.append(sim)
 
     def attach_sender(self, sender: Any) -> None:
-        """Wrap a TCP sender's ACK entry point for per-ACK checking; it
-        calls the original, so ``_process_ack`` / ``_try_send`` run
-        exactly as they do unvalidated."""
+        """Wrap a TCP sender's ACK entry ``receive_ack`` for per-ACK
+        checking; it calls the original, so ``_process_ack`` /
+        ``_try_send`` run exactly as they do unvalidated."""
         self._senders.append(sender)
-        original_receive = sender.receive
+        original_receive_ack = sender.receive_ack
         home = sender._sim.lane
 
-        def wrapped_receive(packet: Any) -> None:
+        def wrapped_receive_ack(*record: Any) -> None:
             self._check_lane(sender._sim, home, f"sender {sender.flow}")
-            original_receive(packet)
+            original_receive_ack(*record)
             self._check_sender(sender)
 
-        sender.receive = wrapped_receive
+        sender.receive_ack = wrapped_receive_ack
 
     def attach_middlebox(self, middlebox: Any) -> None:
         """Wrap dispatch accounting.  Assumes registered limiters receive

@@ -351,3 +351,57 @@ class TestRetrySchedule:
     def test_backoff_respects_ceiling(self):
         policy = RetryPolicy(backoff_base=1.0, backoff_max=2.0, jitter=0.0)
         assert policy.delay(0, 10) == 2.0
+
+
+class TestBadLimits:
+    """A time limit or count that cannot be right fails before any worker
+    starts, in the library and in every CLI that takes it."""
+
+    @pytest.mark.parametrize("timeout", [0, -1, float("nan"), float("inf")])
+    def test_task_timeout_must_be_finite_and_positive(self, timeout,
+                                                      monkeypatch):
+        from repro.runner import pool
+
+        def no_workers(*args, **kwargs):
+            raise AssertionError("a worker context was opened")
+
+        monkeypatch.setattr(pool, "_pool_context", no_workers)
+        with pytest.raises(ValueError, match="task timeout"):
+            run_supervised(_double, [1], jobs=2, task_timeout=timeout)
+
+    @pytest.mark.parametrize("field,value", [
+        ("retries", -2), ("backoff_base", -0.5), ("backoff_factor", float("nan")),
+        ("backoff_max", float("inf")), ("jitter", -0.1),
+    ])
+    def test_retry_policy_rejects_impossible_values(self, field, value):
+        with pytest.raises(ValueError):
+            RetryPolicy(**{field: value})
+
+    @pytest.mark.parametrize("args", [
+        ["--jobs", "-3"], ["--retries", "-2"], ["--task-timeout", "-1"],
+        ["--task-timeout", "0"], ["--task-timeout", "nan"],
+        ["--task-timeout", "inf"],
+    ])
+    def test_clis_exit_2(self, args):
+        from repro.experiments import fleet_scale
+        from repro.experiments.__main__ import _parse_args
+        from repro.validate.__main__ import main as validate_main
+
+        entries = [
+            lambda: validate_main(["--fuzz", "2", "--seed", "1", *args]),
+            lambda: _parse_args(args),
+        ]
+        if args[0] == "--jobs":
+            entries.append(lambda: fleet_scale._cli(["--aggregates", "2",
+                                                     *args]))
+        for entry in entries:
+            with pytest.raises(SystemExit) as exited, \
+                    contextlib.redirect_stderr(io.StringIO()):
+                entry()
+            assert exited.value.code == 2
+
+    def test_zero_jobs_keeps_its_meaning(self):
+        from repro.experiments.__main__ import _parse_args
+
+        assert _parse_args(["--jobs", "0"]).jobs == 0
+        assert _parse_args(["--retries", "0"]).retries == 0

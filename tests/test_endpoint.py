@@ -15,7 +15,7 @@ one NewReno flow under i.i.d. loss is held to the Mathis curve.
 
 import heapq
 import math
-from collections import Counter
+from collections import Counter, namedtuple
 from random import Random
 
 import pytest
@@ -37,6 +37,11 @@ from repro.validate import InvariantChecker, InvariantViolation
 from tests._steps import counting
 
 FLOW = FlowId(0, 0)
+
+#: One ACK record as the receiver sends it (``TcpSender.receive_ack``'s
+#: fields), named so the tests can read its fields.
+Ack = namedtuple(
+    "Ack", "ack_next echo_ts echo_retransmit sack ecn_echo corrupt")
 
 
 class FixedWindow(CongestionControl):
@@ -327,8 +332,8 @@ class TestReceiver:
         acks = []
 
         class _Sink:
-            def receive(self, p):
-                acks.append(p)
+            def receive_ack(self, *record):
+                acks.append(Ack(*record))
 
         return TcpReceiver(sim, _Sink()), acks
 
@@ -444,23 +449,22 @@ class NaiveScoreboard(TcpSender):
     the production sender's: they are not what is being checked.
     """
 
-    def _process_ack(self, packet):
+    def _process_ack(self, ack, echo_ts, echo_retransmit, sack, ecn_echo):
         now = self._sim.now
-        ack = packet.ack_next
         old_una = self.snd_una
-        if (self.ecn and packet.ecn_echo and old_una >= self._ecn_cwr_point
+        if (self.ecn and ecn_echo and old_una >= self._ecn_cwr_point
                 and not self._in_recovery):
             self._ecn_cwr_point = self.snd_nxt
             self.ecn_reductions += 1
             self.cc.on_loss_event(now, self.inflight)
-        newly_sacked = self._apply_sack(packet.sack) if packet.sack else 0
+        newly_sacked = self._apply_sack(sack) if sack else 0
         delivered = newly_sacked
         if ack > old_una:
             self._advance_una(ack)
             newly = self._newly_acked
             rtt = None
-            if not packet.echo_retransmit and packet.echo_ts > 0:
-                rtt = max(now - packet.echo_ts, 1e-9)
+            if not echo_retransmit and echo_ts > 0:
+                rtt = max(now - echo_ts, 1e-9)
                 self._update_rto(rtt)
             delivered += newly
             self._delivered += newly
@@ -618,13 +622,17 @@ class NaiveReceiver(TcpReceiver):
 
 
 class _Collect:
-    """A sink that keeps what it is given."""
+    """A sink that keeps what it is given: packets, or ACK records as
+    :data:`Ack` tuples."""
 
     def __init__(self):
         self.packets = []
 
     def receive(self, packet):
         self.packets.append(packet)
+
+    def receive_ack(self, *record):
+        self.packets.append(Ack(*record))
 
 
 #: Sender state that must agree after every step (``_lost_heap`` is
@@ -718,7 +726,7 @@ class ScoreboardPair:
             seen["block_below_una"] += end <= una
             seen["block_across_una"] += start < una < end
         for sender in self.senders:
-            sender.receive(ack)
+            sender.receive_ack(*ack)
         self.check()
 
     def forge(self, ack_frac, blocks, echo_retransmit):
@@ -744,9 +752,8 @@ class ScoreboardPair:
             self.receiver.receive(Packet.data(FLOW, seq, self.now))
         del self.acks[pending:]
         self.seen["forged"] += 1
-        self.deliver(Packet.ack(
-            FLOW, ack_next, self.now, echo_ts=max(self.now - 0.05, 0.0),
-            echo_retransmit=echo_retransmit, sack=tuple(sack)))
+        self.deliver(Ack(ack_next, max(self.now - 0.05, 0.0), echo_retransmit,
+                         tuple(sack), False, False))
 
     def step(self, op):
         kind, *args = op
@@ -985,7 +992,7 @@ class TestScoreboardAudit:
 
     def test_unvalidated_sender_is_not_wrapped(self):
         sender, _, _ = make_connection(Simulator())
-        assert "receive" not in vars(sender)
+        assert "receive_ack" not in vars(sender)
 
 
 # ----------------------------------------------------------------------

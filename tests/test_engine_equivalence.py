@@ -194,6 +194,61 @@ def test_outcomes_match_legacy_engine_digests(cell, batch):
     assert _outcome_digest(outcome) == LEGACY_DIGESTS[cell]
 
 
+#: sha256 of the outcome of :func:`_impaired_ack_cell`, recorded at the
+#: commit before ACKs became records (when the receiver still built one
+#: ``Packet`` per ACK and the gates acted on it): no ``LEGACY_DIGESTS``
+#: cell corrupts ACKs or duplicates data.
+IMPAIRED_ACK_DIGEST = (
+    "2b7fde6fc5681ee0de307b8c1e527b6203260753ca02efd6de9417a176cb7c18"
+)
+
+
+def _impaired_ack_cell() -> AggregateConfig:
+    return AggregateConfig(
+        scheme="bcpqp",
+        specs=(
+            FlowSpec(slot=0, cc="reno", rtt=ms(20)),
+            FlowSpec(slot=1, cc="cubic", rtt=ms(50)),
+            FlowSpec(slot=2, cc="bbr", rtt=ms(35),
+                     on_off=OnOffSpec(60, 0.05)),
+        ),
+        rate=mbps(4), max_rtt=ms(100), horizon=4.0, warmup=0.5, seed=11,
+        impair=ImpairmentSpec(loss=0.02, ack_loss=0.02, corrupt=0.01,
+                              duplicate=0.02),
+    )
+
+
+def test_impaired_ack_path_outcome_is_pinned(monkeypatch):
+    from repro import wiring
+    from repro.net import impair
+
+    senders, ack_paths, duplicators = [], [], []
+
+    class Sender(wiring.TcpSender):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            senders.append(self)
+
+    class Duplicator(impair.Duplicator):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            duplicators.append(self)
+
+    def build_ack_path(*args, **kwargs):
+        ack_paths.append(impair.build_ack_path(*args, **kwargs))
+        return ack_paths[-1]
+
+    monkeypatch.setattr(wiring, "TcpSender", Sender)
+    monkeypatch.setattr(wiring, "build_ack_path", build_ack_path)
+    monkeypatch.setattr(impair, "Duplicator", Duplicator)
+    outcome = simulate_aggregate(_impaired_ack_cell())
+    # The pin covers every ACK-path gate and data duplication.
+    assert sum(gate.dropped_packets for gate in ack_paths) > 0
+    assert sum(sender.corrupt_acks_dropped for sender in senders) > 0
+    assert sum(dup.duplicated_packets for dup in duplicators) > 0
+    assert _outcome_digest(outcome) == IMPAIRED_ACK_DIGEST
+
+
 def test_new_lane_before_anything_is_scheduled_changes_nothing(monkeypatch):
     # An empty current lane is reused: a builder may open a lane per
     # unit unconditionally and a one-unit run stays the one-heap run.

@@ -1,24 +1,32 @@
-"""The packet path takes one packet per call.
+"""The packet path takes one packet per call, the ACK path one record.
 
 Every limiter decides in ``_on_packet`` and forwards an admitted packet at
 once; ``receive`` accounts an arrival and calls it, and ``receive_batch``
 is that for each packet of a burst.  No sink, pipe, link, gate, recorder,
-trace or demux accepts a list.
+trace or demux accepts a list.  An ACK travels from the receiver to the
+sender as six fields through ``receive_ack``, never as a ``Packet``, and
+the ACK-path gates act on it as they act on an ACK packet.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
 import pkgutil
+from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro
 from repro.cc.endpoint import TcpSender
 from repro.core.pqp import PQP
+from repro.experiments import fig5_efficiency
 from repro.limiters.base import RateLimiter
+from repro.net.impair import Corrupter, LossGate
 from repro.net.packet import FlowId, Packet
 from repro.net.sink import CallbackSink
+from repro.runner.aggregate import build_scenario
 from repro.schemes import make_limiter
 from repro.sim.simulator import Simulator
 
@@ -131,3 +139,104 @@ def test_a_burst_decides_as_its_packets_one_at_a_time(scheme):
     assert len(batched["forwarded"]) == forwarded
     if scheme == "bcpqp":
         assert batched["phantom"][2] > 0  # the window logic magic-filled
+
+
+# ----------------------------------------------------------------------
+# The ACK path: one record of six fields per ACK
+# ----------------------------------------------------------------------
+
+
+def test_a_closed_loop_cell_runs_without_building_an_ack_packet(monkeypatch):
+    def no_ack_packets(*args, **kwargs):
+        raise AssertionError("an ACK Packet was built")
+
+    monkeypatch.setattr(Packet, "ack", no_ack_packets)
+    config = fig5_efficiency.Config()
+    cell = dataclasses.replace(
+        fig5_efficiency.grid(config)[config.schemes.index("bcpqp")],
+        horizon=3.0,
+    )
+    sim = Simulator()
+    limiter, scenario = build_scenario(cell, sim)
+    scenario.run()
+    assert sim.now == cell.horizon
+    # The ACK clock ran: far more than the four initial windows arrived.
+    assert limiter.stats.arrived_packets > 2000
+
+
+class _Records:
+    """ACK-path sink keeping each record it is handed."""
+
+    def __init__(self):
+        self.got = []
+
+    def receive_ack(self, *record):
+        self.got.append(record)
+
+
+class _AckPackets:
+    """Packet sink keeping each ACK packet's record fields."""
+
+    def __init__(self):
+        self.got = []
+
+    def receive(self, p):
+        self.got.append((p.ack_next, p.echo_ts, p.echo_retransmit, p.sack,
+                         p.ecn_echo, p.corrupt))
+
+
+def _ack_path(kind, prob, seed, sink):
+    """The gates ``build_ack_path`` stacks, alone or loss in front of
+    corruption, drawing from one stream."""
+    rng = Random(seed)
+    if kind == "loss":
+        return LossGate(prob, sink, rng), rng
+    if kind == "corrupt":
+        return Corrupter(prob, sink, rng), rng
+    corrupter = Corrupter(prob, sink, rng)
+    return LossGate(prob, corrupter, rng), rng
+
+
+def _counters(gate):
+    counts = [gate.forwarded_packets, gate.dropped_packets, gate.dropped_bytes,
+              getattr(gate, "corrupted_packets", None)]
+    inner = getattr(gate, "_sink", None)
+    if isinstance(inner, Corrupter):
+        counts.append(_counters(inner))
+    return counts
+
+
+_records = st.lists(
+    st.tuples(
+        st.integers(0, 10_000),
+        st.floats(0.0, 100.0, allow_nan=False),
+        st.booleans(),
+        st.lists(st.tuples(st.integers(0, 99), st.integers(100, 200)),
+                 max_size=3).map(tuple),
+        st.booleans(),
+        st.booleans(),
+    ),
+    max_size=60,
+)
+
+
+@pytest.mark.parametrize("kind", ["loss", "corrupt", "loss+corrupt"])
+@settings(max_examples=60)
+@given(prob=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1),
+       records=_records)
+def test_ack_gates_treat_a_record_as_its_packet(kind, prob, seed, records):
+    by_record, by_packet = _Records(), _AckPackets()
+    record_gate, record_rng = _ack_path(kind, prob, seed, by_record)
+    packet_gate, packet_rng = _ack_path(kind, prob, seed, by_packet)
+    flow = FlowId(0, 0)
+    for ack_next, echo_ts, echo_retransmit, sack, ecn_echo, corrupt in records:
+        record_gate.receive_ack(ack_next, echo_ts, echo_retransmit, sack,
+                                ecn_echo, corrupt)
+        packet = Packet.ack(flow, ack_next, 0.0, echo_ts=echo_ts,
+                            echo_retransmit=echo_retransmit, sack=sack,
+                            ecn_echo=ecn_echo)
+        packet.corrupt = corrupt
+        packet_gate.receive(packet)
+    assert by_record.got == by_packet.got
+    assert _counters(record_gate) == _counters(packet_gate)
+    assert record_rng.getstate() == packet_rng.getstate()

@@ -96,6 +96,26 @@ def test_named_span_methods_still_resolve():
     assert missing <= UNRESOLVED, sorted(missing - UNRESOLVED)
 
 
+def test_ack_record_entries_are_timed_in_their_layers():
+    # The ACK path hands records on through receive_ack: public, so the
+    # table's "receive*" rows time it in cc.sender / net.pipe / net.impair.
+    # A private name would bill that work to sim.
+    from repro.cc.endpoint import TcpSender
+    from repro.net.impair import Corrupter, LossGate
+    from repro.net.pipe import Pipe
+
+    spans = _load_spans()
+    recorder = spans.SpanRecorder()
+    try:
+        recorder.install()
+        patched = {(target, name) for target, name, _own, _orig
+                   in recorder._installed}
+    finally:
+        recorder.uninstall()
+    for cls in (TcpSender, Pipe, LossGate, Corrupter):
+        assert (cls, "receive_ack") in patched, cls.__name__
+
+
 def test_sender_batch_entry_the_suite_reads_exists():
     # benchmarks/suite/test_suite.py reads TcpSender.receive_batch.
     from repro.cc.endpoint import TcpSender
