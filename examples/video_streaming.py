@@ -28,7 +28,7 @@ def run(scheme: str) -> None:
     sim = Simulator()
     limiter = make_limiter(sim, scheme, rate=RATE, num_queues=2, max_rtt=RTT)
     demux = FlowDemux()
-    trace = Trace(sim, demux, data_only=True)
+    trace = Trace(sim, demux)
     limiter.connect(trace)
 
     video = VideoSession(

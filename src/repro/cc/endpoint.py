@@ -15,7 +15,7 @@ from bisect import bisect_left, bisect_right
 from typing import Callable
 
 from repro.cc.base import AckSample, CongestionControl
-from repro.net.packet import FlowId, Packet, PacketKind
+from repro.net.packet import FlowId, Packet
 from repro.net.sink import AckSink, PacketSink
 from repro.sim.simulator import Simulator
 from repro.sim.timer import Timer
@@ -35,8 +35,6 @@ _TLP_SRTT_FACTOR = 2.0
 #: its own pacing rate (BBR does).
 _PACING_SS_RATIO = 2.0
 _PACING_CA_RATIO = 1.2
-#: Read per data packet: a module constant costs a third of an Enum lookup.
-_DATA = PacketKind.DATA
 
 
 class TcpSender:
@@ -241,17 +239,12 @@ class TcpSender:
             self._process_ack(ack_next, echo_ts, echo_retransmit, sack,
                               ecn_echo)
 
-    def receive(self, packet: Packet) -> None:
-        """:meth:`receive_ack` for an ACK built as a :class:`Packet`."""
-        self.receive_ack(packet.ack_next, packet.echo_ts,
-                         packet.echo_retransmit, packet.sack, packet.ecn_echo,
-                         packet.corrupt)
-
     # Named by the frozen benchmarks/suite/test_suite.py:147 and called by
     # nothing under src/: the reverse pipe delivers one ACK per event.
-    def receive_batch(self, packets: list[Packet]) -> None:
-        for packet in packets:
-            self.receive(packet)
+    def receive_batch(self, records: list[tuple]) -> None:
+        """:meth:`receive_ack` for each six-field ACK record in turn."""
+        for record in records:
+            self.receive_ack(*record)
 
     def _process_ack(self, ack: int, echo_ts: float, echo_retransmit: bool,
                      sack: tuple[tuple[int, int], ...],
@@ -928,8 +921,6 @@ class TcpReceiver:
 
         The SACK scan is skipped while no out-of-order ranges exist.
         """
-        if packet.kind is not _DATA:
-            return
         if packet.corrupt:
             # Failed checksum: drop without acknowledging.
             self.corrupt_dropped += 1

@@ -91,7 +91,7 @@ def _make_path(scheme: str, config: Config, *, weights=None):
         weights=list(weights) if weights else None,
     )
     demux = FlowDemux()
-    trace = Trace(sim, demux, data_only=True)
+    trace = Trace(sim, demux)
     limiter.connect(trace)
     return sim, limiter, demux, trace
 

@@ -64,7 +64,7 @@ def simulate_scheme_cell(
     limiter = make_limiter(sim, cell.scheme, rate=config.rate, num_queues=2,
                            max_rtt=config.rtt)
     demux = FlowDemux()
-    trace = Trace(sim, demux, data_only=True)
+    trace = Trace(sim, demux)
     limiter.connect(trace)
     video = VideoSession(
         sim, ingress=limiter, demux=demux, slot=0,

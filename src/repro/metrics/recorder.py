@@ -14,7 +14,7 @@ Binning is bit-identical to logging every packet in a
 :mod:`repro.metrics.throughput` over it afterwards: the same
 :func:`~repro.metrics.throughput.bin_layout`, the same in-range test
 ``warmup <= t < horizon``, the same last-bin clamp, the same
-corrupt/ACK exclusion — and packet sizes are integers, so the sums are
+corrupt-packet exclusion — and packet sizes are integers, so the sums are
 exact in any order.  ``tests/test_metrics.py`` holds the two equal,
 float for float.
 """
@@ -25,13 +25,12 @@ from array import array
 
 from repro.metrics.series import TimeSeries
 from repro.metrics.throughput import bin_layout, rate_series
-from repro.net.packet import Packet, PacketKind
+from repro.net.packet import Packet
 from repro.net.sink import PacketSink
 from repro.sim.simulator import Simulator
 
 __all__ = ["Recorder"]
 
-_DATA = PacketKind.DATA
 _INF = float("inf")
 
 
@@ -118,7 +117,7 @@ class Recorder:
     def receive(self, packet: Packet) -> None:
         # A failed checksum consumed capacity upstream but is dropped by
         # the receiver: never goodput.
-        if packet.kind is _DATA and not packet.corrupt:
+        if not packet.corrupt:
             now = self._sim._now
             if not self._from <= now < self._until:
                 self._rebase(now)

@@ -1,6 +1,6 @@
 """Network substrate: packets, links, pipes, traces and topology wiring."""
 
-from repro.net.packet import FlowId, Packet, PacketKind
+from repro.net.packet import FlowId, Packet
 from repro.net.link import Link
 from repro.net.pipe import Pipe
 from repro.net.sink import CallbackSink, NullSink, PacketSink, TeeSink
@@ -12,7 +12,6 @@ __all__ = [
     "Link",
     "NullSink",
     "Packet",
-    "PacketKind",
     "PacketRecord",
     "PacketSink",
     "Pipe",

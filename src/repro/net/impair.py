@@ -11,9 +11,9 @@ FIFO; these composable, ``Pipe``-compatible wrappers put loss recovery
   some probability (never the same object twice: ``ce`` and ``corrupt``
   are set in flight, and a mark on one copy must not appear on the
   other).
-* :class:`Corrupter` — marks packets ``corrupt``; a corrupted DATA
-  packet is dropped by the receiver (no ACK), a corrupted ACK by the
-  sender.
+* :class:`Corrupter` — marks packets ``corrupt``; a corrupted data
+  packet is dropped by the receiver (no ACK), a corrupted ACK record by
+  the sender.
 * :class:`JitterPipe` — a delay element whose per-packet delay is drawn
   at arrival (uniform jitter plus an exponential extra-delay tail for
   reordering); each packet is its own simulator event.
@@ -115,8 +115,16 @@ class ImpairmentSpec:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be a probability, got {value!r}")
-        if self.jitter < 0.0 or self.reorder_extra < 0.0:
-            raise ValueError("jitter and reorder_extra must be non-negative")
+        # ``nan < 0.0`` is false: test for the legal range, not against it.
+        lengths = {"jitter": self.jitter, "reorder_extra": self.reorder_extra,
+                   "trace_delay": self.trace_delay}
+        if self.trace_buffer is not None:
+            lengths["trace_buffer"] = self.trace_buffer
+        for name, value in lengths.items():
+            if not 0.0 <= value < math.inf:
+                raise ValueError(
+                    f"{name} must be finite and non-negative, got {value!r}"
+                )
         if self.reorder > 0.0 and self.reorder_extra <= 0.0:
             raise ValueError("reorder needs a positive reorder_extra")
         if self.ge is not None:
@@ -130,16 +138,7 @@ class ImpairmentSpec:
                         f"ge {name} must be a probability, got {value!r}"
                     )
         if self.trace_rates is not None:
-            if not self.trace_rates:
-                raise ValueError("trace_rates must have at least one segment")
-            for duration, rate in self.trace_rates:
-                if duration <= 0.0 or rate <= 0.0:
-                    raise ValueError(
-                        "trace segments need positive duration and rate, "
-                        f"got ({duration!r}, {rate!r})"
-                    )
-        if self.trace_delay < 0.0:
-            raise ValueError("trace_delay must be non-negative")
+            CapacityTrace.check_segments(self.trace_rates)
 
     @property
     def data_path_enabled(self) -> bool:
@@ -176,7 +175,7 @@ class ImpairmentSpec:
 
 
 def _clone(packet: Packet) -> Packet:
-    """A fresh data packet (own uid) carrying the same wire-visible content.
+    """A second packet object carrying the same content (``==`` the original).
 
     The twin must be a second object because ``ce`` and ``corrupt`` are
     set in flight: a :class:`Corrupter` or an AQM downstream marking one
@@ -454,18 +453,25 @@ class CapacityTrace:
     __slots__ = ("segments", "cycle", "mean_rate")
 
     def __init__(self, segments) -> None:
+        segs = self.check_segments(segments)
+        self.segments = segs
+        self.cycle = sum(d for d, _ in segs)
+        self.mean_rate = sum(d * r for d, r in segs) / self.cycle
+
+    @staticmethod
+    def check_segments(segments) -> tuple[tuple[float, float], ...]:
+        """``segments`` as float pairs, each duration and rate finite and
+        positive; :class:`ValueError` otherwise."""
         segs = tuple((float(d), float(r)) for d, r in segments)
         if not segs:
             raise ValueError("capacity trace needs at least one segment")
         for duration, rate in segs:
-            if duration <= 0.0 or rate <= 0.0:
+            if not (0.0 < duration < math.inf and 0.0 < rate < math.inf):
                 raise ValueError(
-                    "trace segments need positive duration and rate, "
-                    f"got ({duration!r}, {rate!r})"
+                    "trace segments need finite, positive duration and "
+                    f"rate, got ({duration!r}, {rate!r})"
                 )
-        self.segments = segs
-        self.cycle = sum(d for d, _ in segs)
-        self.mean_rate = sum(d * r for d, r in segs) / self.cycle
+        return segs
 
     @classmethod
     def from_file(cls, path: str) -> "CapacityTrace":

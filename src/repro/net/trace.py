@@ -22,12 +22,11 @@ from repro.sim.simulator import Simulator
 
 @dataclass(frozen=True, slots=True)
 class PacketRecord:
-    """One observed packet: arrival time, flow, size and data/ack flag."""
+    """One observed packet: arrival time, flow, size and sequence number."""
 
     time: float
     flow: FlowId
     size: int
-    is_data: bool
     seq: int
 
 
@@ -65,18 +64,13 @@ class TraceRecords:
             time=t.times[i],
             flow=t.flow_ids[i],
             size=t.sizes[i],
-            is_data=t.data_flags[i],
             seq=t.seqs[i],
         )
 
     def __iter__(self) -> Iterator[PacketRecord]:
         t = self._trace
-        for time, flow, size, is_data, seq in zip(
-            t.times, t.flow_ids, t.sizes, t.data_flags, t.seqs
-        ):
-            yield PacketRecord(
-                time=time, flow=flow, size=size, is_data=is_data, seq=seq
-            )
+        for time, flow, size, seq in zip(t.times, t.flow_ids, t.sizes, t.seqs):
+            yield PacketRecord(time=time, flow=flow, size=size, seq=seq)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"TraceRecords({len(self)} records of {self._trace.name!r})"
@@ -87,8 +81,8 @@ class Trace:
 
     The recorded columns are the raw material for windowed throughput
     series, fairness indices and burst measurements (see
-    :mod:`repro.metrics`).  Pass ``data_only=True`` to ignore ACKs (the
-    usual case for throughput measured at the receiver).
+    :mod:`repro.metrics`).  Every packet is forwarded; a corrupted one
+    (failed checksum) is not recorded, so the columns hold goodput.
     """
 
     def __init__(
@@ -96,35 +90,30 @@ class Trace:
         sim: Simulator,
         sink: PacketSink | None = None,
         *,
-        data_only: bool = True,
         name: str = "trace",
     ) -> None:
         self._sim = sim
         self._sink = sink
-        self._data_only = data_only
         self.name = name
         self.times: list[float] = []
         self.flow_ids: list[FlowId] = []
         self.sizes: list[int] = []
-        self.data_flags: list[bool] = []
         self.seqs: list[int] = []
         self._total_bytes = 0
         # Pre-bound appends keep receive() to plain calls on the hot path.
         self._append_time = self.times.append
         self._append_flow = self.flow_ids.append
         self._append_size = self.sizes.append
-        self._append_data = self.data_flags.append
         self._append_seq = self.seqs.append
 
     def receive(self, packet: Packet) -> None:
         # Corrupted packets consume capacity upstream but fail their
         # checksum at the endpoint, so they never count toward goodput.
-        if (packet.is_data or not self._data_only) and not packet.corrupt:
+        if not packet.corrupt:
             size = packet.size
             self._append_time(self._sim.now)
             self._append_flow(packet.flow)
             self._append_size(size)
-            self._append_data(packet.is_data)
             self._append_seq(packet.seq)
             self._total_bytes += size
         if self._sink is not None:

@@ -88,9 +88,6 @@ class FuzzCase:
     weights: tuple[float, ...] | None
     priorities: tuple[int, ...] | None
     baseline: str
-    #: Selects nothing (every delivery is one event); kept, with its
-    #: draw, so later draws and corpus JSON stay as recorded.
-    batch: int | None = None
     #: Fleet shard count for the shard-invariance tier: a small
     #: generatively-seeded fleet is run unsharded and partitioned into
     #: ``shards`` shards, and the merged metrics must be byte-identical
@@ -277,10 +274,11 @@ def generate_case(
     if policy_kind == "prioritized":
         # Mostly priority 0 so lower classes aren't always fully starved.
         priorities = tuple(rng.choice((0, 0, 1)) for _ in range(n))
-    # Consumes the draws the corpus was recorded with (see FuzzCase.batch).
-    batch = rng.choice((1, 2, rng.randint(2, 32), None))
-    # Shard-count draw (after batch, so earlier draws keep matching the
-    # pre-fleet corpus).  Small counts: the tier's job is
+    # A retired batch-limit draw, still consumed so every later draw
+    # keeps the value the corpus was recorded with.
+    rng.choice((1, 2, rng.randint(2, 32), None))
+    # Shard-count draw (after that one, so earlier draws keep matching
+    # the pre-fleet corpus).  Small counts: the tier's job is
     # partition boundaries, not population size — uneven splits (3, 5)
     # exercise the remainder-distribution path of ``shard_bounds``.
     shards = rng.choice((1, 2, 3, 5))
@@ -316,7 +314,6 @@ def generate_case(
         weights=weights,
         priorities=priorities,
         baseline=BASELINES[index % len(BASELINES)],
-        batch=batch,
         shards=shards,
         impair=impairment,
         churn=churn_plan,

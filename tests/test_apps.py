@@ -17,7 +17,7 @@ def make_path(sim, *, rate=mbps(10), scheme="bcpqp", num_queues=1):
     limiter = make_limiter(sim, scheme, rate=rate, num_queues=num_queues,
                            max_rtt=ms(50))
     demux = FlowDemux()
-    trace = Trace(sim, demux, data_only=True)
+    trace = Trace(sim, demux)
     limiter.connect(trace)
     return limiter, demux, trace
 

@@ -97,9 +97,7 @@ class TestEcnSender:
         sender.snd_nxt = 20  # pretend a window is in flight
         before = sender.cc.cwnd
         for i in range(5):
-            sender.receive(Packet.ack(
-                FlowId(0, 0), 0, sim.now, echo_ts=0.0,
-                echo_retransmit=True, ecn_echo=True))
+            sender.receive_ack(0, 0.0, True, (), True, False)
         assert sender.ecn_reductions == 1
         assert sender.cc.cwnd == pytest.approx(before / 2, rel=0.01)
 
@@ -112,9 +110,7 @@ class TestEcnSender:
                            NullSink(), ecn=False, initial_rtt=0.05)
         sim.run(until=0.01)
         sender.snd_nxt = 20
-        sender.receive(Packet.ack(
-            FlowId(0, 0), 0, sim.now, echo_ts=0.0,
-            echo_retransmit=True, ecn_echo=True))
+        sender.receive_ack(0, 0.0, True, (), True, False)
         assert sender.ecn_reductions == 0
 
 

@@ -305,8 +305,7 @@ class TestPacing:
         sim.run(until=0.05)
         assert len(sent) == 1 and sender._pacing_armed  # wake at t=0.1
         # The whole flow acknowledged while the pacer holds the rest back.
-        sender.receive(Packet.ack(FLOW, ack_next=5, sent_at=0.05, echo_ts=0.0,
-                                  echo_retransmit=False))
+        sender.receive_ack(5, 0.0, False, (), False, False)
         assert sender.done
         pushes = sim.heap_pushes
         sim.run()
@@ -987,8 +986,7 @@ class TestScoreboardAudit:
         sender = self.recovering_sender()
         self.CORRUPTIONS[complaint](sender)
         with pytest.raises(InvariantViolation, match=complaint):
-            sender.receive(Packet.ack(FLOW, sender.snd_una, 0.5, echo_ts=0.0,
-                                      echo_retransmit=False))
+            sender.receive_ack(sender.snd_una, 0.0, False, (), False, False)
 
     def test_unvalidated_sender_is_not_wrapped(self):
         sender, _, _ = make_connection(Simulator())

@@ -258,8 +258,11 @@ class TestRecorderByteIdentity:
         recorder.receive(Packet.data(flow, 0, sim.now))
         sim._now = 0.3  # in window
         recorder.receive(Packet.data(flow, 1, sim.now))
-        recorder.receive(Packet.ack(flow, 2, sim.now, echo_ts=0.0,
-                                    echo_retransmit=False))
+        corrupted = Packet.data(flow, 2, sim.now)
+        corrupted.corrupt = True  # a failed checksum is not goodput
+        recorder.receive(corrupted)
+        sim._now = 0.7  # at the horizon
+        recorder.receive(Packet.data(flow, 3, sim.now))
         assert list(recorder.goodput_bytes()) == [MSS]
 
     def test_impaired_goodput_is_what_the_receivers_accepted(

@@ -124,11 +124,15 @@ class TestTrace:
         assert trace.total_bytes == 2000
         assert {r.seq for r in trace} == {0, 1}
 
-    def test_data_only_skips_acks(self):
+    def test_skips_corrupt_packets(self):
         sim = Simulator()
-        trace = Trace(sim, data_only=True)
-        trace.receive(Packet.ack(FLOW, 1, 0.0, echo_ts=0.0, echo_retransmit=False))
-        assert len(trace) == 0
+        sink = NullSink()
+        trace = Trace(sim, sink)
+        packet = make_packet()
+        packet.corrupt = True
+        trace.receive(packet)
+        assert len(trace) == 0 and trace.total_bytes == 0
+        assert sink.count == 1
 
     def test_forwards_downstream(self):
         sim = Simulator()

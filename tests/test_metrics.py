@@ -154,7 +154,7 @@ class TestTimeSeries:
 
 def rec(t, slot=0, size=1500, incarnation=0):
     return PacketRecord(time=t, flow=FlowId(0, slot, incarnation),
-                        size=size, is_data=True, seq=0)
+                        size=size, seq=0)
 
 
 class TestThroughputExtraction:
@@ -242,7 +242,6 @@ class TestBinBoundaryClamp:
         trace.times.append(self.T)
         trace.flow_ids.append(FlowId(0, 0))
         trace.sizes.append(1500)
-        trace.data_flags.append(True)
         trace.seqs.append(0)
         agg = aggregate_throughput_series(
             trace, window=self.WINDOW, start=0.0, end=self.END)
@@ -369,7 +368,7 @@ def _interval_and_stream(draw):
         st.integers(min_value=0, max_value=3),       # slot
         st.integers(min_value=0, max_value=5),       # seq: duplicates happen
         st.integers(min_value=1, max_value=9000),    # size
-        st.sampled_from(["data", "data", "data", "ack", "corrupt"]))
+        st.sampled_from([False, False, False, True]))  # corrupt
     # One list per instant: what a limiter forwards at one instant.
     stream = draw(st.lists(
         st.tuples(instant, st.lists(packet, min_size=1, max_size=4)),
@@ -393,17 +392,9 @@ class TestOnlineEqualsPostHoc:
         trace = Trace(sim, recorder)
         for t, batch in stream:
             sim._now = t
-            packets = []
-            for slot, seq, size, kind in batch:
-                flow = FlowId(7, slot)
-                if kind == "ack":
-                    packets.append(Packet.ack(
-                        flow, seq, t, echo_ts=t, echo_retransmit=False))
-                else:
-                    packet = Packet.data(flow, seq, t, size=size)
-                    packet.corrupt = kind == "corrupt"
-                    packets.append(packet)
-            for packet in packets:
+            for slot, seq, size, corrupt in batch:
+                packet = Packet.data(FlowId(7, slot), seq, t, size=size)
+                packet.corrupt = corrupt
                 trace.receive(packet)
         interval = dict(window=window, start=warmup, end=horizon)
         assert recorder.aggregate_series() == aggregate_throughput_series(

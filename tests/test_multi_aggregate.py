@@ -26,7 +26,7 @@ def build_and_run(horizon=12.0):
     for agg, rate in PLANS.items():
         limiter = make_limiter(sim, "bcpqp", rate=rate, num_queues=2,
                                max_rtt=ms(50), name=f"bcpqp-{agg}")
-        trace = Trace(sim, demux, data_only=True, name=f"rx-{agg}")
+        trace = Trace(sim, demux, name=f"rx-{agg}")
         limiter.connect(trace)
         box.add_aggregate(agg, limiter)
         traces[agg] = trace

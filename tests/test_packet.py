@@ -2,43 +2,20 @@
 
 from hypothesis import given, strategies as st
 
-from repro.net.packet import FlowId, Packet, PacketKind
+from repro.net.packet import FlowId, Packet
 from repro.net.sink import CallbackSink, TeeSink
 from repro.runner.aggregate import AggregateConfig, build_scenario
 from repro.sim.simulator import Simulator
-from repro.units import ACK_SIZE, MSS, mbps
+from repro.units import MSS, mbps
 from repro.workload.spec import FlowSpec
 
 
 def test_data_packet_defaults():
     flow = FlowId(1, 2)
     pkt = Packet.data(flow, seq=5, sent_at=1.0)
-    assert pkt.is_data and not pkt.is_ack
     assert pkt.size == MSS
     assert pkt.seq == 5
     assert pkt.retransmit is False
-
-
-def test_ack_packet():
-    flow = FlowId(1, 2)
-    ack = Packet.ack(flow, ack_next=7, sent_at=2.0, echo_ts=1.5, echo_retransmit=False)
-    assert ack.is_ack and not ack.is_data
-    assert ack.size == ACK_SIZE
-    assert ack.ack_next == 7
-    assert ack.echo_ts == 1.5
-
-
-def test_ack_carries_sack_blocks():
-    flow = FlowId(0, 0)
-    ack = Packet.ack(flow, 3, 1.0, echo_ts=0.9, echo_retransmit=False,
-                     sack=((5, 8), (10, 11)))
-    assert ack.sack == ((5, 8), (10, 11))
-
-
-def test_packet_uids_unique():
-    flow = FlowId(0, 0)
-    uids = {Packet.data(flow, i, 0.0).uid for i in range(100)}
-    assert len(uids) == 100
 
 
 def test_flow_id_identity_and_hash():
@@ -49,11 +26,6 @@ def test_flow_id_identity_and_hash():
 
 def test_flow_id_str():
     assert str(FlowId(3, 1, 2)) == "agg3.s1.i2"
-
-
-def test_kind_enum():
-    assert PacketKind.DATA.value == "data"
-    assert PacketKind.ACK.value == "ack"
 
 
 class TestPacketIsAValue:
@@ -68,31 +40,29 @@ class TestPacketIsAValue:
         del marked
         for fresh in (
             Packet.data(flow, 2, 1.0, ecn_capable=True),
-            Packet.ack(flow, 3, 1.0, echo_ts=0.5, echo_retransmit=False),
+            Packet.data(flow, 1, 0.0, ecn_capable=True),
         ):
             assert fresh.ce is False and fresh.corrupt is False
 
-    def test_repr_and_eq_cover_the_wire_fields_and_uid_only(self):
+    def test_repr_and_eq_cover_the_wire_fields_only(self):
         flow = FlowId(1, 2)
-        ack = Packet.ack(flow, 7, 2.0, echo_ts=1.5, echo_retransmit=True,
-                         sack=((9, 11),), ecn_echo=True)
-        assert repr(ack) == (
+        packet = Packet.data(flow, 7, 2.0, size=500, retransmit=True,
+                             ecn_capable=True)
+        assert repr(packet) == (
             "Packet(flow=FlowId(aggregate=1, slot=2, incarnation=0), "
-            "kind=<PacketKind.ACK: 'ack'>, seq=0, size=40, sent_at=2.0, "
-            "ack_next=7, echo_ts=1.5, echo_retransmit=True, "
-            "retransmit=False, ecn_capable=False, ce=False, ecn_echo=True, "
-            f"sack=((9, 11),), uid={ack.uid})"
+            "seq=7, size=500, sent_at=2.0, retransmit=True, "
+            "ecn_capable=True, ce=False)"
         )
-        twin = Packet.ack(flow, 7, 2.0, echo_ts=1.5, echo_retransmit=True,
-                          sack=((9, 11),), ecn_echo=True)
-        assert twin != ack  # own uid
-        twin.uid = ack.uid
-        assert twin == ack
+        twin = Packet.data(flow, 7, 2.0, size=500, retransmit=True,
+                           ecn_capable=True)
+        assert twin is not packet and twin == packet
         twin.corrupt = True  # a checksum verdict, not content
-        assert twin == ack
+        assert twin == packet
         twin.ce = True
-        assert twin != ack
-        assert ack != "not a packet"
+        assert twin != packet
+        assert packet != Packet.data(flow, 8, 2.0, size=500, retransmit=True,
+                                     ecn_capable=True)
+        assert packet != "not a packet"
 
     def test_class_holds_no_mutable_state(self):
         shared = {
@@ -110,15 +80,15 @@ class TestPacketIsAValue:
         packet still held is its own object with the values it was built
         with."""
         flow = FlowId(0, 0)
-        kept: list[tuple[Packet, int, int]] = []
+        kept: list[tuple[Packet, int]] = []
         for i, keep in enumerate(keep_script):
-            ack = Packet.ack(flow, i, float(i), echo_ts=0.0,
-                             echo_retransmit=False)
+            packet = Packet.data(flow, i, float(i), retransmit=i % 2 == 1)
             if keep:
-                kept.append((ack, i, ack.uid))
-        assert len({id(ack) for ack, _, _ in kept}) == len(kept)
-        for ack, i, uid in kept:
-            assert (ack.ack_next, ack.sent_at, ack.uid) == (i, float(i), uid)
+                kept.append((packet, i))
+        assert len({id(packet) for packet, _ in kept}) == len(kept)
+        for packet, i in kept:
+            assert (packet.seq, packet.sent_at, packet.retransmit) == (
+                i, float(i), i % 2 == 1)
 
     def test_packets_kept_by_a_sink_keep_their_values(self):
         """A sink may hold every packet it sees past delivery: at the
@@ -143,6 +113,5 @@ class TestPacketIsAValue:
         assert len(kept) > 1000 and any(snap[3] for _, snap in kept)
         assert len({id(packet) for packet, _ in kept}) == len(kept)
         for packet, snap in kept:
-            assert packet.is_data
             assert (packet.flow, packet.seq, packet.sent_at,
                     packet.retransmit) == snap

@@ -4,13 +4,13 @@ Every limiter decides in ``_on_packet`` and forwards an admitted packet at
 once; ``receive`` accounts an arrival and calls it, and ``receive_batch``
 is that for each packet of a burst.  No sink, pipe, link, gate, recorder,
 trace or demux accepts a list.  An ACK travels from the receiver to the
-sender as six fields through ``receive_ack``, never as a ``Packet``, and
-the ACK-path gates act on it as they act on an ACK packet.
+sender as six fields through ``receive_ack``; a ``Packet`` is always a
+data segment, and the ACK-path gates act on a record as they act on a
+packet of ``ACK_SIZE`` bytes.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import importlib
 import pkgutil
 from random import Random
@@ -18,17 +18,16 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import repro
+import repro.net
 from repro.cc.endpoint import TcpSender
 from repro.core.pqp import PQP
-from repro.experiments import fig5_efficiency
 from repro.limiters.base import RateLimiter
 from repro.net.impair import Corrupter, LossGate
 from repro.net.packet import FlowId, Packet
 from repro.net.sink import CallbackSink
-from repro.runner.aggregate import build_scenario
 from repro.schemes import make_limiter
 from repro.sim.simulator import Simulator
+from repro.units import ACK_SIZE
 
 
 def _classes():
@@ -146,22 +145,19 @@ def test_a_burst_decides_as_its_packets_one_at_a_time(scheme):
 # ----------------------------------------------------------------------
 
 
-def test_a_closed_loop_cell_runs_without_building_an_ack_packet(monkeypatch):
-    def no_ack_packets(*args, **kwargs):
-        raise AssertionError("an ACK Packet was built")
-
-    monkeypatch.setattr(Packet, "ack", no_ack_packets)
-    config = fig5_efficiency.Config()
-    cell = dataclasses.replace(
-        fig5_efficiency.grid(config)[config.schemes.index("bcpqp")],
-        horizon=3.0,
+def test_a_packet_is_a_data_segment():
+    """Eight data fields and no ACK variant: ACKs travel as records."""
+    assert Packet.__slots__ == (
+        "flow", "seq", "size", "sent_at", "retransmit", "ecn_capable", "ce",
+        "corrupt",
     )
-    sim = Simulator()
-    limiter, scenario = build_scenario(cell, sim)
-    scenario.run()
-    assert sim.now == cell.horizon
-    # The ACK clock ran: far more than the four initial windows arrived.
-    assert limiter.stats.arrived_packets > 2000
+    for name in ("ack", "kind", "uid"):
+        assert not hasattr(Packet, name)
+    assert not hasattr(repro.net, "PacketKind")
+    assert "PacketKind" not in repro.net.__all__
+    assert not hasattr(TcpSender, "receive")
+    for name in ("receive_ack", "_process_ack", "receive_batch"):
+        assert hasattr(TcpSender, name)
 
 
 class _Records:
@@ -174,15 +170,14 @@ class _Records:
         self.got.append(record)
 
 
-class _AckPackets:
-    """Packet sink keeping each ACK packet's record fields."""
+class _Positions:
+    """Packet sink keeping each packet's position (its seq) and mark."""
 
     def __init__(self):
         self.got = []
 
     def receive(self, p):
-        self.got.append((p.ack_next, p.echo_ts, p.echo_retransmit, p.sack,
-                         p.ecn_echo, p.corrupt))
+        self.got.append((p.seq, p.corrupt))
 
 
 def _ack_path(kind, prob, seed, sink):
@@ -225,18 +220,21 @@ _records = st.lists(
 @given(prob=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1),
        records=_records)
 def test_ack_gates_treat_a_record_as_its_packet(kind, prob, seed, records):
-    by_record, by_packet = _Records(), _AckPackets()
+    """The same gate stack, fed records on one side and ``ACK_SIZE`` data
+    packets on the other, forwards the same positions with the same
+    ``corrupt`` marks, counts the same and draws the same."""
+    by_record, by_packet = _Records(), _Positions()
     record_gate, record_rng = _ack_path(kind, prob, seed, by_record)
     packet_gate, packet_rng = _ack_path(kind, prob, seed, by_packet)
     flow = FlowId(0, 0)
-    for ack_next, echo_ts, echo_retransmit, sack, ecn_echo, corrupt in records:
-        record_gate.receive_ack(ack_next, echo_ts, echo_retransmit, sack,
-                                ecn_echo, corrupt)
-        packet = Packet.ack(flow, ack_next, 0.0, echo_ts=echo_ts,
-                            echo_retransmit=echo_retransmit, sack=sack,
-                            ecn_echo=ecn_echo)
-        packet.corrupt = corrupt
+    for i, record in enumerate(records):
+        record_gate.receive_ack(*record)
+        packet = Packet.data(flow, i, 0.0, size=ACK_SIZE)
+        packet.corrupt = record[5]
         packet_gate.receive(packet)
-    assert by_record.got == by_packet.got
+    assert [r[:5] for r in by_record.got] == [
+        records[i][:5] for i, _ in by_packet.got
+    ]
+    assert [r[5] for r in by_record.got] == [c for _, c in by_packet.got]
     assert _counters(record_gate) == _counters(packet_gate)
     assert record_rng.getstate() == packet_rng.getstate()

@@ -506,17 +506,18 @@ PRE_PR_EVENTLOOP = {
 
 #: What the counters above are proxies for: ``line`` events under
 #: ``src/repro/`` per arrived packet over the cell's whole
-#: ``scenario.run()``.  An ACK carried as a six-field record and pacing
-#: priced only when a send reaches it read 390.7 / 366.1 / 379.0 / 327.3
-#: (limits ~1% above); an ACK built as a ``Packet`` and the pacing rate
-#: priced on every ``_try_send`` entry read 405.9 / 380.0 / 400.0 /
-#: 342.2, entering the limiter as a one-element batch, counting every
+#: ``scenario.run()``.  A ``Packet`` that is only a data segment (eight
+#: slots, no kind test at the receiver or recorder, no uid) reads 380.0 /
+#: 355.4 / 368.1 / 316.6 (limits ~1% above); one that still carried the
+#: ACK variant and a uid 390.7 / 366.1 / 379.0 / 327.3; an ACK built as
+#: a ``Packet`` and the pacing rate priced on every ``_try_send`` entry
+#: 405.9 / 380.0 / 400.0 / 342.2, entering the limiter as a one-element batch, counting every
 #: event and pacing on a ``Timer`` 445.5 / 414.7 / 430.8 / 381.4,
 #: collecting the admitted packets and forwarding them in one batch call
 #: 465.4 / 433.2 / 431.6 / 400.2, appending every delivered packet to a
 #: ``Trace`` 471.6 / 439.2 / 434.3 / 405.9, and a private FIFO and a
 #: batching drain per pipe 524.0 / 487.9 / 497.9 / 449.5 (EXPERIMENTS.md).
-LINES_PER_PACKET_LIMIT = {"bcpqp": 395, "pqp": 370, "shaper": 383, "policer": 331}
+LINES_PER_PACKET_LIMIT = {"bcpqp": 384, "pqp": 359, "shaper": 372, "policer": 320}
 
 #: Lines under ``src/repro/sim/`` per fired event of a self-rearming
 #: chain (``_chain_lines``): 10.0 and 28.0 today, limits ~1% above.

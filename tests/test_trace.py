@@ -8,13 +8,14 @@ from repro.sim.simulator import Simulator
 
 
 def _fill(trace, sim, n=5):
-    """Send n data packets (and one ACK) through the trace."""
+    """Send n data packets (and one corrupted one) through the trace."""
     for i in range(n):
         sim._now = 0.1 * i
         trace.receive(Packet.data(FlowId(0, i % 2), seq=i, sent_at=sim.now))
     sim._now = 0.1 * n
-    trace.receive(Packet.ack(FlowId(0, 0), ack_next=n, sent_at=sim.now,
-                             echo_ts=0.0, echo_retransmit=False))
+    corrupted = Packet.data(FlowId(0, 0), seq=n, sent_at=sim.now)
+    corrupted.corrupt = True
+    trace.receive(corrupted)
 
 
 class TestColumns:
@@ -22,16 +23,9 @@ class TestColumns:
         sim = Simulator()
         trace = Trace(sim)
         _fill(trace, sim)
-        assert len(trace) == 5  # data_only drops the ACK
+        assert len(trace) == 5  # the corrupted packet is not goodput
         assert len(trace.times) == len(trace.flow_ids) == len(trace.sizes) \
-            == len(trace.data_flags) == len(trace.seqs) == 5
-
-    def test_data_only_false_keeps_acks(self):
-        sim = Simulator()
-        trace = Trace(sim, data_only=False)
-        _fill(trace, sim)
-        assert len(trace) == 6
-        assert trace.data_flags[-1] is False
+            == len(trace.seqs) == 5
 
     def test_total_bytes_is_a_running_counter(self):
         sim = Simulator()
@@ -54,7 +48,7 @@ class TestColumns:
 
         trace = Trace(sim, Sink())
         _fill(trace, sim)
-        assert len(seen) == 6  # ACKs are forwarded even when not recorded
+        assert len(seen) == 6  # forwarded even when not recorded
 
     def test_flows(self):
         sim = Simulator()
@@ -92,7 +86,6 @@ class TestRecordsView:
                 time=trace.times[i],
                 flow=trace.flow_ids[i],
                 size=trace.sizes[i],
-                is_data=trace.data_flags[i],
                 seq=trace.seqs[i],
             )
 

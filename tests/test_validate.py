@@ -128,9 +128,7 @@ class TestViolationDetection:
                            ingress=NullSink(), demux=FlowDemux(),
                            packets=None, start=0.0)
         sim.new_lane()
-        ack = Packet.ack(FlowId(0, 0), ack_next=1, sent_at=0.0, echo_ts=0.0,
-                         echo_retransmit=False)
-        sim.schedule(0.05, sender.receive, ack)
+        sim.schedule(0.05, sender.receive_ack, 1, 0.0, False, (), False, False)
         with pytest.raises(InvariantViolation,
                            match="from event lane 1 but built in lane 0"):
             sim.run(until=1.0)

@@ -29,29 +29,29 @@ SMOKE_SEED = 1
 #: Simulations every case runs before the fleet tier.
 ENGINE_SIMS = 5
 #: ``generate_case(1, 0).to_json()`` as recorded while the fuzzer still
-#: ran a third (quantum) engine.  A case names no engines, so a corpus
-#: line from then parses and runs unchanged.
+#: ran a third (quantum) engine, less the retired ``batch`` key.  A case
+#: names no engines, so a corpus line from then parses and runs unchanged.
 RECORDED_CASE = (
     '{"index":0,"seed":980261747,"ccs":["vegas","vegas"],'
     '"rtts":[0.0902608203447093,0.05361506278963951],'
     '"starts":[0.07985857570806963,0.0014907475329350994],'
     '"rate":1493802.2059638107,"horizon":1.4184371282273929,'
     '"warmup":0.25,"policy_kind":"prioritized","weights":[2.0,1.0],'
-    '"priorities":[1,0],"baseline":"shaper","batch":1,"shards":3,'
+    '"priorities":[1,0],"baseline":"shaper","shards":3,'
     '"impair":null,"churn":null}'
 )
 
 
 #: ``generate_case(1, 3, impair=True, churn=True).to_json()``, recorded
-#: before ``from_json`` checked its input: nested impairment and churn
-#: objects included.
+#: before ``from_json`` checked its input (nested impairment and churn
+#: objects included), less the retired ``batch`` key.
 RECORDED_IMPAIRED_CHURNED_CASE = (
     '{"index":3,"seed":685944686,"ccs":["reno","newreno"],'
     '"rtts":[0.012306845229464146,0.07470861777956057],'
     '"starts":[0.1428185736878211,0.18731047839189965],'
     '"rate":1089669.1980856701,"horizon":1.315574797354094,'
     '"warmup":0.25,"policy_kind":"prioritized","weights":[2.0,3.0],'
-    '"priorities":[0,0],"baseline":"fairpolicer","batch":1,"shards":1,'
+    '"priorities":[0,0],"baseline":"fairpolicer","shards":1,'
     '"impair":{"loss":0.0,"ge":null,"ack_loss":0.0,'
     '"jitter":0.006916489452724665,"reorder":0.07109724315755657,'
     '"reorder_extra":0.006090632294981098,"duplicate":0.0,"corrupt":0.0,'
@@ -119,6 +119,13 @@ class TestFuzzSmoke:
         ('{"bogus":1}', "'bogus'"),
         ("[1,2]", "expected a JSON object"),
         ("null", "expected a JSON object"),
+        # A line recorded while cases still carried a batch limit.
+        pytest.param(RECORDED_CASE.replace('"shards"', '"batch":1,"shards"'),
+                     "'batch'", id="retired-batch-key"),
+        # json.loads accepts NaN; the impairment spec does not.
+        pytest.param(RECORDED_CASE.replace(
+            '"impair":null', '"impair":{"jitter":NaN}'),
+            "jitter must be finite", id="nan-jitter"),
     ])
     def test_malformed_case_json_fails_typed(self, text, message, capsys):
         with pytest.raises(ValueError, match=message):
@@ -135,14 +142,6 @@ class TestFuzzSmoke:
         drawn = {generate_case(SMOKE_SEED, i).shards for i in range(32)}
         assert 1 in drawn  # keeps cheap unsharded cases in the corpus
         assert any(s > 1 for s in drawn)
-
-    def test_batch_limits_are_drawn(self):
-        # The draw selects nothing now but stays as recorded, so every
-        # later draw and the corpus JSON keep their values.
-        drawn = {generate_case(SMOKE_SEED, i).batch for i in range(24)}
-        assert 1 in drawn
-        assert None in drawn
-        assert any(b is not None and b > 1 for b in drawn)
 
     def test_baselines_rotate(self):
         drawn = {generate_case(SMOKE_SEED, i).baseline
