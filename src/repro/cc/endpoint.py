@@ -68,6 +68,23 @@ class TcpSender:
         semantics) without any retransmission.
     """
 
+    # Every field __init__ sets: from 30 instance attributes on, CPython
+    # 3.11 keeps them in a per-instance dict.  "__dict__" is for what
+    # attaches per instance (the checker's receive_ack wrapper), which an
+    # unvalidated run never does (tests/test_packet_path.py).
+    __slots__ = (
+        "_sim", "flow", "cc", "_egress", "_total", "_mss", "_on_complete",
+        "ecn", "_ecn_cwr_point", "ecn_reductions", "snd_una", "snd_nxt",
+        "_newly_acked", "_in_recovery", "_recover_point", "_recovery_budget",
+        "_sacked", "_sack_starts", "_sack_ends", "_fack", "_lost_set",
+        "_lost_heap", "_retx_out", "_loss_scan_ptr", "_srtt", "_rttvar",
+        "_rto", "_rto_timer", "_tlp_timer", "_next_send_time", "_pacing_armed",
+        "_needs_rate", "_cc_paces", "_ack_scratch", "_delivered",
+        "_delivered_time", "_send_info", "_rack_time", "packets_sent",
+        "retransmits", "timeouts", "tlp_probes", "loss_events",
+        "corrupt_acks_dropped", "completed_at", "started", "__dict__",
+    )
+
     def __init__(
         self,
         sim: Simulator,
@@ -460,13 +477,20 @@ class TcpSender:
 
     def _try_send(self) -> None:
         """Transmit while the window, the recovery budget and the pacer
-        allow: lost packets first (oldest first), then new data."""
+        allow: lost packets first (oldest first), then new data.
+
+        One pass per packet sent: once a paced, backlogged flow's next
+        send time lies ahead, the next pass could only end at the window,
+        the budget or the pacer, so just those are read (its lost-heap
+        scan would only drop stale heads, which any later scan drops).
+        """
         if self.completed_at is not None or not self.started:
             return
         now = self._sim._now
         cc = self.cc
-        # Pacing is priced on the first pass that reaches its test: most
-        # calls return at the window test, which changes nothing it reads.
+        # Pacing is priced once, on the first pass that reaches it and
+        # only if a packet will leave: with srtt known there is always a
+        # rate, so the pacer is tested first.
         priced = False
         sacked = self._sacked
         lost = self._lost_set
@@ -496,8 +520,11 @@ class TcpSender:
                 return
             if not priced:
                 priced = True
-                rate = cc.pacing_rate(now) if self._cc_paces else None
                 srtt = self._srtt
+                if srtt is not None and now < self._next_send_time - 1e-12:
+                    self._arm_pacing_timer()
+                    return
+                rate = cc.pacing_rate(now) if self._cc_paces else None
                 if rate is None and srtt is not None:
                     # Linux-style internal pacing: the window over the RTT.
                     cwnd = cc.cwnd
@@ -530,25 +557,28 @@ class TcpSender:
             # _transmit inlined.
             self.packets_sent += 1
             self._send_info[seq] = (
-                now,
-                self._delivered,
-                self._delivered_time,
-                retransmit,
+                now, self._delivered, self._delivered_time, retransmit
             )
             self._egress.receive(
-                Packet.data(
-                    self.flow,
-                    seq,
-                    now,
-                    size=self._mss,
-                    retransmit=retransmit,
-                    ecn_capable=self.ecn,
-                )
+                Packet(self.flow, seq, self._mss, now, retransmit, self.ecn)
             )
             if self._rto_timer._deadline is None:
                 self._restart_rto_timer()
             if self._tlp_timer._deadline is None:
                 self._rearm_tlp_timer()
+            if (rate is not None and total is None
+                    and now < self._next_send_time - 1e-12):
+                # The next pass's three possible exits, in its order.
+                pipe = ((self.snd_nxt - self.snd_una) - len(sacked)
+                        - len(lost) + len(retx))
+                if pipe < 0:
+                    pipe = 0
+                if pipe + 1 > cc.cwnd:
+                    return
+                if self._in_recovery and self._recovery_budget < 1.0:
+                    return
+                self._arm_pacing_timer()
+                return
 
     def _advance_una(self, ack: int) -> None:
         """Move ``snd_una`` to ``ack`` and prune scoreboard state below."""
@@ -742,20 +772,11 @@ class TcpSender:
         now = self._sim.now
         self.packets_sent += 1
         self._send_info[seq] = (
-            now,
-            self._delivered,
-            self._delivered_time,
-            retransmit,
+            now, self._delivered, self._delivered_time, retransmit
         )
-        packet = Packet.data(
-            self.flow,
-            seq,
-            now,
-            size=self._mss,
-            retransmit=retransmit,
-            ecn_capable=self.ecn,
+        self._egress.receive(
+            Packet(self.flow, seq, self._mss, now, retransmit, self.ecn)
         )
-        self._egress.receive(packet)
 
     def _arm_pacing_timer(self) -> None:
         """Wake :meth:`_try_send` at ``_next_send_time`` (the caller has
@@ -766,10 +787,17 @@ class TcpSender:
         """
         if not self._pacing_armed:
             self._pacing_armed = True
+            # Simulator.reserve_seq + call_at_reserved inlined.
             sim = self._sim
-            sim.call_at_reserved(
-                self._next_send_time, sim.reserve_seq(), self._on_pacing_wake
+            seq = sim._seq
+            sim._seq = seq + 1
+            heap = sim._heap
+            heapq.heappush(
+                heap, (self._next_send_time, seq, self._on_pacing_wake, ())
             )
+            sim._heap_pushes += 1
+            if len(heap) > sim._peak_heap:
+                sim._peak_heap = len(heap)
 
     def _on_pacing_wake(self) -> None:
         self._pacing_armed = False

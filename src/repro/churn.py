@@ -40,6 +40,7 @@ from repro.classify.classifier import (
 )
 from repro.policy.tree import Policy
 from repro.sim.timer import Timer
+from repro.units import require_positive
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (limiters import us)
     from repro.limiters.base import RateLimiter
@@ -217,6 +218,15 @@ def reclassify(classifier: FlowClassifier, num_queues: int) -> FlowClassifier | 
     return None
 
 
+def staged_positive(limiter: str, name: str, value: float) -> float:
+    """:func:`~repro.units.require_positive` for a field of a staged
+    update: the failure is an :class:`UpdateRejected` for ``limiter``."""
+    try:
+        return require_positive(name, value)
+    except ValueError as exc:
+        raise UpdateRejected(limiter, str(exc)) from None
+
+
 def stage_rate_and_policy(
     update: PolicyUpdate, limiter: str
 ) -> tuple[float | None, Policy | None]:
@@ -228,8 +238,8 @@ def stage_rate_and_policy(
     :class:`UpdateRejected` on behalf of ``limiter``.
     """
     rate = update.rate
-    if rate is not None and not rate > 0:
-        raise UpdateRejected(limiter, f"rate must be positive, got {rate!r}")
+    if rate is not None:
+        staged_positive(limiter, "rate", rate)
     policy = update.policy
     if policy is not None and not isinstance(policy, Policy):
         raise UpdateRejected(

@@ -23,7 +23,7 @@ from repro.net.packet import Packet
 from repro.policy.tree import Policy
 from repro.sim.simulator import Simulator
 from repro.sim.timer import Timer
-from repro.units import MSS, ms
+from repro.units import MSS, ms, require_positive
 
 _TWO_MSS = 2.0 * MSS
 _ALU = Op.ALU.index
@@ -75,8 +75,7 @@ class BCPQP(PQP):
                 f"need 0 <= theta_minus < theta_plus, got "
                 f"{theta_minus!r}, {theta_plus!r}"
             )
-        if period <= 0:
-            raise ValueError(f"period must be positive, got {period!r}")
+        require_positive("period", period)
         self.theta_plus = theta_plus
         self.theta_minus = theta_minus
         self.period = period
@@ -172,9 +171,7 @@ class BCPQP(PQP):
         now = self._sim._now
         # The drain and its cost as in PQP._on_packet.
         if now != queues._clock:
-            before = queues.drain_recomputes
-            queues.advance(now)
-            counts[_ALU] += 2 * (queues.drain_recomputes - before)
+            counts[_ALU] += 2 * queues.advance(now)
         counts[_MAP] += 1
         counts[_ALU] += 3
         size = packet.size

@@ -57,11 +57,12 @@ for lengths and activity.
 from __future__ import annotations
 
 from bisect import insort
-from heapq import heapify, heappop, heappush
+from heapq import heapify, heappop, heappush, heapreplace
 from math import inf
 from operator import attrgetter
 
 from repro.policy.tree import ClassNode, Leaf, Node, Policy
+from repro.units import require_positive
 
 #: Counters below this many bytes are treated as empty (float hygiene);
 #: mirrors :data:`repro.core.phantom._EPSILON`.
@@ -368,7 +369,9 @@ class VirtualTimeGps:
                     self._total -= drained
                     self.drained_bytes += drained
                     if due is None:
-                        pieces += 1
+                        # The common case: the final piece reached now.
+                        self._clock = now
+                        return pieces + 1
                 clock = t_next
             if due is None:
                 break
@@ -393,8 +396,7 @@ class VirtualTimeGps:
         stay valid and vtime monotonicity is preserved across the
         change — the cheap path live churn takes for rate-only updates.
         """
-        if rate <= 0:
-            raise ValueError(f"rate must be positive, got {rate!r}")
+        require_positive("rate", rate)
         self._rate = rate
         self._reslope(self._root)
 
@@ -405,19 +407,66 @@ class VirtualTimeGps:
         Returns ``(length, rate)``: the queue's settled length *before*
         the offer, and its service rate :meth:`rate_of` after it — or a
         negative rate when the bytes did not fit and nothing changed.
+
+        For a live leaf :meth:`length`, :meth:`_repost` and
+        :meth:`rate_of` are inlined with their float operations in their
+        order, and a new empty event replaces the leaf's own live entry
+        when that heads the heap (the stale one :meth:`advance` would
+        pop): the live entries and their order are unchanged.
         """
-        length = self.length(queue)
         leaf = self._leaves[queue]
+        length = leaf.bytes_touch
+        active = leaf.active
+        if active:
+            group = leaf.group
+            v = group.v
+            drained = leaf.weight * (v - leaf.v_touch)
+            if drained > 0.0:
+                length -= drained
+                if length < 0.0:
+                    length = 0.0
+                leaf.bytes_touch = length
+                leaf.v_touch = v
         occupancy = length + size
         if occupancy > limit:
             return length, -1.0
         leaf.bytes_touch = occupancy
         self._total += size
-        if leaf.active:
-            self._repost(leaf)
-        elif occupancy > _EPSILON:
-            self._activate(leaf)
-        return length, self.rate_of(queue)
+        if not active:
+            if occupancy > _EPSILON:
+                self._activate(leaf)
+            return length, self.rate_of(queue)
+        leaf.v_touch = v
+        epoch = leaf.epoch
+        leaf.epoch = epoch + 1
+        seq = self._seq = self._seq + 1
+        entry = (v + occupancy / leaf.weight, seq, epoch + 1, leaf)
+        heap = group.heap
+        head = heap[0]
+        if head[3] is leaf and head[2] == epoch:
+            heapreplace(heap, entry)
+        else:
+            heappush(heap, entry)
+            if len(heap) > _HEAP_SLACK * (group.active_count + 1):
+                heap[:] = [e for e in heap if e[3].active and e[3].epoch == e[2]]
+                heapify(heap)
+        # rate_of inlined.
+        rate = self._rate
+        for node in leaf.spine:
+            group = node.group
+            if group is not node.parent.winning:
+                return length, 0.0
+            members = group.members
+            if members is None:
+                total = group.weight
+            else:
+                total = group.share_weight
+                if total is None:
+                    total = group.share_weight = sum(
+                        m.weight for m in members if m.active
+                    )
+            rate = rate * node.weight / total
+        return length, rate
 
     def add(self, queue: int, size: float) -> None:
         """Enqueue ``size`` bytes into ``queue`` at the current clock."""

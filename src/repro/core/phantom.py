@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from repro.core.gps import VirtualTimeGps
 from repro.policy.tree import Policy
+from repro.units import require_positive
 
 #: Counters below this many bytes are treated as empty (float hygiene).
 _EPSILON = 1e-6
@@ -82,14 +83,13 @@ class PhantomQueueSet:
         start_time: float = 0.0,
         service: str = "fluid",
     ) -> None:
-        if rate <= 0:
-            raise ValueError(f"rate must be positive, got {rate!r}")
+        require_positive("rate", rate)
         engine_class = _engine_class(service)
         n = policy.num_queues
         if len(capacities) != n:
             raise ValueError(f"need {n} capacities, got {len(capacities)}")
-        if any(c <= 0 for c in capacities):
-            raise ValueError("capacities must be positive")
+        for c in capacities:
+            require_positive("capacities", c)
         self._policy = policy
         self._rate = rate
         self._capacity = [float(c) for c in capacities]
@@ -192,14 +192,17 @@ class PhantomQueueSet:
     # Fluid drain
     # ------------------------------------------------------------------
 
-    def advance(self, now: float) -> None:
-        """Drain the service process up to time ``now``."""
+    def advance(self, now: float) -> int:
+        """Drain the service process up to time ``now``; returns the
+        linear pieces spanned (what :attr:`drain_recomputes` grew by)."""
         if now < self._clock:
             raise ValueError(
                 f"time went backwards: {now!r} < {self._clock!r}"
             )
-        self.drain_recomputes += self._engine.advance(now)
+        pieces = self._engine.advance(now)
+        self.drain_recomputes += pieces
         self._clock = now
+        return pieces
 
     # ------------------------------------------------------------------
     # Live reconfiguration (policy churn)

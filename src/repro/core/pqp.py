@@ -15,6 +15,7 @@ from repro.churn import (
     UpdateRejected,
     reclassify,
     stage_rate_and_policy,
+    staged_positive,
 )
 from repro.classify.classifier import FlowClassifier
 from repro.core.phantom import PhantomQueueSet
@@ -126,8 +127,8 @@ class PQP(RateLimiter):
                 caps = [float(c) for c in capacities]
                 if len(caps) != n_new:
                     reject(f"need {n_new} capacities, got {len(caps)}")
-            if any(c <= 0 for c in caps):
-                reject("capacities must be positive")
+            for c in caps:
+                staged_positive(self.name, "capacities", c)
         elif n_new != n_cur:
             reject(
                 f"queue count changed ({n_cur} -> {n_new}) without capacities"
@@ -174,9 +175,7 @@ class PQP(RateLimiter):
         # how much Python bookkeeping the engines skip (see
         # repro.limiters.costs).
         if now != queues._clock:
-            before = queues.drain_recomputes
-            queues.advance(now)
-            counts[_ALU] += 2 * (queues.drain_recomputes - before)
+            counts[_ALU] += 2 * queues.advance(now)
         counts[_MAP] += 1
         counts[_ALU] += 3
         size = packet.size

@@ -24,12 +24,13 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.churn import PolicyUpdate, UpdateRejected
+from repro.churn import PolicyUpdate, UpdateRejected, staged_positive
 from repro.classify.classifier import FlowClassifier
 from repro.limiters.base import RateLimiter
 from repro.limiters.costs import Op
 from repro.net.packet import Packet
 from repro.sim.simulator import Simulator
+from repro.units import require_positive
 
 
 class FairPolicer(RateLimiter):
@@ -53,10 +54,8 @@ class FairPolicer(RateLimiter):
         name: str = "fair_policer",
     ) -> None:
         super().__init__(sim, name=name)
-        if rate <= 0:
-            raise ValueError(f"rate must be positive, got {rate!r}")
-        if bucket_bytes <= 0:
-            raise ValueError(f"bucket must be positive, got {bucket_bytes!r}")
+        require_positive("rate", rate)
+        require_positive("bucket_bytes", bucket_bytes)
         n = classifier.num_queues
         if weights is None:
             weights = [1.0] * n
@@ -98,10 +97,8 @@ class FairPolicer(RateLimiter):
                 self.name, "FairPolicer carries flat weights, not a policy tree"
             )
         rate = update.rate
-        if rate is not None and not rate > 0:
-            raise UpdateRejected(
-                self.name, f"rate must be positive, got {rate!r}"
-            )
+        if rate is not None:
+            staged_positive(self.name, "rate", rate)
         weights = update.weights
         if weights is not None:
             n = self.num_queues
@@ -118,11 +115,7 @@ class FairPolicer(RateLimiter):
                 raise UpdateRejected(
                     self.name, "FairPolicer has one shared budget, not per-queue"
                 )
-            bucket = float(caps)
-            if not bucket > 0:
-                raise UpdateRejected(
-                    self.name, f"bucket must be positive, got {bucket!r}"
-                )
+            bucket = staged_positive(self.name, "bucket", float(caps))
 
         def commit() -> None:
             now = self._sim.now

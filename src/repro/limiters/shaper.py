@@ -22,6 +22,7 @@ from repro.churn import (
     UpdateRejected,
     reclassify,
     stage_rate_and_policy,
+    staged_positive,
 )
 from repro.classify.classifier import FlowClassifier
 from repro.limiters.base import RateLimiter
@@ -30,6 +31,7 @@ from repro.net.packet import Packet
 from repro.policy.tree import Policy
 from repro.sched.drr import HierarchicalDrrScheduler
 from repro.sim.simulator import Simulator
+from repro.units import require_positive
 
 _ALU = Op.ALU.index
 _MAP = Op.MAP.index
@@ -65,10 +67,8 @@ class Shaper(RateLimiter):
         name: str = "shaper",
     ) -> None:
         super().__init__(sim, name=name)
-        if rate <= 0:
-            raise ValueError(f"rate must be positive, got {rate!r}")
-        if queue_bytes <= 0:
-            raise ValueError(f"queue_bytes must be positive, got {queue_bytes!r}")
+        require_positive("rate", rate)
+        require_positive("queue_bytes", queue_bytes)
         if classifier.num_queues != policy.num_queues:
             raise ValueError(
                 f"classifier has {classifier.num_queues} queues but policy "
@@ -133,9 +133,7 @@ class Shaper(RateLimiter):
         if caps is not None:
             if not isinstance(caps, (int, float)):
                 reject("the shaper has one per-queue capacity, not a vector")
-            capacity = float(caps)
-            if not capacity > 0:
-                reject(f"queue_bytes must be positive, got {capacity!r}")
+            capacity = staged_positive(self.name, "queue_bytes", float(caps))
         n_cur = self.num_queues
         n_new = policy.num_queues if policy is not None else n_cur
         new_classifier = None

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.churn import PolicyUpdate, UpdateRejected
+from repro.churn import PolicyUpdate, UpdateRejected, staged_positive
 from repro.limiters.base import RateLimiter
 from repro.limiters.costs import Op
 from repro.net.packet import Packet
 from repro.sim.simulator import Simulator
+from repro.units import require_positive
 
 _ALU = Op.ALU.index
 _MAP = Op.MAP.index
@@ -33,10 +34,8 @@ class TokenBucketPolicer(RateLimiter):
         name: str = "policer",
     ) -> None:
         super().__init__(sim, name=name)
-        if rate <= 0:
-            raise ValueError(f"rate must be positive, got {rate!r}")
-        if bucket_bytes <= 0:
-            raise ValueError(f"bucket must be positive, got {bucket_bytes!r}")
+        require_positive("rate", rate)
+        require_positive("bucket_bytes", bucket_bytes)
         self._rate = rate
         self._bucket = float(bucket_bytes)
         self._tokens = float(bucket_bytes) if initially_full else 0.0
@@ -71,10 +70,8 @@ class TokenBucketPolicer(RateLimiter):
                 self.name, "a token-bucket policer has no sharing policy"
             )
         rate = update.rate
-        if rate is not None and not rate > 0:
-            raise UpdateRejected(
-                self.name, f"rate must be positive, got {rate!r}"
-            )
+        if rate is not None:
+            staged_positive(self.name, "rate", rate)
         bucket: float | None = None
         caps = update.capacities
         if caps is not None:
@@ -85,11 +82,7 @@ class TokenBucketPolicer(RateLimiter):
                         f"a policer has one bucket, got {len(caps)} capacities",
                     )
                 caps = caps[0]
-            bucket = float(caps)
-            if not bucket > 0:
-                raise UpdateRejected(
-                    self.name, f"bucket must be positive, got {bucket!r}"
-                )
+            bucket = staged_positive(self.name, "bucket", float(caps))
 
         def commit() -> None:
             # Settle accrual at the old rate up to the mutation instant,

@@ -34,7 +34,7 @@ from repro.limiters.shaper import Shaper
 from repro.limiters.token_bucket import TokenBucketPolicer
 from repro.policy.tree import Policy
 from repro.sim.simulator import Simulator
-from repro.units import MSS, ms
+from repro.units import MSS, ms, require_positive
 
 #: Scheme identifiers accepted by :func:`make_limiter`.
 SCHEMES = (
@@ -97,10 +97,8 @@ def make_limiter(
     ignore it.
     """
     check_scheme(scheme, phantom_service)
-    if rate <= 0:
-        raise ValueError(f"rate must be positive, got {rate!r}")
-    if max_rtt <= 0:
-        raise ValueError(f"max_rtt must be positive, got {max_rtt!r}")
+    require_positive("rate", rate)
+    require_positive("max_rtt", max_rtt)
     if policy is None:
         policy = (
             Policy.weighted(weights) if weights else Policy.fair(num_queues)

@@ -13,6 +13,8 @@ The helpers below convert the human-facing units used throughout the paper
 
 from __future__ import annotations
 
+from math import inf
+
 #: Maximum segment size used by all senders, in bytes.  The paper's analysis
 #: works in MSS-sized packets; we model data packets as exactly one MSS on the
 #: wire (headers folded in) which keeps the BDP arithmetic identical.
@@ -23,6 +25,14 @@ ACK_SIZE = 40
 
 #: Bits per byte, for rate conversions.
 BITS_PER_BYTE = 8
+
+
+def require_positive(name: str, value: float) -> float:
+    """``value`` if it is a finite number above 0, else :class:`ValueError`
+    naming ``name`` (``value <= 0`` passes nan, ``not value > 0`` inf)."""
+    if not 0.0 < value < inf:
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+    return value
 
 
 def mbps(value: float) -> float:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.units import require_positive
+
 
 @dataclass(frozen=True)
 class OnOffSpec:
@@ -66,8 +68,7 @@ class FlowSpec:
     def __post_init__(self) -> None:
         if self.slot < 0:
             raise ValueError("slot must be >= 0")
-        if self.rtt <= 0:
-            raise ValueError("rtt must be positive")
+        require_positive("rtt", self.rtt)
         if self.packets is not None and self.packets < 1:
             raise ValueError("packets must be >= 1 when given")
         if self.start < 0:

@@ -19,7 +19,9 @@ rests on:
 from __future__ import annotations
 
 import dataclasses
+import math
 import pickle
+from collections import deque
 from random import Random
 
 import pytest
@@ -164,6 +166,47 @@ def test_rejected_update_leaves_state_untouched():
         queues.rate,
     )
     assert before == after
+
+
+def _state(value, seen):
+    """Everything reachable from ``value`` that a limiter holds, as nested
+    tuples (floats by ``repr``, so equal means bit-equal); the simulator
+    and anything callable are named, not walked."""
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return repr(value)
+    if isinstance(value, Simulator) or callable(value):
+        return type(value).__name__
+    if id(value) in seen:
+        return "<cycle>"
+    seen.add(id(value))
+    if isinstance(value, dict):
+        return tuple((repr(k), _state(v, seen)) for k, v in value.items())
+    if isinstance(value, (list, tuple, deque)):
+        return tuple(_state(v, seen) for v in value)
+    if isinstance(value, (set, frozenset)):
+        return tuple(sorted(map(repr, value)))
+    fields = dict(getattr(value, "__dict__", {}))
+    for cls in type(value).__mro__:
+        for name in getattr(cls, "__slots__", ()):
+            if name != "__dict__" and hasattr(value, name):
+                fields[name] = getattr(value, name)
+    return (type(value).__name__,
+            tuple((k, _state(v, seen)) for k, v in sorted(fields.items())))
+
+
+@pytest.mark.parametrize("update", [
+    PolicyUpdate(rate=math.inf), PolicyUpdate(rate=math.nan),
+    PolicyUpdate(capacities=math.inf), PolicyUpdate(capacities=math.nan),
+], ids=["rate=inf", "rate=nan", "capacities=inf", "capacities=nan"])
+@pytest.mark.parametrize("scheme", SCHEMES + ("shaper-fifo", "policer+"))
+def test_non_finite_update_is_rejected_untouched(scheme, update):
+    # `not rate > 0` let inf through: the limiter then forwarded (or,
+    # FairPolicer, dropped) everything.
+    _sim, limiter = _loaded_limiter(scheme)
+    before = _state(limiter, set())
+    with pytest.raises(UpdateRejected, match="must be finite and positive"):
+        limiter.apply_update(update)
+    assert _state(limiter, set()) == before
 
 
 def test_queue_count_change_requires_capacities():

@@ -45,6 +45,8 @@ POLICIES = [
     Policy.weighted([1.0, 2.0, 4.0]),
     Policy.prioritized([0, 1, 0]),
     Policy.nested([[1.0, 1.0], [2.0, 1.0]], group_weights=[2.0, 1.0]),
+    # Non-integer weights: share sums in child order (``share_weight``).
+    Policy.weighted([0.1, 0.2, 0.3]),
 ]
 
 # op kinds: 0 = try_enqueue, 1 = fill_with_magic, 2 = reclaim_magic
@@ -151,6 +153,13 @@ class TestEngineContract:
             mask = probed.active_mask
             for i, length in enumerate(lengths):
                 assert bool(mask >> i & 1) == (length > 1e-6)
+            if engine_class is VirtualTimeGps:
+                # One live empty event per active leaf, none for an
+                # inactive one: offer's heapreplace keeps the set.
+                for leaf in probed._leaves:
+                    live = [e for e in leaf.group.heap
+                            if e[3] is leaf and e[2] == leaf.epoch]
+                    assert len(live) == leaf.active
             tolerance = _EPS * (pieces + 10) + _REL * added
             assert abs(probed.total() - sum(lengths)) <= tolerance
             assert probed.drained_bytes >= drained

@@ -506,10 +506,13 @@ PRE_PR_EVENTLOOP = {
 
 #: What the counters above are proxies for: ``line`` events under
 #: ``src/repro/`` per arrived packet over the cell's whole
-#: ``scenario.run()``.  A ``Packet`` that is only a data segment (eight
-#: slots, no kind test at the receiver or recorder, no uid) reads 380.0 /
-#: 355.4 / 368.1 / 316.6 (limits ~1% above); one that still carried the
-#: ACK variant and a uid 390.7 / 366.1 / 379.0 / 327.3; an ACK built as
+#: ``scenario.run()``.  A ``_try_send`` that takes one pass per packet
+#: sent and an ``offer`` that is the whole admit decision in one frame
+#: read 355.2 / 331.8 / 357.1 / 298.1 (limits ~1% above); a second pass
+#: after every paced send and an ``offer`` that calls ``length``,
+#: ``_repost`` and ``rate_of`` 380.0 / 355.4 / 368.1 / 316.6; a
+#: ``Packet`` that still carried the ACK variant and a uid 390.7 / 366.1
+#: / 379.0 / 327.3; an ACK built as
 #: a ``Packet`` and the pacing rate priced on every ``_try_send`` entry
 #: 405.9 / 380.0 / 400.0 / 342.2, entering the limiter as a one-element batch, counting every
 #: event and pacing on a ``Timer`` 445.5 / 414.7 / 430.8 / 381.4,
@@ -517,7 +520,7 @@ PRE_PR_EVENTLOOP = {
 #: 465.4 / 433.2 / 431.6 / 400.2, appending every delivered packet to a
 #: ``Trace`` 471.6 / 439.2 / 434.3 / 405.9, and a private FIFO and a
 #: batching drain per pipe 524.0 / 487.9 / 497.9 / 449.5 (EXPERIMENTS.md).
-LINES_PER_PACKET_LIMIT = {"bcpqp": 384, "pqp": 359, "shaper": 372, "policer": 320}
+LINES_PER_PACKET_LIMIT = {"bcpqp": 359, "pqp": 335, "shaper": 361, "policer": 302}
 
 #: Lines under ``src/repro/sim/`` per fired event of a self-rearming
 #: chain (``_chain_lines``): 10.0 and 28.0 today, limits ~1% above.

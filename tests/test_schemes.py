@@ -1,5 +1,7 @@
 """Tests for the scheme factory and its paper-default sizing."""
 
+import math
+
 import pytest
 
 from repro.core.bcpqp import BCPQP
@@ -8,6 +10,10 @@ from repro.core.sizing import bdp_bucket, reno_min_phantom_buffer
 from repro.limiters.fair_policer import FairPolicer
 from repro.limiters.shaper import Shaper
 from repro.limiters.token_bucket import TokenBucketPolicer
+from repro.core.gps import VirtualTimeGps
+from repro.core.phantom import PhantomQueueSet
+from repro.classify.classifier import SlotClassifier
+from repro.policy.tree import Policy
 from repro.schemes import SCHEMES, make_limiter
 from repro.sim.simulator import Simulator
 from repro.units import mbps, ms
@@ -107,3 +113,61 @@ class TestFactory:
         assert bc.theta_plus == 2.0
         assert bc.theta_minus == 0.25
         assert bc.period == 0.05
+
+
+NON_FINITE = [math.nan, math.inf]
+
+
+class TestNonFiniteLimits:
+    """A limit that is not a finite number above 0 fails at construction,
+    naming the parameter: a ``nan`` rate or size compares false against
+    everything, so a limiter built with one enforced nothing."""
+
+    @pytest.mark.parametrize("rate", NON_FINITE + [-math.inf, 0.0])
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_rate(self, scheme, rate):
+        with pytest.raises(ValueError, match="rate must be finite"):
+            build(scheme, rate=rate)
+
+    @pytest.mark.parametrize("size", NON_FINITE)
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_queue_or_bucket_size(self, scheme, size):
+        with pytest.raises(ValueError, match="must be finite"):
+            build(scheme, queue_bytes=size)
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_period_and_max_rtt(self, value):
+        with pytest.raises(ValueError, match="period must be finite"):
+            build("bcpqp", period=value)
+        with pytest.raises(ValueError, match="max_rtt must be finite"):
+            build("pqp", max_rtt=value)
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_limiter_constructors(self, value):
+        sim = Simulator()
+        policy = Policy.fair(2)
+        classifier = SlotClassifier(2)
+        for build_one in (
+            lambda: TokenBucketPolicer(sim, rate=value, bucket_bytes=3000),
+            lambda: TokenBucketPolicer(sim, rate=1e6, bucket_bytes=value),
+            lambda: FairPolicer(sim, rate=value, bucket_bytes=3000,
+                                classifier=classifier),
+            lambda: FairPolicer(sim, rate=1e6, bucket_bytes=value,
+                                classifier=classifier),
+            lambda: Shaper(sim, rate=value, policy=policy,
+                           classifier=classifier, queue_bytes=3000),
+            lambda: Shaper(sim, rate=1e6, policy=policy,
+                           classifier=classifier, queue_bytes=value),
+            lambda: PhantomQueueSet(policy, value, [3000.0, 3000.0]),
+            lambda: PhantomQueueSet(policy, 1e6, [3000.0, value]),
+            lambda: VirtualTimeGps(policy, 1e6, start_time=0.0).set_rate(value),
+        ):
+            with pytest.raises(ValueError, match="must be finite and positive"):
+                build_one()
+
+    @pytest.mark.parametrize("rtt", NON_FINITE)
+    def test_flow_rtt(self, rtt):
+        from repro.workload.spec import FlowSpec
+
+        with pytest.raises(ValueError, match="rtt must be finite"):
+            FlowSpec(slot=0, rtt=rtt)
